@@ -45,12 +45,12 @@ inline const std::vector<DbSizePoint>& DbSizes() {
 }
 
 /// Process-wide knobs shared by every figure binary, set once by
-/// ParseBenchArgs in main(). Figures default to kDeterministic so the
-/// exported JSON is reproducible run to run (and diffable with
-/// imoltp_diff); pass --mode=free for wall-clock speed when the exact
-/// counters don't matter.
+/// ParseBenchArgs in main(). Figures default to kSerial so the exported
+/// JSON is reproducible run to run (and diffable with imoltp_diff);
+/// pass --mode=free for wall-clock speed when the exact counters don't
+/// matter.
 struct BenchOptions {
-  core::ParallelMode mode = core::ParallelMode::kDeterministic;
+  core::ParallelMode mode = core::ParallelMode::kSerial;
   double txn_scale = 1.0;
 };
 
@@ -59,22 +59,17 @@ inline BenchOptions& Options() {
   return options;
 }
 
-/// Shared figure-binary flag parsing: --mode=serial|deterministic|free
-/// and --txn-scale=F (scales every warm-up/measurement window, for
-/// quick smoke runs). Unknown flags print usage and exit.
+/// Shared figure-binary flag parsing: --mode=serial|free and
+/// --txn-scale=F (scales every warm-up/measurement window, for quick
+/// smoke runs). Unknown flags print usage and exit.
 inline void ParseBenchArgs(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--mode=", 0) == 0) {
       const std::string m = arg.substr(7);
-      if (m == "serial") {
-        Options().mode = core::ParallelMode::kSerial;
-      } else if (m == "deterministic") {
-        Options().mode = core::ParallelMode::kDeterministic;
-      } else if (m == "free") {
-        Options().mode = core::ParallelMode::kFree;
-      } else {
-        std::fprintf(stderr, "unknown --mode value: %s\n", m.c_str());
+      if (!core::ParseParallelMode(m, &Options().mode)) {
+        std::fprintf(stderr, "unknown --mode value: %s (choices: %s)\n",
+                     m.c_str(), core::ParallelModeChoices());
         std::exit(2);
       }
     } else if (arg.rfind("--txn-scale=", 0) == 0) {
@@ -85,7 +80,7 @@ inline void ParseBenchArgs(int argc, char** argv) {
       }
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--mode=serial|deterministic|free] "
+                   "usage: %s [--mode=serial|free] "
                    "[--txn-scale=F]\n",
                    argv[0]);
       std::exit(2);

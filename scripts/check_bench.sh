@@ -22,7 +22,7 @@ mkdir -p "$outdir"
 base="$outdir/BENCH_smoke.json"
 "$imoltp_bench" --label=smoke --out="$base" \
                 --engines=voltdb,hyper --workloads=tpcb \
-                --modes=deterministic --workers=2 \
+                --modes=serial --workers=2 \
                 --txns=300 --warmup=50 --seed=11 >/dev/null
 
 # 1. A matrix must always be within tolerance of itself.

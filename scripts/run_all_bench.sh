@@ -15,7 +15,7 @@
 # cores. Each binary's output goes to a temp file and is concatenated
 # in name order afterwards, so bench_output.txt is byte-stable
 # regardless of N (each binary is internally deterministic — the
-# default ParallelMode is kDeterministic; see
+# default ParallelMode is kSerial; see
 # docs/parallel_execution.md). A per-binary wall-clock table (slowest
 # first) goes to stderr at the end — stderr, not the output file,
 # because timings are non-deterministic.

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <condition_variable>
-#include <mutex>
 #include <string>
 #include <thread>
 
@@ -34,36 +32,6 @@ void ClassifyAbort(const Status& s, mcsim::AbortBreakdown* b) {
     ++b->other;
   }
 }
-
-/// Token-passing barrier for ParallelMode::kDeterministic: worker w may
-/// run its next transaction only while holding the token, which cycles
-/// 0, 1, ..., W-1, 0, ... — so the global execution order is exactly
-/// the serial nested loop's (transaction t on worker 0, then 1, ...).
-/// The mutex hand-off also sequences every access to shared runner
-/// state (histogram, abort counter) between workers.
-class Turnstile {
- public:
-  explicit Turnstile(int workers) : workers_(workers) {}
-
-  void Await(int worker) {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] { return turn_ == worker; });
-  }
-
-  void Advance() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      turn_ = (turn_ + 1) % workers_;
-    }
-    cv_.notify_all();
-  }
-
- private:
-  const int workers_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  int turn_ = 0;
-};
 
 }  // namespace
 
@@ -104,8 +72,6 @@ const char* ParallelModeName(ParallelMode mode) {
   switch (mode) {
     case ParallelMode::kSerial:
       return "serial";
-    case ParallelMode::kDeterministic:
-      return "deterministic";
     case ParallelMode::kFree:
       return "free";
   }
@@ -114,14 +80,11 @@ const char* ParallelModeName(ParallelMode mode) {
 
 bool ParseParallelMode(const std::string& name, ParallelMode* out) {
   if (name == "serial") return *out = ParallelMode::kSerial, true;
-  if (name == "deterministic") {
-    return *out = ParallelMode::kDeterministic, true;
-  }
   if (name == "free") return *out = ParallelMode::kFree, true;
   return false;
 }
 
-const char* ParallelModeChoices() { return "serial deterministic free"; }
+const char* ParallelModeChoices() { return "serial free"; }
 
 ExperimentRunner::ExperimentRunner(const ExperimentConfig& config)
     : config_(config) {}
@@ -173,11 +136,10 @@ void ExperimentRunner::RunPhase(Workload* workload, ParallelMode mode,
       measure ? engine_->span_collector()->recorder() : nullptr;
 
   // One worker-transaction, including its retry loop. Latency/abort
-  // accounting goes to the given sinks: the shared members for the
-  // serialized modes (every access is ordered by program order or the
-  // turnstile mutex), per-worker locals for kFree. The latency sample
-  // covers every attempt plus backoff — the retry tail is exactly what
-  // the per-attempt averages would hide.
+  // accounting goes to the given sinks: the shared members for kSerial
+  // (every access is ordered by program order), per-worker locals for
+  // kFree. The latency sample covers every attempt plus backoff — the
+  // retry tail is exactly what the per-attempt averages would hide.
   auto body = [&](int w, const PhaseSinks& sinks) {
     Rng* rng = &(*rngs)[w];
     mcsim::CoreSim* core = &machine_->core(w);
@@ -289,102 +251,73 @@ void ExperimentRunner::RunPhase(Workload* workload, ParallelMode mode,
     }
   };
 
-  const PhaseSinks shared{&latency_, &aborts_, &breakdown_, &retry_stats_,
-                          &committed_, &matrix_};
+  if (mode == ParallelMode::kSerial) {
+    const PhaseSinks shared{&latency_, &aborts_, &breakdown_,
+                            &retry_stats_, &committed_, &matrix_};
+    for (uint64_t t = 0; t < txns; ++t) {
+      for (int w = 0; w < workers; ++w) {
+        if (halt.load(std::memory_order_acquire)) return;
+        body(w, shared);
+      }
+    }
+    return;
+  }
 
-  switch (mode) {
-    case ParallelMode::kSerial: {
+  // kFree: one free-running host thread per simulated core.
+  std::vector<obs::LatencyHistogram> local_lat(workers);
+  std::vector<uint64_t> local_aborts(workers, 0);
+  std::vector<mcsim::AbortBreakdown> local_breakdown(workers);
+  std::vector<RetryStats> local_retry(workers);
+  std::vector<uint64_t> local_committed(workers, 0);
+  std::vector<TxnMatrixAcc> local_matrix(workers);
+  for (auto& m : local_matrix) {
+    m.Resize(static_cast<int>(matrix_.counts.size()));
+  }
+  machine_->SetFreeRunning(true);
+  // Per-worker host CPU: each thread exists for exactly this phase, so
+  // its thread-CPU clock at exit is the phase's consumption.
+  std::vector<double> cpu_seconds(workers, 0.0);
+  std::vector<std::thread> threads;
+  threads.reserve(workers);
+  for (int w = 0; w < workers; ++w) {
+    threads.emplace_back([&, w] {
+      const PhaseSinks local{&local_lat[w], &local_aborts[w],
+                             &local_breakdown[w], &local_retry[w],
+                             &local_committed[w], &local_matrix[w]};
       for (uint64_t t = 0; t < txns; ++t) {
-        for (int w = 0; w < workers; ++w) {
-          if (halt.load(std::memory_order_acquire)) return;
-          body(w, shared);
-        }
+        if (halt.load(std::memory_order_acquire)) break;
+        // Simulated worker-core death: the thread stops issuing
+        // transactions; the rest of the fleet keeps running.
+        if (inj != nullptr && inj->Fires(fault::kCoreDeath)) break;
+        body(w, local);
       }
-      return;
+      cpu_seconds[w] = obs::ThreadCpuSeconds();
+    });
+  }
+  for (auto& th : threads) th.join();
+  machine_->SetFreeRunning(false);
+  if (measure) {
+    for (int w = 0; w < workers; ++w) {
+      host_perf_.workers.push_back({w, cpu_seconds[w], 0.0});
     }
-    case ParallelMode::kDeterministic: {
-      Turnstile turnstile(workers);
-      // Per-worker host CPU: each thread exists for exactly this phase,
-      // so its thread-CPU clock at exit is the phase's consumption.
-      std::vector<double> cpu_seconds(workers, 0.0);
-      std::vector<std::thread> threads;
-      threads.reserve(workers);
-      for (int w = 0; w < workers; ++w) {
-        threads.emplace_back([&, w] {
-          for (uint64_t t = 0; t < txns; ++t) {
-            turnstile.Await(w);
-            // After a crash every worker keeps cycling the turnstile
-            // (so no one blocks) but runs nothing further.
-            if (!halt.load(std::memory_order_acquire)) body(w, shared);
-            turnstile.Advance();
-          }
-          cpu_seconds[w] = obs::ThreadCpuSeconds();
-        });
-      }
-      for (auto& th : threads) th.join();
-      if (measure) {
-        for (int w = 0; w < workers; ++w) {
-          host_perf_.workers.push_back({w, cpu_seconds[w], 0.0});
-        }
-      }
-      return;
-    }
-    case ParallelMode::kFree: {
-      std::vector<obs::LatencyHistogram> local_lat(workers);
-      std::vector<uint64_t> local_aborts(workers, 0);
-      std::vector<mcsim::AbortBreakdown> local_breakdown(workers);
-      std::vector<RetryStats> local_retry(workers);
-      std::vector<uint64_t> local_committed(workers, 0);
-      std::vector<TxnMatrixAcc> local_matrix(workers);
-      for (auto& m : local_matrix) {
-        m.Resize(static_cast<int>(matrix_.counts.size()));
-      }
-      machine_->SetFreeRunning(true);
-      std::vector<double> cpu_seconds(workers, 0.0);
-      std::vector<std::thread> threads;
-      threads.reserve(workers);
-      for (int w = 0; w < workers; ++w) {
-        threads.emplace_back([&, w] {
-          const PhaseSinks local{&local_lat[w], &local_aborts[w],
-                                 &local_breakdown[w], &local_retry[w],
-                                 &local_committed[w], &local_matrix[w]};
-          for (uint64_t t = 0; t < txns; ++t) {
-            if (halt.load(std::memory_order_acquire)) break;
-            // Simulated worker-core death: the thread stops issuing
-            // transactions; the rest of the fleet keeps running.
-            if (inj != nullptr && inj->Fires(fault::kCoreDeath)) break;
-            body(w, local);
-          }
-          cpu_seconds[w] = obs::ThreadCpuSeconds();
-        });
-      }
-      for (auto& th : threads) th.join();
-      machine_->SetFreeRunning(false);
-      if (measure) {
-        for (int w = 0; w < workers; ++w) {
-          host_perf_.workers.push_back({w, cpu_seconds[w], 0.0});
-        }
-      }
-      // Merge in worker order so repeated runs at least merge
-      // identically-shaped state the same way.
-      for (int w = 0; w < workers; ++w) {
-        latency_.Merge(local_lat[w]);
-        aborts_ += local_aborts[w];
-        committed_ += local_committed[w];
-        matrix_.Merge(local_matrix[w]);
-        retry_stats_.retries += local_retry[w].retries;
-        retry_stats_.retry_successes += local_retry[w].retry_successes;
-        retry_stats_.retry_rejections += local_retry[w].retry_rejections;
-        const mcsim::AbortBreakdown& lb = local_breakdown[w];
-        breakdown_.total += lb.total;
-        breakdown_.lock_conflict += lb.lock_conflict;
-        breakdown_.validation += lb.validation;
-        breakdown_.partition += lb.partition;
-        breakdown_.injected_fault += lb.injected_fault;
-        breakdown_.other += lb.other;
-      }
-      return;
-    }
+  }
+  // Merge in worker order so repeated runs at least merge
+  // identically-shaped state the same way.
+  for (int w = 0; w < workers; ++w) {
+    latency_.Merge(local_lat[w]);
+    aborts_ += local_aborts[w];
+    committed_ += local_committed[w];
+    matrix_.Merge(local_matrix[w]);
+    retry_stats_.retries += local_retry[w].retries;
+    retry_stats_.retry_successes += local_retry[w].retry_successes;
+    retry_stats_.retry_rejections += local_retry[w].retry_rejections;
+    const mcsim::AbortBreakdown& lb = local_breakdown[w];
+    breakdown_.total += lb.total;
+    breakdown_.lock_conflict += lb.lock_conflict;
+    breakdown_.validation += lb.validation;
+    breakdown_.partition += lb.partition;
+    breakdown_.injected_fault += lb.injected_fault;
+    breakdown_.other += lb.other;
   }
 }
 

@@ -21,14 +21,11 @@ namespace imoltp::core {
 /// docs/parallel_execution.md for the full threading model and
 /// determinism contract.
 enum class ParallelMode {
-  /// Legacy nested loop on the calling thread: transaction t runs on
-  /// worker 0, then 1, ... then W-1 before t+1 starts. The historical
-  /// reference interleaving.
+  /// The default. Every worker runs on the calling thread in the
+  /// reference interleaving: transaction t runs on worker 0, then 1,
+  /// ... then W-1 before t+1 starts. Counters, spans, latencies and
+  /// trace replays repeat bit for bit under the same seed.
   kSerial,
-  /// One host thread per simulated core, turnstile-stepped so the
-  /// global transaction order is exactly kSerial's. Counters, spans,
-  /// latencies and trace replays are bit-identical to kSerial.
-  kDeterministic,
   /// One free-running host thread per simulated core: full wall-clock
   /// speed, data-race-free, but the interleaving (and therefore exact
   /// counter values) varies run to run.
@@ -37,9 +34,9 @@ enum class ParallelMode {
 
 const char* ParallelModeName(ParallelMode mode);
 
-/// Parses a CLI mode name ("serial", "deterministic", "free") — the
-/// single spelling authority for every tool with a --mode flag.
-/// Returns false on an unknown name.
+/// Parses a CLI mode name ("serial", "free") — the single spelling
+/// authority for every tool with a --mode flag. Returns false on an
+/// unknown name.
 bool ParseParallelMode(const std::string& name, ParallelMode* out);
 
 /// The valid ParseParallelMode spellings, space-separated, for error
@@ -102,7 +99,7 @@ struct ExperimentConfig {
   uint64_t warmup_txns = 2000;   // per worker, profiler detached
   uint64_t measure_txns = 6000;  // per worker, profiler attached
   uint64_t seed = 42;
-  ParallelMode parallel_mode = ParallelMode::kDeterministic;
+  ParallelMode parallel_mode = ParallelMode::kSerial;
   RetryPolicy retry;
   engine::EngineOptions engine_options;
   mcsim::MachineConfig machine_config;
@@ -137,10 +134,10 @@ class ExperimentRunner {
 
   /// Warm-up (profiler detached) then measurement window (attached).
   /// Returns the paper's per-worker-averaged metrics, or the first
-  /// post_warmup hook failure. With num_workers > 1 the windows run
-  /// one host thread per simulated core, scheduled per
-  /// config.parallel_mode; a single worker or an attached trace sink
-  /// always runs serially on the calling thread.
+  /// post_warmup hook failure. Under kFree with num_workers > 1 the
+  /// windows run one host thread per simulated core; otherwise (and
+  /// always with an attached trace sink) every worker runs on the
+  /// calling thread.
   StatusOr<mcsim::WindowReport> Run(Workload* workload);
 
   engine::Engine* engine() { return engine_.get(); }
@@ -186,7 +183,7 @@ class ExperimentRunner {
   /// per phase (populate is Create()'s share), simulated references and
   /// instructions retired per host second across the measurement
   /// window, peak RSS, and per-worker host-thread CPU utilization
-  /// (threaded modes only). Never deterministic — excluded from every
+  /// (kFree only). Never deterministic — excluded from every
   /// replay/fingerprint comparison (see docs/OBSERVABILITY.md).
   const obs::HostPerf& host_perf() const { return host_perf_; }
 
@@ -217,8 +214,8 @@ class ExperimentRunner {
     }
   };
 
-  /// Per-phase accounting sinks: the shared members for the serialized
-  /// modes, per-worker locals (merged post-join) for kFree.
+  /// Per-phase accounting sinks: the shared members for kSerial,
+  /// per-worker locals (merged post-join) for kFree.
   struct PhaseSinks {
     obs::LatencyHistogram* lat = nullptr;
     uint64_t* aborts = nullptr;
@@ -232,7 +229,7 @@ class ExperimentRunner {
   /// is set, per-transaction latencies land in latency_ and failures
   /// in aborts_ (merged in worker order for kFree). An injected crash
   /// halts the phase: no worker starts another transaction. Measured
-  /// threaded phases additionally record each worker host thread's CPU
+  /// kFree phases additionally record each worker host thread's CPU
   /// seconds into host_perf_.
   void RunPhase(Workload* workload, ParallelMode mode, uint64_t txns,
                 std::vector<Rng>* rngs, bool measure);

@@ -9,15 +9,13 @@
 
 namespace imoltp::dist {
 
-/// Per-node sequencer: the single local ordering point (turnstile) of a
-/// node. Every transaction the node's clients generate passes through
-/// here and receives the node's monotonic sequence number — the
-/// per-origin total order that (a) fixes the execution order of the
-/// node's single-home queue and (b) is the tie-free input the global
-/// orderer merges for multi-home transactions. Like the intra-node
-/// turnstile in kDeterministic mode, it imposes order, not mutual
-/// exclusion: batches drain in seq order regardless of how they were
-/// produced.
+/// Per-node sequencer: the single local ordering point of a node. Every
+/// transaction the node's clients generate passes through here and
+/// receives the node's monotonic sequence number — the per-origin total
+/// order that (a) fixes the execution order of the node's single-home
+/// queue and (b) is the tie-free input the global orderer merges for
+/// multi-home transactions. It imposes order, not mutual exclusion:
+/// batches drain in seq order regardless of how they were produced.
 class Sequencer {
  public:
   explicit Sequencer(int node_id) : node_id_(node_id) {}

@@ -26,7 +26,7 @@ struct ChaosOptions {
   uint64_t warmup_txns = 50;
   uint64_t measure_txns = 300;  // per worker
   uint64_t seed = 1;
-  core::ParallelMode mode = core::ParallelMode::kDeterministic;
+  core::ParallelMode mode = core::ParallelMode::kSerial;
   core::RetryPolicy retry;
 
   /// Fault points to arm each cycle (same configs, fresh per-cycle
@@ -86,7 +86,7 @@ struct ChaosCycleResult {
   std::vector<FaultPointStats> fault_stats;
   /// FNV-1a digest of the cycle's observable outcome (commit/abort
   /// counts, surviving log contents sans LSNs, invariant checksums).
-  /// Two runs with the same options and a serialized mode match bit
+  /// Two runs with the same options in serial mode match bit
   /// for bit — the determinism contract chaos_test enforces.
   uint64_t fingerprint = 0;
 };

@@ -67,8 +67,8 @@ struct FaultPointStats {
 /// further).
 ///
 /// Determinism contract: with the same seed, the same arming, and the
-/// same serialized execution order (kSerial or kDeterministic parallel
-/// mode), every draw happens at the same point in the instruction
+/// same serial execution order (ParallelMode::kSerial), every draw
+/// happens at the same point in the instruction
 /// stream, so the fault schedule — and everything downstream of it —
 /// is bit-identical. In kFree mode the injector is thread-safe but the
 /// schedule depends on the host interleaving.

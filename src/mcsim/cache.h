@@ -20,8 +20,8 @@ namespace imoltp::mcsim {
 /// host thread and never need locking. The machine-shared LLC is switched
 /// into concurrent mode (`set_concurrent(true)`) for free-running parallel
 /// execution; set state is then guarded by sharded per-set-group mutexes.
-/// Hit/miss/tick counters are relaxed atomics in every mode — in the
-/// serialized modes all accesses are totally ordered, so the counts (and
+/// Hit/miss/tick counters are relaxed atomics in every mode — in serial
+/// mode all accesses are totally ordered, so the counts (and
 /// the LRU stamps derived from tick_) stay bit-identical to the historical
 /// single-threaded values.
 class Cache {

@@ -15,9 +15,9 @@ namespace imoltp::mcsim {
 /// shared LLC, mirroring Table 1 of the paper.
 ///
 /// Threading model (docs/parallel_execution.md): each CoreSim is
-/// thread-confined — at most one host thread drives it at a time. In the
-/// serialized execution modes (kSerial / kDeterministic) core verbs are
-/// additionally totally ordered, so cross-core invalidation pokes sibling
+/// thread-confined — at most one host thread drives it at a time. In
+/// serial execution (the default) core verbs are additionally totally
+/// ordered, so cross-core invalidation pokes sibling
 /// caches directly and every counter is bit-identical to the historical
 /// single-threaded interleaving. In free-running mode
 /// (`SetFreeRunning(true)`) one host thread runs per core concurrently:

@@ -35,7 +35,7 @@ struct AbortBreakdown {
 /// One bucket of the sampled time-series: the deltas between two
 /// consecutive counter samples on one core. Bucket boundaries (`t0`,
 /// `t1`) are on the retirement clock and therefore placement-
-/// independent and bit-identical across same-seed serialized runs;
+/// independent and bit-identical across same-seed serial runs;
 /// miss-derived values (`model_cycles`, `ipc`, `stalls_per_kinstr`)
 /// carry only address-placement noise (see mcsim/sampler.h).
 struct SeriesBucket {

@@ -17,7 +17,7 @@ namespace imoltp::mcsim {
 /// (instructions x inherent CPI) — not the full cycle model. Base
 /// cycles are placement-independent: they depend only on the retired
 /// instruction stream, never on where the host allocator happened to
-/// put a table. Same seed + a serialized ParallelMode therefore yields
+/// put a table. Same seed + ParallelMode::kSerial therefore yields
 /// bit-identical sample boundaries and bit-identical retired-work
 /// columns run after run, while the miss-derived columns carry only
 /// the same address-placement noise every cross-run comparison in this

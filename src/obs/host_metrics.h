@@ -49,15 +49,14 @@ class PhaseTimer {
 };
 
 /// Host CPU consumption of one worker's host thread across the
-/// measurement window. Only the threaded parallel modes produce these
-/// (kSerial multiplexes every worker onto the calling thread, so
-/// per-worker attribution would be fiction).
+/// measurement window. Only kFree produces these (kSerial multiplexes
+/// every worker onto the calling thread, so per-worker attribution
+/// would be fiction).
 struct WorkerHostUtilization {
   int worker = -1;
   double cpu_seconds = 0.0;
   /// cpu_seconds / measurement wall seconds — ~1.0 for a busy free-
-  /// running worker, well below 1.0 for turnstile-stepped threads that
-  /// spend most of their time parked on the condition variable.
+  /// running worker, lower when workers outnumber spare host cores.
   double utilization = 0.0;
 };
 
@@ -67,7 +66,7 @@ struct WorkerHostUtilization {
 /// utilization. Filled by ExperimentRunner, serialized as the schema v5
 /// `host` section.
 struct HostPerf {
-  std::string parallel_mode;  // serial|deterministic|free (effective)
+  std::string parallel_mode;  // serial|free (effective)
 
   double populate_seconds = 0.0;  // Create(): populate + cache build
   double warmup_seconds = 0.0;    // all warm-up phases so far
@@ -86,8 +85,7 @@ struct HostPerf {
 
   uint64_t peak_rss_bytes = 0;
 
-  /// One entry per worker host thread (threaded modes only; empty under
-  /// kSerial).
+  /// One entry per worker host thread (kFree only; empty under kSerial).
   std::vector<WorkerHostUtilization> workers;
 };
 

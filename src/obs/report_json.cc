@@ -362,7 +362,7 @@ std::string RunReportToJson(const RunInfo& info,
   }
 
   // Checkpoint / recovery accounting (schema v7). Deterministic in
-  // serialized modes, so imoltp_diff compares it exactly. Absent unless
+  // serial mode, so imoltp_diff compares it exactly. Absent unless
   // checkpointing was enabled.
   if (recovery != nullptr) {
     w.Key("recovery");

@@ -108,7 +108,7 @@ struct RobustnessInfo {
 /// Checkpoint / recovery section of the report (schema v7). Live runs
 /// fill the checkpoint half from the engine's CheckpointManager; a
 /// process that performed a recovery also fills `recovery` and sets
-/// `recovered`. Deterministic in serialized modes, so imoltp_diff
+/// `recovered`. Deterministic in serial mode, so imoltp_diff
 /// compares it exactly.
 struct RecoveryInfo {
   bool checkpoint_enabled = false;

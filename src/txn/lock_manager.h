@@ -22,7 +22,7 @@ enum class LockMode : uint8_t { kShared, kExclusive };
 /// in-memory systems design away (Section 2.1).
 ///
 /// Conflict policy is no-wait: a conflicting request returns kAborted and
-/// the caller aborts. In the serialized execution modes workers
+/// the caller aborts. In serial execution mode workers
 /// interleave at transaction granularity, so waits could never resolve;
 /// in free-running parallel mode no-wait keeps the simulation
 /// deadlock-free while 2PL sees real cross-thread contention.

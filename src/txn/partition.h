@@ -55,7 +55,7 @@ class PartitionManager {
   /// Claims are atomic compare-and-swaps so concurrent multi-partition
   /// transactions race safely in free-running mode; the traced event
   /// sequence (all check reads, then all claim writes) is unchanged from
-  /// the serial implementation, so serialized modes stay bit-identical.
+  /// the serial implementation, so serial mode stays bit-identical.
   Status EnterMultiPartition(mcsim::CoreSim* core, int worker,
                              const std::vector<int>& partitions) {
     for (int p : partitions) {

@@ -1,7 +1,7 @@
 // End-to-end robustness acceptance tests: seeded crash → recover →
 // verify cycles hold the workload invariants on every engine, the fault
 // schedule (and everything downstream) is bit-identical across
-// same-seed runs in deterministic mode, and retry-with-backoff strictly
+// same-seed runs in serial mode, and retry-with-backoff strictly
 // lifts the committed-transaction count under an injected lock-conflict
 // storm. See docs/robustness.md.
 
@@ -96,8 +96,8 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(ChaosDeterminismTest, SameSeedSameFingerprint) {
-  // The acceptance bar: two campaigns with identical options in
-  // kDeterministic mode match bit for bit — same crash schedule, same
+  // The acceptance bar: two campaigns with identical options in the
+  // default kSerial mode match bit for bit — same crash schedule, same
   // surviving log, same invariant checksums, same fingerprints.
   ChaosOptions opt = FastOptions(EngineKind::kShoreMt, "tpcb");
   opt.cycles = 2;

@@ -53,7 +53,7 @@ TEST(HostMetricsTest, PhaseTimerAccumulatesAcrossScopes) {
 
 obs::HostPerf SampleHostPerf() {
   obs::HostPerf perf;
-  perf.parallel_mode = "deterministic";
+  perf.parallel_mode = "free";
   perf.populate_seconds = 0.25;
   perf.warmup_seconds = 0.5;
   perf.measure_seconds = 2.0;
@@ -77,7 +77,7 @@ TEST(HostPerfJsonTest, EmitsEveryField) {
   auto doc = obs::ParseJson(w.str());
   ASSERT_TRUE(doc.ok()) << doc.status().ToString();
   const obs::JsonValue& v = doc.value();
-  EXPECT_EQ(v.FindPath("host.parallel_mode")->string, "deterministic");
+  EXPECT_EQ(v.FindPath("host.parallel_mode")->string, "free");
   EXPECT_DOUBLE_EQ(v.FindPath("host.phase_seconds.populate")->number,
                    0.25);
   EXPECT_DOUBLE_EQ(v.FindPath("host.phase_seconds.measure")->number, 2.0);
@@ -111,7 +111,7 @@ TEST(HostPerfJsonTest, ReportCarriesHostSectionOnlyWhenProvided) {
   EXPECT_EQ(doc->FindPath("schema_version")->number,
             obs::kReportSchemaVersion);
   ASSERT_NE(doc->FindPath("host"), nullptr);
-  EXPECT_EQ(doc->FindPath("host.parallel_mode")->string, "deterministic");
+  EXPECT_EQ(doc->FindPath("host.parallel_mode")->string, "free");
 
   const std::string without_host =
       obs::RunReportToJson(info, report, params, nullptr, nullptr);
@@ -161,10 +161,10 @@ obs::BenchMatrix SampleMatrix() {
   m.config = "--engines=voltdb --workloads=tpcb";
   m.created_unix = 1754600000;
   obs::BenchCell c;
-  c.id = "voltdb/tpcb/deterministic/w2";
+  c.id = "voltdb/tpcb/serial/w2";
   c.engine = "voltdb";
   c.workload = "tpcb";
-  c.mode = "deterministic";
+  c.mode = "serial";
   c.workers = 2;
   c.warmup_txns = 500;
   c.measure_txns = 2000;
@@ -195,7 +195,7 @@ TEST(BenchJsonTest, MatrixRoundTripsLosslessly) {
   EXPECT_EQ(r.created_unix, 1754600000u);
   ASSERT_EQ(r.cells.size(), 1u);
   const obs::BenchCell& c = r.cells[0];
-  EXPECT_EQ(c.id, "voltdb/tpcb/deterministic/w2");
+  EXPECT_EQ(c.id, "voltdb/tpcb/serial/w2");
   EXPECT_EQ(c.workers, 2);
   EXPECT_DOUBLE_EQ(c.ipc, 0.8123);
   EXPECT_DOUBLE_EQ(c.instructions_per_txn, 15000.5);

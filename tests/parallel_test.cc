@@ -2,12 +2,11 @@
 // ParallelMode (docs/parallel_execution.md) and the accounting
 // invariants of free-running mode.
 //
-// kDeterministic runs one host thread per simulated core but
-// turnstile-steps them so the global transaction order is exactly
-// kSerial's. On the same machine instance that makes every simulated
-// event identical; across instances the only residue is physical
-// placement (real allocations land at different addresses per run,
-// which perturbs cache-set and page mappings — see
+// kSerial, the default, runs every worker on the calling thread in one
+// fixed interleaving, so two same-seed runs execute the identical
+// transaction stream. Across machine instances the only residue is
+// physical placement (real allocations land at different addresses per
+// run, which perturbs cache-set and page mappings — see
 // ExperimentTest.ReproducibleAcrossRuns). Retired work is therefore
 // compared bit-identically and memory-system metrics within the same
 // tolerance the repo uses for any cross-run comparison.
@@ -44,46 +43,60 @@ MicroConfig SmallMicro() {
   return mcfg;
 }
 
-TEST(ParallelModeTest, DeterministicMatchesSerialOnAllEngines) {
+TEST(ParallelModeTest, DefaultIsSerialAndOnlyTwoModesParse) {
+  EXPECT_EQ(ExperimentConfig{}.parallel_mode, ParallelMode::kSerial);
+  ParallelMode parsed = ParallelMode::kFree;
+  ASSERT_TRUE(ParseParallelMode("serial", &parsed));
+  EXPECT_EQ(parsed, ParallelMode::kSerial);
+  ASSERT_TRUE(ParseParallelMode("free", &parsed));
+  EXPECT_EQ(parsed, ParallelMode::kFree);
+  // The former "deterministic" spelling is an unknown name, not an
+  // alias, and leaves the output untouched.
+  EXPECT_FALSE(ParseParallelMode("deterministic", &parsed));
+  EXPECT_EQ(parsed, ParallelMode::kFree);
+  EXPECT_STREQ(ParallelModeChoices(), "serial free");
+}
+
+TEST(ParallelModeTest, SerialRepeatsOnAllEngines) {
   for (EngineKind kind : kAllEngines) {
     SCOPED_TRACE(engine::EngineKindName(kind));
     MicroConfig mcfg = SmallMicro();
-    MicroBenchmark wl_serial(mcfg), wl_det(mcfg);
+    MicroBenchmark wl_a(mcfg), wl_b(mcfg);
 
-    auto serial = RunExperiment(
-        ParallelConfig(kind, ParallelMode::kSerial), &wl_serial);
-    ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-    auto det = RunExperiment(
-        ParallelConfig(kind, ParallelMode::kDeterministic), &wl_det);
-    ASSERT_TRUE(det.ok()) << det.status().ToString();
+    auto a = RunExperiment(ParallelConfig(kind, ParallelMode::kSerial),
+                           &wl_a);
+    ASSERT_TRUE(a.ok()) << a.status().ToString();
+    auto b = RunExperiment(ParallelConfig(kind, ParallelMode::kSerial),
+                           &wl_b);
+    ASSERT_TRUE(b.ok()) << b.status().ToString();
 
     // Retired work is placement-independent: bit-identical or the
-    // turnstile is not reproducing the serial interleaving.
-    EXPECT_EQ(det->num_workers, serial->num_workers);
-    EXPECT_DOUBLE_EQ(det->instructions, serial->instructions);
-    EXPECT_DOUBLE_EQ(det->transactions, serial->transactions);
-    EXPECT_DOUBLE_EQ(det->mispredictions, serial->mispredictions);
-    EXPECT_DOUBLE_EQ(det->base_cycles, serial->base_cycles);
-    EXPECT_DOUBLE_EQ(det->instructions_per_txn,
-                     serial->instructions_per_txn);
+    // serial interleaving is not reproducible.
+    EXPECT_EQ(b->num_workers, a->num_workers);
+    EXPECT_DOUBLE_EQ(b->instructions, a->instructions);
+    EXPECT_DOUBLE_EQ(b->transactions, a->transactions);
+    EXPECT_DOUBLE_EQ(b->mispredictions, a->mispredictions);
+    EXPECT_DOUBLE_EQ(b->base_cycles, a->base_cycles);
+    EXPECT_DOUBLE_EQ(b->instructions_per_txn, a->instructions_per_txn);
 
     // Memory-system metrics carry only address-placement noise, never
     // interleaving noise: the cross-run tolerance must hold.
-    EXPECT_NEAR(det->ipc, serial->ipc, 0.02 * serial->ipc);
-    EXPECT_NEAR(det->cycles, serial->cycles, 0.02 * serial->cycles);
+    EXPECT_NEAR(b->ipc, a->ipc, 0.02 * a->ipc);
+    EXPECT_NEAR(b->cycles, a->cycles, 0.02 * a->cycles);
   }
 }
 
-TEST(ParallelModeTest, DeterministicDistributesWorkLikeSerial) {
+TEST(ParallelModeTest, SerialDistributesWorkAcrossCores) {
   MicroConfig mcfg = SmallMicro();
   MicroBenchmark wl(mcfg);
   ExperimentConfig cfg =
-      ParallelConfig(EngineKind::kVoltDb, ParallelMode::kDeterministic);
+      ParallelConfig(EngineKind::kVoltDb, ParallelMode::kSerial);
   auto runner = ExperimentRunner::Create(cfg, &wl);
   ASSERT_TRUE(runner.ok()) << runner.status().ToString();
   ASSERT_TRUE((*runner)->Run(&wl).ok());
 
-  // Every simulated core ran exactly its per-worker share.
+  // Every simulated core ran exactly its per-worker share, all on the
+  // calling thread: no per-worker host threads are reported.
   mcsim::MachineSim* machine = (*runner)->machine();
   ASSERT_EQ(machine->num_cores(), 4);
   for (int c = 0; c < machine->num_cores(); ++c) {
@@ -93,6 +106,8 @@ TEST(ParallelModeTest, DeterministicDistributesWorkLikeSerial) {
   }
   EXPECT_EQ((*runner)->latency_histogram().count(),
             cfg.measure_txns * static_cast<uint64_t>(cfg.num_workers));
+  EXPECT_EQ((*runner)->host_perf().parallel_mode, "serial");
+  EXPECT_TRUE((*runner)->host_perf().workers.empty());
 }
 
 TEST(ParallelModeTest, SingleWorkerIgnoresMode) {

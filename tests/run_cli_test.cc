@@ -156,6 +156,25 @@ TEST(BuildExperimentTest, SamplerPeriodFollowsFlags) {
   }
 }
 
+TEST(BuildExperimentTest, ModeDefaultsToSerialAndRejectsUnknownNames) {
+  core::ExperimentConfig cfg;
+  std::unique_ptr<core::Workload> workload;
+  std::string error;
+  Flags flags;
+  cfg.parallel_mode = core::ParallelMode::kFree;
+  ASSERT_TRUE(BuildExperiment(flags, &cfg, &workload, &error)) << error;
+  EXPECT_EQ(cfg.parallel_mode, core::ParallelMode::kSerial);
+
+  flags.mode = "free";
+  ASSERT_TRUE(BuildExperiment(flags, &cfg, &workload, &error)) << error;
+  EXPECT_EQ(cfg.parallel_mode, core::ParallelMode::kFree);
+
+  flags.mode = "deterministic";
+  EXPECT_FALSE(BuildExperiment(flags, &cfg, &workload, &error));
+  EXPECT_NE(error.find("choices: serial free"), std::string::npos)
+      << error;
+}
+
 TEST(ParseEngineTest, AllFiveEnginesParse) {
   engine::EngineKind kind;
   for (const char* name :

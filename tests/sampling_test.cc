@@ -6,7 +6,7 @@
 //
 //  1. Determinism. The sample clock is the retirement clock (base
 //     cycles), which depends only on the retired instruction stream —
-//     so same seed + a serialized ParallelMode must reproduce bucket
+//     so same seed + ParallelMode::kSerial must reproduce bucket
 //     boundaries and retired-work columns bit-identically on every
 //     engine, exactly like the whole-window counters already do
 //     (tests/parallel_test.cc).
@@ -327,26 +327,24 @@ std::string DeterministicFingerprint(const WindowReport& r) {
 }
 
 TEST(SampledExperimentTest, DeterministicSeriesOnAllEngines) {
-  // Same seed, serial vs. turnstile-deterministic threading: the
-  // deterministic fingerprint must match byte for byte on every
-  // engine. This is the time-resolved extension of
-  // ParallelModeTest.DeterministicMatchesSerialOnAllEngines.
+  // Two same-seed serial runs: the deterministic fingerprint must match
+  // byte for byte on every engine. This is the time-resolved extension
+  // of ParallelModeTest.SerialRepeatsOnAllEngines.
   for (EngineKind kind : kAllEngines) {
     SCOPED_TRACE(engine::EngineKindName(kind));
     MicroConfig mcfg = SmallMicro();
-    MicroBenchmark wl_serial(mcfg), wl_det(mcfg);
+    MicroBenchmark wl_a(mcfg), wl_b(mcfg);
 
-    auto serial = RunExperiment(
-        SampledConfig(kind, ParallelMode::kSerial), &wl_serial);
-    ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-    auto det = RunExperiment(
-        SampledConfig(kind, ParallelMode::kDeterministic), &wl_det);
-    ASSERT_TRUE(det.ok()) << det.status().ToString();
+    auto a = RunExperiment(SampledConfig(kind, ParallelMode::kSerial),
+                           &wl_a);
+    ASSERT_TRUE(a.ok()) << a.status().ToString();
+    auto b = RunExperiment(SampledConfig(kind, ParallelMode::kSerial),
+                           &wl_b);
+    ASSERT_TRUE(b.ok()) << b.status().ToString();
 
-    ASSERT_EQ(serial->timeseries.size(), 2u);
-    EXPECT_GT(serial->timeseries[0].buckets.size(), 1u);
-    EXPECT_EQ(DeterministicFingerprint(*det),
-              DeterministicFingerprint(*serial));
+    ASSERT_EQ(a->timeseries.size(), 2u);
+    EXPECT_GT(a->timeseries[0].buckets.size(), 1u);
+    EXPECT_EQ(DeterministicFingerprint(*b), DeterministicFingerprint(*a));
   }
 }
 

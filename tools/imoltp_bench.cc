@@ -21,12 +21,11 @@
 //   --workloads=A,B,...  subset of micro,micro-rw,micro-string,tpcb,
 //                        tpcc,tpcc-cluster (default tpcb,tpcc,
 //                        tpcc-cluster). tpcc-cluster runs the 3-node
-//                        src/dist cluster (deterministic mode only;
-//                        other modes skip the cell) and reports
+//                        src/dist cluster (serial mode only; other
+//                        modes skip the cell) and reports
 //                        cluster-wide averages; its host axis is
 //                        wall-clock-only.
-//   --modes=A,B,...      subset of serial,deterministic,free
-//                        (default deterministic)
+//   --modes=A,B,...      subset of serial,free (default serial)
 //   --workers=N          worker threads == partitions (default 2)
 //   --txns=N             measured transactions per worker (default 2000)
 //   --warmup=N           warm-up transactions per worker (default 500)
@@ -64,7 +63,7 @@ struct BenchFlags {
   std::vector<std::string> engines = {"shore-mt", "dbms-d", "voltdb",
                                       "hyper", "dbms-m"};
   std::vector<std::string> workloads = {"tpcb", "tpcc", "tpcc-cluster"};
-  std::vector<std::string> modes = {"deterministic"};
+  std::vector<std::string> modes = {"serial"};
   int workers = 2;
   uint64_t txns = 2000;
   uint64_t warmup = 500;
@@ -278,7 +277,7 @@ bool RunClusterCell(const BenchFlags& bench, const std::string& engine,
              "/w" + std::to_string(bench.workers);
   cell->engine = engine;
   cell->workload = "tpcc-cluster";
-  cell->mode = "deterministic";
+  cell->mode = "serial";
   cell->workers = bench.workers;
   cell->warmup_txns = bench.warmup;
   cell->measure_txns = bench.txns;
@@ -347,10 +346,10 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "[%zu/%zu] %s / %s / %s ...\n", done, total,
                      engine.c_str(), workload.c_str(), mode.c_str());
         if (workload == "tpcc-cluster") {
-          // The cluster driver is deterministic by construction; the
+          // The cluster driver is single-threaded by construction; the
           // mode axis does not apply. Run the cell once, under the
-          // deterministic label, and skip the other modes quietly.
-          if (mode != "deterministic") continue;
+          // serial label, and skip the other modes quietly.
+          if (mode != "serial") continue;
           obs::BenchCell cell;
           if (!RunClusterCell(bench, engine, &cell, &error)) {
             std::fprintf(stderr, "%s: %s/%s failed: %s\n", argv[0],

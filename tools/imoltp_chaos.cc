@@ -18,7 +18,7 @@
 //   --txns=N                 measured transactions per worker
 //   --warmup=N               warm-up transactions per worker
 //   --seed=N                 campaign seed (injector + workload)
-//   --mode=serial|deterministic|free
+//   --mode=serial|free       host threading (default serial)
 //   --chaos-points=SPEC      NAME=PROB[@NTH],... points to arm
 //   --retry=N --retry-backoff=N --retry-cap=N     abort retry policy
 //   --db=SIZE                tpcb nominal size (default 1MB)
@@ -69,7 +69,7 @@ int Usage(const char* argv0, const std::string& error) {
                "[--cycles=N]\n"
                "          [--workers=N] [--txns=N] [--warmup=N] "
                "[--seed=N]\n"
-               "          [--mode=serial|deterministic|free]\n"
+               "          [--mode=serial|free]\n"
                "          [--chaos-points=NAME=PROB[@NTH],...]\n"
                "          [--retry=N] [--retry-backoff=N] "
                "[--retry-cap=N]\n"
@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
   fault::ChaosOptions opt;
   opt.workload = "tpcb";
   std::string engine_name = "voltdb";
-  std::string mode = "deterministic";
+  std::string mode = "serial";
   std::string json_path;
   std::string error;
 

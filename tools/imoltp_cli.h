@@ -40,7 +40,7 @@ struct Flags {
   std::string index = "hash";
   bool compilation = true;
   uint64_t seed = 42;
-  std::string mode = "deterministic";  // serial|deterministic|free
+  std::string mode = "serial";  // serial|free
   bool csv = false;
   bool csv_header = false;
   bool list = false;

@@ -82,7 +82,7 @@ int Usage(const char* argv0, const std::string& error = "") {
   std::fprintf(stderr, "engines: %s\n",
                imoltp::engine::EngineKindChoices());
   std::fprintf(stderr,
-               "per-node execution mode: deterministic (of: %s)\n",
+               "per-node execution mode: serial (of: %s)\n",
                imoltp::core::ParallelModeChoices());
   std::fprintf(stderr, "fault points:");
   for (const char* p : imoltp::fault::kAllFaultPoints) {

@@ -37,8 +37,8 @@
 //   latency_cycles.bins           ignored — counts hop between adjacent
 //                                 log-spaced bins on tiny shifts
 //   robustness                    exact — commit/abort/retry/fault
-//                                 counters are deterministic under the
-//                                 serialized modes; free-mode runs need
+//                                 counters are deterministic in serial
+//                                 mode; free-mode runs need
 //                                 an explicit --metric-rtol=robustness=X
 //   timeseries.sample_every       exact — different sampling periods
 //                                 produce incomparable bucket grids
@@ -148,7 +148,7 @@ const ToleranceRule kBuiltinRules[] = {
     {"host", -1.0, 0.0},
     // Schema v7: checkpoint / recovery accounting. Capture cadence,
     // truncation counts, and replay/undo totals are deterministic in
-    // serialized modes — any drift is a real behavioral change.
+    // serial mode — any drift is a real behavioral change.
     {"recovery", 0.0, 0.0},
     // Schema v6: cluster documents. Outcome counts, fingerprints,
     // network accounting, and invariants are deterministic (same-seed
