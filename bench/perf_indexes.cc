@@ -27,8 +27,9 @@ void BM_IndexInsert(benchmark::State& state) {
   auto index = CreateIndex(KindOf(state.range(0)), 8);
   uint64_t next = 0;
   for (auto _ : state) {
+    const uint64_t k = next++;
     benchmark::DoNotOptimize(
-        index->Insert(&machine.core(0), Key::FromUint64(next++), next));
+        index->Insert(&machine.core(0), Key::FromUint64(k), next));
   }
   state.SetItemsProcessed(state.iterations());
   state.SetLabel(IndexKindName(KindOf(state.range(0))));

@@ -1,23 +1,42 @@
 #!/usr/bin/env bash
-# Bench-pipeline smoke check: runs a tiny imoltp_bench sweep, asserts
-# that the matrix self-compares clean through imoltp_compare (exit 0),
-# and that an injected refs/sec collapse trips the regression gate
-# (exit non-zero). Exercises the full trajectory loop — run, serialize,
-# parse, tolerance rules — in a few seconds; CI and ctest both run it
+# Bench-pipeline smoke check: runs a tiny imoltp_bench sweep and asserts
+# that imoltp_diff gates bench matrices:
+#   - the matrix self-compares clean (exit 0);
+#   - an injected refs/sec collapse trips the regression gate (exit 1),
+#     and the --json verdict names the failing cell metric;
+#   - a bench matrix against a run report is a usage error (exit 2);
+#   - --max-regress on two run reports is a usage error (exit 2).
+# Exercises the full trajectory loop — run, serialize, parse, tolerance
+# rules — in a few seconds; CI and ctest both run it
 # (docs/OBSERVABILITY.md, "Benchmark trajectories").
 #
-# usage: check_bench.sh IMOLTP_BENCH IMOLTP_COMPARE [OUT_DIR]
+# usage: check_bench.sh IMOLTP_BENCH IMOLTP_DIFF [OUT_DIR]
 set -euo pipefail
 
 if [ "$#" -lt 2 ]; then
-  echo "usage: $0 IMOLTP_BENCH IMOLTP_COMPARE [OUT_DIR]" >&2
+  echo "usage: $0 IMOLTP_BENCH IMOLTP_DIFF [OUT_DIR]" >&2
   exit 2
 fi
 
 imoltp_bench=$1
-imoltp_compare=$2
+imoltp_diff=$2
 outdir=${3:-$(mktemp -d)}
 mkdir -p "$outdir"
+golden="$(dirname "$0")/../tests/golden/regression_baseline.json"
+
+# Runs imoltp_diff with the given arguments and fails the check unless
+# it exits with the expected code.
+expect_exit() {
+  local want=$1 what=$2
+  shift 2
+  local got=0
+  "$imoltp_diff" "$@" >/dev/null 2>&1 || got=$?
+  if [ "$got" -ne "$want" ]; then
+    echo "error: $what: exit $got, want $want" >&2
+    exit 1
+  fi
+  echo "$what: exit $got (as it must be)"
+}
 
 base="$outdir/BENCH_smoke.json"
 "$imoltp_bench" --label=smoke --out="$base" \
@@ -26,16 +45,28 @@ base="$outdir/BENCH_smoke.json"
                 --txns=300 --warmup=50 --seed=11 >/dev/null
 
 # 1. A matrix must always be within tolerance of itself.
-"$imoltp_compare" "$base" "$base" >/dev/null
-echo "self-compare: OK"
+expect_exit 0 "self-compare" "$base" "$base"
 
 # 2. A collapsed host throughput must fail the gate. The matrix is
 # single-line JSON, so a textual substitution is exact.
 regressed="$outdir/BENCH_smoke_regressed.json"
 sed -E 's/"refs_per_sec":[0-9.eE+-]+/"refs_per_sec":1.0/g' \
     "$base" > "$regressed"
-if "$imoltp_compare" "$base" "$regressed" >/dev/null; then
-  echo "error: injected refs/sec regression was not detected" >&2
+expect_exit 1 "injected regression" "$base" "$regressed"
+
+# 3. The machine-readable verdict names the cell metric that failed.
+verdict="$outdir/BENCH_smoke_verdict.json"
+"$imoltp_diff" --json "$base" "$regressed" > "$verdict" || true
+if ! grep -q '"verdict":"drift"' "$verdict" ||
+   ! grep -qE '"path":"[^"]*\.refs_per_sec"' "$verdict"; then
+  echo "error: --json verdict lacks drift on a .refs_per_sec path:" >&2
+  cat "$verdict" >&2
   exit 1
 fi
-echo "injected regression: detected (as it must be)"
+echo "json verdict: drift on .refs_per_sec"
+
+# 4. Bench matrices and run reports are different kinds; bench-only
+# flags do not apply to run reports.
+expect_exit 2 "bench matrix vs run report" "$base" "$golden"
+expect_exit 2 "--max-regress on run reports" --max-regress=0.5 \
+            "$golden" "$golden"

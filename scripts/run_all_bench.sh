@@ -23,9 +23,9 @@
 # The same wall-clock table is also written as a timing-only bench
 # matrix (bench_times.json, bench_schema_version 1: one cell per
 # binary, id "bench/<name>", wall_seconds) so two runs — or a run and
-# a committed baseline — diff through imoltp_compare:
+# a committed baseline — diff through imoltp_diff:
 #
-#   imoltp_compare --max-regress=0.5 old/bench_times.json bench_times.json
+#   imoltp_diff --max-regress=0.5 old/bench_times.json bench_times.json
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -70,7 +70,7 @@ print_times() {
   emit_times_json
 }
 
-# Timing-only bench matrix for imoltp_compare: the wall-clock table as
+# Timing-only bench matrix for imoltp_diff: the wall-clock table as
 # bench_schema_version-1 JSON. Goes next to the archived reports when a
 # JSON directory was given, else into the working directory.
 emit_times_json() {

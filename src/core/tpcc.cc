@@ -259,37 +259,40 @@ std::vector<engine::TableDef> TpccBenchmark::Tables() const {
                       .initial_rows = w,
                       .generator = GenWarehouse,
                       .seed = layout,
-                      .key_of = KeyWarehouse};
+                      .key_of = KeyWarehouse,
+                      .secondaries = {}};
   defs[kDistrict] = {.name = "district",
                      .schema = DistrictSchema(),
                      .initial_rows = w * kDistrictsPerWarehouse,
                      .generator = GenDistrict,
                      .seed = layout,
-                     .key_of = KeyDistrict};
+                     .key_of = KeyDistrict,
+                     .secondaries = {}};
   defs[kCustomer] = {.name = "customer",
                      .schema = CustomerSchema(),
                      .initial_rows =
                          w * kDistrictsPerWarehouse * kCustomersPerDistrict,
                      .generator = GenCustomer,
                      .seed = layout,
-                     .key_of = KeyCustomer};
+                     .key_of = KeyCustomer,
+                     .secondaries = {{"customer-by-name",
+                                      CustomerNameSecondary}}};
   defs[kCustomer].nominal_bytes =
       defs[kCustomer].initial_rows * kCustomerNominal;
-  defs[kCustomer].secondaries.push_back(
-      {"customer-by-name", CustomerNameSecondary});
   defs[kHistory] = {.name = "history",
                     .schema = HistorySchema(),
                     .initial_rows = 0,
                     .seed = layout,
-                    .no_primary_index = true};
+                    .no_primary_index = true,
+                    .secondaries = {}};
   defs[kOrder] = {.name = "order",
                   .schema = OrderSchema(),
                   .initial_rows = w * kDistrictsPerWarehouse * orders,
                   .generator = GenOrder,
                   .seed = layout,
-                  .key_of = KeyOrder};
-  defs[kOrder].secondaries.push_back(
-      {"order-by-customer", OrderCustomerSecondary});
+                  .key_of = KeyOrder,
+                  .secondaries = {{"order-by-customer",
+                                   OrderCustomerSecondary}}};
   defs[kNewOrder] = {.name = "new_order",
                      .schema = NewOrderSchema(),
                      .initial_rows =
@@ -297,7 +300,8 @@ std::vector<engine::TableDef> TpccBenchmark::Tables() const {
                      .generator = GenNewOrder,
                      .seed = layout,
                      .key_of = KeyNewOrder,
-                     .needs_ordered_index = true};
+                     .needs_ordered_index = true,
+                     .secondaries = {}};
   defs[kOrderLine] = {.name = "order_line",
                       .schema = OrderLineSchema(),
                       .initial_rows =
@@ -305,7 +309,8 @@ std::vector<engine::TableDef> TpccBenchmark::Tables() const {
                       .generator = GenOrderLine,
                       .seed = layout,
                       .key_of = KeyOrderLine,
-                      .needs_ordered_index = true};
+                      .needs_ordered_index = true,
+                      .secondaries = {}};
   defs[kOrderLine].nominal_bytes =
       defs[kOrderLine].initial_rows * kOrderLineNominal;
   defs[kItem] = {.name = "item",
@@ -314,13 +319,15 @@ std::vector<engine::TableDef> TpccBenchmark::Tables() const {
                  .generator = GenItem,
                  .seed = layout,
                  .key_of = KeyItem,
-                 .replicated = true};
+                 .replicated = true,
+                 .secondaries = {}};
   defs[kStock] = {.name = "stock",
                   .schema = StockSchema(),
                   .initial_rows = w * kStockPerWarehouse,
                   .generator = GenStock,
                   .seed = layout,
-                  .key_of = KeyStock};
+                  .key_of = KeyStock,
+                  .secondaries = {}};
   defs[kStock].nominal_bytes = defs[kStock].initial_rows * kStockNominal;
   return defs;
 }

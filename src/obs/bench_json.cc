@@ -143,14 +143,14 @@ StatusOr<BenchMatrix> ParseBenchMatrix(const std::string& json) {
   return matrix;
 }
 
-namespace {
-
-const BenchCell* FindCell(const BenchMatrix& m, const std::string& id) {
-  for (const BenchCell& c : m.cells) {
+const BenchCell* BenchMatrix::FindCell(const std::string& id) const {
+  for (const BenchCell& c : cells) {
     if (c.id == id) return &c;
   }
   return nullptr;
 }
+
+namespace {
 
 void CheckSimulatedDrift(const std::string& id, const char* metric,
                          double base, double cand, double rtol,
@@ -173,7 +173,7 @@ std::vector<BenchCompareFailure> CompareBenchMatrices(
     const BenchCompareOptions& options) {
   std::vector<BenchCompareFailure> failures;
   for (const BenchCell& base : baseline.cells) {
-    const BenchCell* cand = FindCell(candidate, base.id);
+    const BenchCell* cand = candidate.FindCell(base.id);
     if (cand == nullptr) {
       if (!options.allow_missing) {
         failures.push_back(

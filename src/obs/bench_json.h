@@ -12,7 +12,7 @@
 namespace imoltp::obs {
 
 /// Version of the benchmark-trajectory schema emitted by imoltp_bench
-/// (`BENCH_<label>.json`) and consumed by imoltp_compare. Independent of
+/// (`BENCH_<label>.json`) and compared by imoltp_diff. Independent of
 /// the per-run report schema: bench matrices live across commits, so
 /// this version only bumps when a key is renamed/removed — adding keys
 /// is compatible (ParseBenchMatrix defaults what is absent).
@@ -24,7 +24,7 @@ inline constexpr int kBenchSchemaVersion = 1;
 /// metrics (wall-clock, simulated references per host second — never
 /// deterministic, compared only with regression thresholds).
 struct BenchCell {
-  /// Stable matching key, e.g. "voltdb/tpcc/deterministic/w2". Cells of
+  /// Stable matching key, e.g. "voltdb/tpcc/serial/w2". Cells of
   /// two matrices are paired by id; everything else is payload.
   std::string id;
 
@@ -66,6 +66,9 @@ struct BenchMatrix {
   std::string config;       // the campaign flags, verbatim
   uint64_t created_unix = 0;
   std::vector<BenchCell> cells;
+
+  /// The cell with this id, or nullptr.
+  const BenchCell* FindCell(const std::string& id) const;
 };
 
 std::string BenchMatrixToJson(const BenchMatrix& matrix);

@@ -327,4 +327,17 @@ StatusOr<JsonValue> ParseJson(std::string_view text) {
   return Parser(text).Parse();
 }
 
+StatusOr<std::string> ReadTextFile(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return Status::NotFound("cannot open " + path);
+  std::string out;
+  char buf[1 << 16];
+  size_t n;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out.append(buf, n);
+  const bool ok = std::ferror(f) == 0;
+  std::fclose(f);
+  if (!ok) return Status::Internal("read error on " + path);
+  return out;
+}
+
 }  // namespace imoltp::obs

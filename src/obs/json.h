@@ -83,6 +83,10 @@ class JsonValue {
 /// Parses one JSON document (trailing whitespace allowed, nothing else).
 StatusOr<JsonValue> ParseJson(std::string_view text);
 
+/// Reads a whole file into memory (the report, matrix and timeline
+/// documents the CLI tools consume).
+StatusOr<std::string> ReadTextFile(const std::string& path);
+
 }  // namespace imoltp::obs
 
 #endif  // IMOLTP_OBS_JSON_H_

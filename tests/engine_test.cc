@@ -18,13 +18,12 @@ mcsim::MachineConfig NoTlb(int cores = 1) {
 }
 
 TableDef SimpleTable(uint64_t rows) {
-  TableDef def;
-  def.name = "t";
-  def.schema = storage::TwoLongColumns();
-  def.initial_rows = rows;
-  def.seed = 3;
-  def.needs_ordered_index = true;
-  return def;
+  return {.name = "t",
+          .schema = storage::TwoLongColumns(),
+          .initial_rows = rows,
+          .seed = 3,
+          .needs_ordered_index = true,
+          .secondaries = {}};
 }
 
 constexpr EngineKind kAllEngines[] = {

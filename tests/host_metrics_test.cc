@@ -1,6 +1,6 @@
 // Tests for the host-side self-observability layer (schema v5): the
 // host-metric primitives, the `host` report section, the bench-matrix
-// round trip and tolerance rules behind imoltp_bench/imoltp_compare,
+// round trip and tolerance rules behind imoltp_bench/imoltp_diff,
 // and the determinism guarantees around all of it (host data must never
 // leak into fingerprinted sections; ConvergenceCheck must be safe on
 // degenerate series).

@@ -244,8 +244,11 @@ TEST(ModuleRegistryTest, RegistrationPastCapacityIsClamped) {
   // The machine pre-registers some modules; fill to the cap.
   std::vector<ModuleId> ids;
   while (reg.size() < kMaxModules) {
-    ids.push_back(
-        reg.Register("m" + std::to_string(reg.size()), false));
+    // Appended, not "m" + ...: GCC 12 at -O3 flags that with a false
+    // -Wrestrict.
+    std::string name = "m";
+    name += std::to_string(reg.size());
+    ids.push_back(reg.Register(name, false));
   }
   EXPECT_EQ(reg.size(), kMaxModules);
   // One past the cap: rejected, not out-of-bounds.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <string>
 
 #include "core/experiment.h"
@@ -76,6 +77,23 @@ TEST(JsonParseTest, RejectsPathologicalNesting) {
   for (int i = 0; i < 100; ++i) deep += '[';
   for (int i = 0; i < 100; ++i) deep += ']';
   EXPECT_FALSE(obs::ParseJson(deep).ok());
+}
+
+TEST(ReadTextFileTest, ReadsWholeFileAndReportsMissingOnes) {
+  const std::string path = testing::TempDir() + "read_text_file_test.json";
+  // Longer than one read chunk, with an embedded NUL.
+  std::string content(100000, 'x');
+  content[5] = '\0';
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  std::fwrite(content.data(), 1, content.size(), f);
+  std::fclose(f);
+  auto read = obs::ReadTextFile(path);
+  ASSERT_TRUE(read.ok());
+  EXPECT_EQ(*read, content);
+
+  std::remove(path.c_str());
+  EXPECT_FALSE(obs::ReadTextFile(path).ok());
 }
 
 // ----------------------------------------------------------- histogram

@@ -392,7 +392,9 @@ TEST(SampledExperimentTest, BucketsTileTheWindowExactly) {
     for (size_t i = 0; i < series.buckets.size(); ++i) {
       const mcsim::SeriesBucket& b = series.buckets[i];
       EXPECT_LT(b.t0, b.t1);
-      if (i > 0) EXPECT_DOUBLE_EQ(b.t0, series.buckets[i - 1].t1);
+      if (i > 0) {
+        EXPECT_DOUBLE_EQ(b.t0, series.buckets[i - 1].t1);
+      }
       instructions += b.instructions;
       transactions += b.transactions;
     }

@@ -93,7 +93,9 @@ TEST_P(SecondaryIndexTest, PrefixScanFindsAllGroupMembers) {
   ASSERT_EQ(keys.size(), 100u);  // 1000 rows, 10 groups
   for (size_t i = 0; i < keys.size(); ++i) {
     EXPECT_EQ(keys[i] % 10, 7);
-    if (i > 0) EXPECT_LT(keys[i - 1], keys[i]);  // ordered by key
+    if (i > 0) {
+      EXPECT_LT(keys[i - 1], keys[i]);  // ordered by key
+    }
   }
 }
 

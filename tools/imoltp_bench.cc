@@ -3,14 +3,14 @@
 // per cell the simulated quality metrics (IPC, instructions/txn, stall
 // breakdown — the paper's axes) AND the host-side speed metrics
 // (wall-clock, simulated references per host second, peak RSS — the
-// simulator's own performance trajectory). Matrices are the unit
-// imoltp_compare diffs, so "did this commit make the simulator slower
-// or change what it simulates?" is one command against a committed
-// baseline (see docs/OBSERVABILITY.md, "Benchmark trajectories").
+// simulator's own performance trajectory). imoltp_diff compares two
+// matrices, so "did this commit make the simulator slower or change
+// what it simulates?" is one command against a committed baseline
+// (see docs/OBSERVABILITY.md, "Benchmark trajectories").
 //
 //   imoltp_bench --label=pr42 --out=BENCH_pr42.json
 //   imoltp_bench --engines=voltdb,hyper --workloads=tpcb --txns=500
-//   imoltp_compare BENCH_baseline.json BENCH_pr42.json
+//   imoltp_diff BENCH_baseline.json BENCH_pr42.json
 //
 // Flags:
 //   --label=NAME         matrix label (default "local")
@@ -229,9 +229,10 @@ bool RunCell(const BenchFlags& bench, const std::string& engine,
 
 /// Runs one distributed cell: a 3-node src/dist cluster at the bench's
 /// scale, reporting cluster-wide averages of the simulated metrics. The
-/// host axis is wall-clock-only (refs/sec stays 0 → imoltp_compare's
-/// timing fallback), because per-node machines count their references
-/// behind the cluster driver, not through the single-run host profiler.
+/// host axis is wall-clock-only (refs/sec stays 0, so the bench rules
+/// fall back to wall-clock), because per-node machines count their
+/// references behind the cluster driver, not through the single-run
+/// host profiler.
 bool RunClusterCell(const BenchFlags& bench, const std::string& engine,
                     obs::BenchCell* cell, std::string* error) {
   dist::ClusterConfig cfg;

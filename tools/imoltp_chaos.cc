@@ -4,10 +4,10 @@
 // invariants (TPC-B balance conservation, TPC-C YTD and order-line
 // conservation) on the recovered database. See docs/robustness.md.
 //
-//   imoltp_chaos --engine=hyper --workload=tpcb \
+//   imoltp_chaos --engine=hyper --workload=tpcb
 //       --chaos-points=crash.mid_commit=@120 --cycles=3
-//   imoltp_chaos --engine=dbms-m --workload=tpcc \
-//       --chaos-points=crash.post_commit=@400,log.torn_record=0.01 \
+//   imoltp_chaos --engine=dbms-m --workload=tpcc
+//       --chaos-points=crash.post_commit=@400,log.torn_record=0.01
 //       --json=-
 //
 // Flags:

@@ -1,25 +1,46 @@
-// imoltp_diff — compares two JSON reports produced by
-// `imoltp_run --json` (or the bench exporters) and exits non-zero when
-// any metric drifts beyond its tolerance. The regression harness runs
-// a fixed-seed experiment and diffs it against a checked-in golden
-// report (scripts/check_regression.sh).
+// imoltp_diff — compares two JSON documents and exits non-zero when
+// any metric drifts beyond its tolerance. It takes run reports
+// (`imoltp_run --json`, `imoltp_trace replay --json`), cluster run and
+// sweep documents (`imoltp_cluster --json`), and bench matrices
+// (`BENCH_*.json` from imoltp_bench or scripts/run_all_bench.sh). The
+// regression harness runs a fixed-seed experiment and diffs it against
+// a checked-in golden report (scripts/check_regression.sh); CI diffs a
+// reduced bench sweep against the committed BENCH_baseline.json.
 //
 //   imoltp_diff baseline.json candidate.json
 //   imoltp_diff --rtol=0.05 --metric-rtol=spans=0.2 a.json b.json
 //   imoltp_diff --json a.json b.json   # machine-readable verdict
+//   imoltp_diff --max-regress=0.5 BENCH_baseline.json BENCH_new.json
 //
 // Flags:
-//   --rtol=X                default relative tolerance (default 0.02)
+//   --rtol=X                default relative tolerance (default 0.02;
+//                           for bench matrices the simulated-metric
+//                           tolerance, default 0.05)
 //   --metric-rtol=PREFIX=X  override for metrics whose dotted path
-//                           starts with PREFIX (repeatable)
-//   --ignore=PREFIX         skip metrics under PREFIX (repeatable)
+//                           starts with PREFIX (repeatable; reports
+//                           only)
+//   --ignore=PREFIX         skip metrics under PREFIX (repeatable;
+//                           reports only)
+//   --max-regress=X         allowed host-speed regression of a bench
+//                           cell (default 0.15; bench matrices only)
+//   --allow-missing         skip baseline cells absent from the
+//                           candidate (bench matrices only)
 //   --json                  emit the verdict as one JSON object on
 //                           stdout ({verdict, baseline, candidate,
 //                           failures:[{path, detail}]}) instead of the
 //                           human-readable lines
 //
 // Exit codes: 0 = within tolerance, 1 = drift (offending metrics are
-// printed), 2 = usage or parse error.
+// printed), 2 = usage or parse error, including documents of different
+// kinds or schema versions and flags that do not apply to the kind.
+//
+// A document with a `bench_schema_version` key is a bench matrix. Its
+// cells are paired by id and judged by obs::CompareBenchMatrices
+// (obs/bench_json.h): symmetric drift on the simulated ipc and
+// instructions/txn, one-sided regression on host refs/sec (wall-clock
+// for timing-only cells). A failure's path is `<cell id>.<metric>`. In
+// text mode the throughput and stall tables of both matrices print
+// first.
 //
 // Built-in per-metric rules (longest matching prefix wins; explicit
 // --metric-rtol/--ignore flags take precedence over all of them):
@@ -52,8 +73,8 @@
 //                                 cycles inherit the miss-count jitter)
 //   host                          ignored — host-side wall-clock /
 //                                 throughput / RSS measure the simulator
-//                                 process, never deterministic (use
-//                                 imoltp_compare for trajectories)
+//                                 process, never deterministic (bench
+//                                 matrices gate host speed)
 //   cluster                       exact — cluster outcome counts, net
 //                                 accounting, fingerprint, invariants
 //                                 are bit-identical per seed
@@ -82,13 +103,21 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "mcsim/counters.h"
+#include "obs/bench_json.h"
 #include "obs/json.h"
-#include "obs/report_json.h"
 
+using imoltp::obs::BenchCell;
+using imoltp::obs::BenchCompareOptions;
+using imoltp::obs::BenchMatrix;
+using imoltp::obs::CompareBenchMatrices;
 using imoltp::obs::JsonValue;
+using imoltp::obs::ParseBenchMatrix;
 using imoltp::obs::ParseJson;
+using imoltp::obs::ReadTextFile;
 
 namespace {
 
@@ -98,12 +127,17 @@ struct ToleranceRule {
   double atol = 0.0;   // absolute floor for small-magnitude metrics
 };
 
+// Default --rtol for run, cluster and sweep documents. Bench matrices
+// default to BenchCompareOptions::ipc_rtol instead.
+constexpr double kReportDefaultRtol = 0.02;
+
 struct Options {
-  double default_rtol = 0.02;
+  double default_rtol = -1.0;  // --rtol; negative = the kind's default
   std::vector<ToleranceRule> user_rules;  // from flags, highest priority
   std::string baseline_path;
   std::string candidate_path;
   bool json_output = false;
+  BenchCompareOptions bench;  // bench matrices: --max-regress etc.
 };
 
 /// One metric beyond tolerance: the dotted path and what differed.
@@ -143,8 +177,8 @@ const ToleranceRule kBuiltinRules[] = {
     {"window.txn_module_breakdown", 0.05, 1000.0},
     // Schema v5: host-side metrics (wall-clock, refs/sec, RSS) measure
     // the simulator process, not the simulated machine — never
-    // deterministic, never comparable. Use imoltp_compare for host
-    // throughput trajectories.
+    // deterministic, never comparable. Bench matrices carry the host
+    // throughput trajectory and gate it.
     {"host", -1.0, 0.0},
     // Schema v7: checkpoint / recovery accounting. Capture cadence,
     // truncation counts, and replay/undo totals are deterministic in
@@ -312,34 +346,115 @@ void Compare(const JsonValue& a, const JsonValue& b,
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--rtol=X] [--metric-rtol=PREFIX=X]... "
-               "[--ignore=PREFIX]... [--json] "
-               "baseline.json candidate.json\n",
+               "[--ignore=PREFIX]... [--max-regress=X] [--allow-missing] "
+               "[--json] baseline.json candidate.json\n",
                argv0);
   return 2;
 }
 
-bool ReadFile(const std::string& path, std::string* out,
-              std::string* error) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    *error = "cannot open " + path;
+/// Reads and parses one document; on failure prints why and returns
+/// false.
+bool LoadDocument(const char* argv0, const std::string& path,
+                  std::string* text, JsonValue* json) {
+  auto read = ReadTextFile(path);
+  if (!read.ok()) {
+    std::fprintf(stderr, "%s: %s\n", argv0,
+                 read.status().message().c_str());
     return false;
   }
-  char buf[1 << 16];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    out->append(buf, n);
+  auto parsed = ParseJson(*read);
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "%s: %s: %s\n", argv0, path.c_str(),
+                 parsed.status().ToString().c_str());
+    return false;
   }
-  const bool ok = std::ferror(f) == 0;
-  std::fclose(f);
-  if (!ok) *error = "read error on " + path;
-  return ok;
+  *text = std::move(*read);
+  *json = std::move(*parsed);
+  return true;
+}
+
+/// Throughput and stall tables of a bench baseline and candidate,
+/// row per baseline cell.
+void PrintBenchTables(const BenchMatrix& base, const BenchMatrix& cand) {
+  const BenchMatrix* const sides[] = {&base, &cand};
+  std::printf("\n== Throughput (simulated IPC | host refs/sec) ==\n");
+  std::printf("%-34s", "cell");
+  for (const BenchMatrix* m : sides) {
+    const std::string label = m->label.substr(0, 12);
+    std::printf(" %8s.ipc %11s.r/s", label.c_str(), label.c_str());
+  }
+  std::printf("\n");
+  for (const BenchCell& b : base.cells) {
+    std::printf("%-34s", b.id.c_str());
+    for (const BenchMatrix* m : sides) {
+      const BenchCell* c = m->FindCell(b.id);
+      if (c == nullptr) {
+        std::printf(" %12s %15s", "-", "-");
+      } else if (c->refs_per_sec > 0) {
+        std::printf(" %12.4f %15.4g", c->ipc, c->refs_per_sec);
+      } else {
+        // Timing-only cell (run_all_bench.sh): wall-clock stands in.
+        std::printf(" %12.4f %13.3fs", c->ipc, c->wall_seconds);
+      }
+    }
+    std::printf("\n");
+  }
+
+  std::printf("\n== Stall cycles per 1000 instructions ==\n");
+  std::printf("%-34s %-12s", "cell", "matrix");
+  for (const char* name : imoltp::mcsim::StallBreakdown::kNames) {
+    std::printf(" %8s", name);
+  }
+  std::printf("\n");
+  for (const BenchCell& b : base.cells) {
+    bool any = false;
+    for (double stall : b.stalls_per_kinstr) any = any || stall > 0;
+    if (!any) continue;  // timing-only cells carry no stall profile
+    for (const BenchMatrix* m : sides) {
+      const BenchCell* c = m->FindCell(b.id);
+      if (c == nullptr) continue;
+      std::printf("%-34s %-12s", m == &base ? b.id.c_str() : "",
+                  m->label.substr(0, 12).c_str());
+      for (double stall : c->stalls_per_kinstr) {
+        std::printf(" %8.2f", stall);
+      }
+      std::printf("\n");
+    }
+  }
+}
+
+/// Judges two bench matrices with the bench rule table
+/// (obs::CompareBenchMatrices). Returns false, after printing why, when
+/// either document does not parse as a matrix.
+bool DiffBenchMatrices(const char* argv0, const std::string& base_text,
+                       const std::string& cand_text, const Options& opts,
+                       std::vector<Failure>* failures) {
+  BenchMatrix matrices[2];
+  const std::string* texts[] = {&base_text, &cand_text};
+  const std::string* paths[] = {&opts.baseline_path, &opts.candidate_path};
+  for (int i = 0; i < 2; ++i) {
+    auto parsed = ParseBenchMatrix(*texts[i]);
+    if (!parsed.ok()) {
+      std::fprintf(stderr, "%s: %s: %s\n", argv0, paths[i]->c_str(),
+                   parsed.status().ToString().c_str());
+      return false;
+    }
+    matrices[i] = std::move(*parsed);
+    if (matrices[i].label.empty()) matrices[i].label = *paths[i];
+  }
+  if (!opts.json_output) PrintBenchTables(matrices[0], matrices[1]);
+  for (const auto& f :
+       CompareBenchMatrices(matrices[0], matrices[1], opts.bench)) {
+    failures->push_back(Failure{Join(f.cell, f.metric), f.detail});
+  }
+  return true;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   Options opts;
+  bool bench_flags = false;  // --max-regress / --allow-missing seen
   std::vector<std::string> positional;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -369,6 +484,17 @@ int main(int argc, char** argv) {
       opts.user_rules.push_back({spec.substr(0, eq), rtol});
     } else if (arg.rfind("--ignore=", 0) == 0) {
       opts.user_rules.push_back({arg.substr(9), -1.0});
+    } else if (arg.rfind("--max-regress=", 0) == 0) {
+      char* end = nullptr;
+      opts.bench.max_regress = std::strtod(arg.c_str() + 14, &end);
+      if (end == nullptr || *end != '\0' || opts.bench.max_regress <= 0) {
+        std::fprintf(stderr, "%s: bad --max-regress value\n", argv[0]);
+        return 2;
+      }
+      bench_flags = true;
+    } else if (arg == "--allow-missing") {
+      opts.bench.allow_missing = true;
+      bench_flags = true;
     } else if (arg == "--json") {
       opts.json_output = true;
     } else if (arg.rfind("--", 0) == 0) {
@@ -382,30 +508,40 @@ int main(int argc, char** argv) {
   opts.baseline_path = positional[0];
   opts.candidate_path = positional[1];
 
-  std::string base_text, cand_text, error;
-  if (!ReadFile(opts.baseline_path, &base_text, &error) ||
-      !ReadFile(opts.candidate_path, &cand_text, &error)) {
-    std::fprintf(stderr, "%s: %s\n", argv[0], error.c_str());
-    return 2;
-  }
-  auto base = ParseJson(base_text);
-  if (!base.ok()) {
-    std::fprintf(stderr, "%s: %s: %s\n", argv[0],
-                 opts.baseline_path.c_str(),
-                 base.status().ToString().c_str());
-    return 2;
-  }
-  auto cand = ParseJson(cand_text);
-  if (!cand.ok()) {
-    std::fprintf(stderr, "%s: %s: %s\n", argv[0],
-                 opts.candidate_path.c_str(),
-                 cand.status().ToString().c_str());
+  std::string base_text, cand_text;
+  JsonValue base, cand;
+  if (!LoadDocument(argv[0], opts.baseline_path, &base_text, &base) ||
+      !LoadDocument(argv[0], opts.candidate_path, &cand_text, &cand)) {
     return 2;
   }
 
-  // Incomparable schemas are a usage error, not a metric drift.
-  const JsonValue* bv = base.value().Find("schema_version");
-  const JsonValue* cv = cand.value().Find("schema_version");
+  // Documents of different kinds or schemas, and flags that do not
+  // apply to the kind, are usage errors, not metric drift.
+  const bool bench = base.Find("bench_schema_version") != nullptr;
+  if (bench != (cand.Find("bench_schema_version") != nullptr)) {
+    std::fprintf(stderr,
+                 "%s: only one of %s and %s is a bench matrix; documents "
+                 "are not comparable\n",
+                 argv[0], opts.baseline_path.c_str(),
+                 opts.candidate_path.c_str());
+    return 2;
+  }
+  if (bench && !opts.user_rules.empty()) {
+    std::fprintf(stderr,
+                 "%s: --metric-rtol and --ignore do not apply to bench "
+                 "matrices\n",
+                 argv[0]);
+    return 2;
+  }
+  if (!bench && bench_flags) {
+    std::fprintf(stderr,
+                 "%s: --max-regress and --allow-missing apply only to "
+                 "bench matrices\n",
+                 argv[0]);
+    return 2;
+  }
+  const JsonValue* bv = base.Find("schema_version");
+  const JsonValue* cv = cand.Find("schema_version");
   if (bv != nullptr && cv != nullptr && bv->is_number() &&
       cv->is_number() && bv->number != cv->number) {
     std::fprintf(stderr,
@@ -414,6 +550,10 @@ int main(int argc, char** argv) {
                  argv[0], bv->number, cv->number);
     return 2;
   }
+  if (opts.default_rtol < 0) {
+    opts.default_rtol = bench ? opts.bench.ipc_rtol : kReportDefaultRtol;
+  }
+  opts.bench.ipc_rtol = opts.default_rtol;
 
   // Replayed reports (imoltp_trace replay --json) carry the window
   // metrics but no engine-side sections; don't flag those as missing.
@@ -427,7 +567,7 @@ int main(int argc, char** argv) {
     return rep != nullptr && rep->type == JsonValue::Type::kBool &&
            rep->boolean;
   };
-  if (is_replayed(base.value()) || is_replayed(cand.value())) {
+  if (is_replayed(base) || is_replayed(cand)) {
     opts.user_rules.push_back({"latency_cycles", -1.0, 0.0});
     opts.user_rules.push_back({"spans", -1.0, 0.0});
     opts.user_rules.push_back({"robustness", -1.0, 0.0});
@@ -436,7 +576,12 @@ int main(int argc, char** argv) {
   }
 
   std::vector<Failure> failures;
-  Compare(base.value(), cand.value(), "", opts, &failures);
+  if (!bench) {
+    Compare(base, cand, "", opts, &failures);
+  } else if (!DiffBenchMatrices(argv[0], base_text, cand_text, opts,
+                                &failures)) {
+    return 2;
+  }
 
   if (opts.json_output) {
     imoltp::obs::JsonWriter w;

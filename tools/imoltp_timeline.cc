@@ -56,24 +56,6 @@ int Usage(const char* argv0) {
   return 2;
 }
 
-bool ReadFile(const std::string& path, std::string* out,
-              std::string* error) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    *error = "cannot open " + path;
-    return false;
-  }
-  char buf[1 << 16];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    out->append(buf, n);
-  }
-  const bool ok = std::ferror(f) == 0;
-  std::fclose(f);
-  if (!ok) *error = "read error on " + path;
-  return ok;
-}
-
 double NumberOr(const JsonValue* v, double fallback) {
   return v != nullptr && v->is_number() ? v->number : fallback;
 }
@@ -350,11 +332,13 @@ int main(int argc, char** argv) {
     return Usage(argv[0]);
   }
 
-  std::string text, error;
-  if (!ReadFile(path, &text, &error)) {
-    std::fprintf(stderr, "%s: %s\n", argv[0], error.c_str());
+  auto read = imoltp::obs::ReadTextFile(path);
+  if (!read.ok()) {
+    std::fprintf(stderr, "%s: %s\n", argv[0],
+                 read.status().message().c_str());
     return 2;
   }
+  const std::string& text = *read;
   if (cmd == "validate") return RunValidate(argv[0], path, text);
 
   auto parsed = ParseJson(text);
