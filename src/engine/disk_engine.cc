@@ -175,7 +175,7 @@ class DiskEngine::Ctx final : public TxnContext {
                            obs::SpanKind::kIndexProbe);
       mcsim::ScopedModule mod(core_, e_->btree_.module);
       e_->Exec(core_, e_->btree_);
-      s = e_->PrimaryInsert(core_, slice, key, rid);
+      s = slice.primary->Insert(core_, key, rid);
       if (!s.ok()) return s;
     }
     if (!slice.secondaries.empty()) {
@@ -229,7 +229,7 @@ class DiskEngine::Ctx final : public TxnContext {
                            obs::SpanKind::kIndexProbe);
       mcsim::ScopedModule mod(core_, e_->btree_.module);
       e_->Exec(core_, e_->btree_);
-      if (!e_->PrimaryRemove(core_, slice, key)) {
+      if (!slice.primary->Remove(core_, key)) {
         return Status::NotFound();
       }
       e_->RemoveSecondaries(core_, e_->tables_[table], slice,

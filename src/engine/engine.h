@@ -234,8 +234,9 @@ class Engine {
 
   /// Checkpoint-aware recovery: restores the newest usable checkpoint
   /// from `device` (torn pages discard a checkpoint in favor of the
-  /// previous complete one), replays the retained `log` from the
-  /// truncation anchor, and rolls back losers with before-images. Falls
+  /// previous complete one) with its pages and index images, replays
+  /// the records of `log` from that checkpoint's begin LSN on, and
+  /// rolls back losers with before-images. Falls
   /// back to plain Replay when no checkpoint is usable — unless the log
   /// was truncated (`log_truncation_lsn` > 0), which makes full replay
   /// unsound and recovery fails with an error. Call on a freshly

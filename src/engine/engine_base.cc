@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
-#include <unordered_set>
+#include <unordered_map>
 
 namespace imoltp::engine {
 
@@ -152,11 +152,12 @@ Status EngineBase::CreateDatabase(const std::vector<TableDef>& defs) {
   if (ckpt_ != nullptr) {
     for (TableRt& rt : tables_) {
       for (Slice& slice : rt.slices) {
-        slice.journal_mu = std::make_unique<std::mutex>();
         // Initial population is regenerable (CreateDatabase rebuilds
-        // it deterministically): checkpoints only carry pages that
-        // diverged from it.
+        // it deterministically): checkpoints only carry the pages and
+        // indexes that diverged from it.
         if (slice.disk != nullptr) slice.disk->MarkClean();
+        if (slice.primary != nullptr) slice.primary->MarkClean();
+        for (auto& sec : slice.secondaries) sec->MarkClean();
       }
     }
     if (num_slices() == 1) {
@@ -166,7 +167,6 @@ Status EngineBase::CreateDatabase(const std::vector<TableDef>& defs) {
       // synchronously (see LogManager::set_force).
       for (auto& log : logs_) log->set_force(true);
     }
-    journal_enabled_ = true;
   }
 
   machine_->SetEnabled(true);
@@ -265,47 +265,6 @@ void EngineBase::SliceRestore(mcsim::CoreSim* core, Slice& slice,
   slice.mem->RestoreRow(core, row, image, present);
 }
 
-void EngineBase::JournalPrimary(Slice& slice, bool insert,
-                                const index::Key& key,
-                                storage::RowId rid) {
-  if (!journal_enabled_ || slice.journal_mu == nullptr) return;
-  txn::CheckpointJournalEntry e;
-  e.target = -1;
-  e.insert = insert;
-  e.key = key;
-  e.rid = rid;
-  std::lock_guard<std::mutex> lock(*slice.journal_mu);
-  slice.journal.push_back(e);
-}
-
-void EngineBase::JournalSecondary(Slice& slice, int16_t target,
-                                  bool insert, const index::Key& key,
-                                  storage::RowId rid) {
-  if (!journal_enabled_ || slice.journal_mu == nullptr) return;
-  txn::CheckpointJournalEntry e;
-  e.target = target;
-  e.insert = insert;
-  e.key = key;
-  e.rid = rid;
-  std::lock_guard<std::mutex> lock(*slice.journal_mu);
-  slice.journal.push_back(e);
-}
-
-Status EngineBase::PrimaryInsert(mcsim::CoreSim* core, Slice& slice,
-                                 const index::Key& key,
-                                 storage::RowId rid) {
-  const Status s = slice.primary->Insert(core, key, rid);
-  if (s.ok()) JournalPrimary(slice, /*insert=*/true, key, rid);
-  return s;
-}
-
-bool EngineBase::PrimaryRemove(mcsim::CoreSim* core, Slice& slice,
-                               const index::Key& key) {
-  const bool ok = slice.primary->Remove(core, key);
-  if (ok) JournalPrimary(slice, /*insert=*/false, key, 0);
-  return ok;
-}
-
 void EngineBase::InsertSecondaries(mcsim::CoreSim* core, TableRt& rt,
                                    Slice& slice, const uint8_t* row,
                                    storage::RowId rid) {
@@ -313,8 +272,6 @@ void EngineBase::InsertSecondaries(mcsim::CoreSim* core, TableRt& rt,
     const index::Key key =
         rt.def.secondaries[i].key_of(rt.def.schema, row);
     slice.secondaries[i]->Insert(core, key, rid);
-    JournalSecondary(slice, static_cast<int16_t>(i), /*insert=*/true,
-                     key, rid);
   }
 }
 
@@ -324,8 +281,6 @@ void EngineBase::RemoveSecondaries(mcsim::CoreSim* core, TableRt& rt,
     const index::Key key =
         rt.def.secondaries[i].key_of(rt.def.schema, row);
     slice.secondaries[i]->Remove(core, key);
-    JournalSecondary(slice, static_cast<int16_t>(i), /*insert=*/false,
-                     key, 0);
   }
 }
 
@@ -355,7 +310,7 @@ void EngineBase::ApplyUndo(mcsim::CoreSim* core,
         }
         break;
       case UndoEntry::Kind::kInsertedRow:
-        if (slice.primary != nullptr) PrimaryRemove(core, slice, u.key);
+        if (slice.primary != nullptr) slice.primary->Remove(core, u.key);
         if (!u.image.empty()) {
           RemoveSecondaries(core, rt, slice, u.image.data());
         }
@@ -373,9 +328,7 @@ void EngineBase::ApplyUndo(mcsim::CoreSim* core,
         // Resurrect the row (possibly at a fresh slot) and re-index it.
         const storage::RowId rid =
             SliceAppend(core, slice, u.image.data());
-        if (slice.primary != nullptr) {
-          PrimaryInsert(core, slice, u.key, rid);
-        }
+        if (slice.primary != nullptr) slice.primary->Insert(core, u.key, rid);
         InsertSecondaries(core, rt, slice, u.image.data(), rid);
         if (clr) {
           log->Append(core, txn::LogOp::kInsert, txn_id,
@@ -439,29 +392,25 @@ std::vector<txn::LogRecord> EngineBase::FlushedLog() const {
 }
 
 Status EngineBase::Replay(const std::vector<txn::LogRecord>& log) {
-  machine_->SetEnabled(false);
-  const Status result = RedoPass(log, nullptr);
-  machine_->SetEnabled(true);
-  return result;
+  return Recover({}, log, /*log_truncation_lsn=*/0, nullptr);
 }
 
 Status EngineBase::RedoPass(const std::vector<txn::LogRecord>& log,
-                            txn::RecoveryStats* stats) {
+                            uint64_t from_lsn, txn::RecoveryStats* stats) {
   // A torn record (bad checksum on the device) ends the usable log:
   // recovery scans forward and stops at the first record that fails
   // verification, exactly like a real ARIES analysis pass.
-  size_t usable = log.size();
-  for (size_t i = 0; i < log.size(); ++i) {
-    if (log[i].torn) {
-      usable = i;
-      break;
-    }
-  }
+  const size_t usable = static_cast<size_t>(
+      std::find_if(log.begin(), log.end(),
+                   [](const txn::LogRecord& r) { return r.torn; }) -
+      log.begin());
 
-  // Analysis pass: which transactions committed?
-  std::unordered_set<uint64_t> committed;
+  // Analysis pass: which transactions committed, and at which LSN?
+  std::unordered_map<uint64_t, uint64_t> commit_lsn;
   for (size_t i = 0; i < usable; ++i) {
-    if (log[i].op == txn::LogOp::kCommit) committed.insert(log[i].txn_id);
+    if (log[i].op == txn::LogOp::kCommit) {
+      commit_lsn[log[i].txn_id] = log[i].lsn;
+    }
   }
 
   // REDO pass, in LSN order, committed transactions only. Recovery runs
@@ -470,6 +419,14 @@ Status EngineBase::RedoPass(const std::vector<txn::LogRecord>& log,
   Status result = Status::Ok();
   for (size_t i = 0; i < usable; ++i) {
     const txn::LogRecord& rec = log[i];
+    const auto commit = commit_lsn.find(rec.txn_id);
+    // Skip records whose effect landed before `from_lsn`. Engines
+    // apply a change before logging it, except staged (MVCC) updates,
+    // which reach the table at commit.
+    const bool staged = !updates_in_place() && !rec.clr &&
+                        rec.op == txn::LogOp::kUpdate &&
+                        commit != commit_lsn.end();
+    if ((staged ? commit->second : rec.lsn) < from_lsn) continue;
     if (rec.op == txn::LogOp::kCommit || rec.op == txn::LogOp::kAbort ||
         rec.op == txn::LogOp::kCommand ||
         rec.op == txn::LogOp::kCheckpointBegin ||
@@ -478,20 +435,15 @@ Status EngineBase::RedoPass(const std::vector<txn::LogRecord>& log,
     }
     // CLRs replay unconditionally: they repeat a rollback that already
     // happened (checkpoint-enabled logs only).
-    if (!rec.clr && committed.count(rec.txn_id) == 0) continue;
+    if (!rec.clr && commit == commit_lsn.end()) continue;
     if (rec.table < 0 ||
         rec.table >= static_cast<int16_t>(tables_.size())) {
       result = Status::Internal("log record references unknown table");
       break;
     }
-    if (stats != nullptr) ++stats->replayed_records;
+    ++stats->replayed_records;
     TableRt& rt = tables_[rec.table];
-    const int slice_idx =
-        rec.slice >= 0 &&
-                rec.slice < static_cast<int16_t>(rt.slices.size())
-            ? rec.slice
-            : 0;
-    Slice& slice = rt.slices[slice_idx];
+    Slice& slice = SliceAt(rt, rec.slice);
     switch (rec.op) {
       case txn::LogOp::kUpdate:
         if (rec.column >= 0) {
@@ -509,15 +461,8 @@ Status EngineBase::RedoPass(const std::vector<txn::LogRecord>& log,
         SliceRestore(core, slice, rec.row, rec.payload.data(),
                      /*present=*/true);
         if (slice.primary != nullptr && !rec.key.empty()) {
-          const index::Key k = index::Key::FromBytes(
-              rec.key.data(), static_cast<uint32_t>(rec.key.size()));
-          slice.primary->Remove(core, k);  // idempotent re-replay
-          const Status s = slice.primary->Insert(core, k, rec.row);
-          if (!s.ok()) {
-            result = s;
-          } else {
-            JournalPrimary(slice, /*insert=*/true, k, rec.row);
-          }
+          slice.primary->Remove(core, RecordKey(rec));  // idempotent
+          result = slice.primary->Insert(core, RecordKey(rec), rec.row);
         }
         InsertSecondaries(core, rt, slice, rec.payload.data(), rec.row);
         break;
@@ -536,11 +481,7 @@ Status EngineBase::RedoPass(const std::vector<txn::LogRecord>& log,
           }
         }
         if (slice.primary != nullptr && !rec.key.empty()) {
-          const index::Key k = index::Key::FromBytes(
-              rec.key.data(), static_cast<uint32_t>(rec.key.size()));
-          if (slice.primary->Remove(core, k)) {
-            JournalPrimary(slice, /*insert=*/false, k, 0);
-          }
+          slice.primary->Remove(core, RecordKey(rec));
         }
         SliceDelete(core, slice, rec.row);
         break;

@@ -53,19 +53,27 @@ class EngineBase : public Engine {
     uint64_t num_initial_rows = 0;
     /// Disk engines: initial global row r → heap RowId.
     std::vector<storage::RowId> rowid_of;
-    /// Post-population index mutations (checkpoint key journal;
-    /// indexes expose no key iteration, so checkpoints carry this to
-    /// rebuild keys whose inserts were truncated out of the log).
-    /// Heap-allocated mutex keeps Slice movable; only used when
-    /// checkpointing is enabled.
-    std::vector<txn::CheckpointJournalEntry> journal;
-    std::unique_ptr<std::mutex> journal_mu;
   };
 
   struct TableRt {
     TableDef def;
     std::vector<Slice> slices;
   };
+
+  /// The primary key a log record carries.
+  static index::Key RecordKey(const txn::LogRecord& rec) {
+    return index::Key::FromBytes(rec.key.data(),
+                                 static_cast<uint32_t>(rec.key.size()));
+  }
+
+  /// The slice a log record or checkpoint entry names (slice 0 when
+  /// the ordinal is out of range).
+  static Slice& SliceAt(TableRt& rt, int16_t slice) {
+    return rt.slices[slice >= 0 &&
+                             slice < static_cast<int16_t>(rt.slices.size())
+                         ? slice
+                         : 0];
+  }
 
   /// How many slices this engine splits tables into (partitioned
   /// engines: one per worker; others: 1).
@@ -145,14 +153,7 @@ class EngineBase : public Engine {
   void ApplyUndo(mcsim::CoreSim* core, std::vector<UndoEntry>& undo,
                  txn::LogManager* log = nullptr, uint64_t txn_id = 0);
 
-  /// Journaled primary-index mutation (records a checkpoint journal
-  /// entry when checkpointing is enabled).
-  Status PrimaryInsert(mcsim::CoreSim* core, Slice& slice,
-                       const index::Key& key, storage::RowId rid);
-  bool PrimaryRemove(mcsim::CoreSim* core, Slice& slice,
-                     const index::Key& key);
-
-  /// Secondary-index maintenance from a row image (journaled).
+  /// Secondary-index maintenance from a row image.
   void InsertSecondaries(mcsim::CoreSim* core, TableRt& rt, Slice& slice,
                          const uint8_t* row, storage::RowId rid);
   void RemoveSecondaries(mcsim::CoreSim* core, TableRt& rt, Slice& slice,
@@ -196,16 +197,8 @@ class EngineBase : public Engine {
 
   /// Checkpoint state (null when options_.checkpoint.enabled is false).
   std::unique_ptr<txn::CheckpointManager> ckpt_;
-  /// Journaling starts once population is done: CreateDatabase's bulk
-  /// index fill is regenerable and never journaled.
-  bool journal_enabled_ = false;
 
  private:
-  void JournalPrimary(Slice& slice, bool insert, const index::Key& key,
-                      storage::RowId rid);
-  void JournalSecondary(Slice& slice, int16_t target, bool insert,
-                        const index::Key& key, storage::RowId rid);
-
   /// Capture worker `w`'s share of the pending checkpoint
   /// (partitioned engines: every table's slice w, atomically at a
   /// transaction boundary).
@@ -223,12 +216,17 @@ class EngineBase : public Engine {
   /// Restores one captured page onto the (freshly created) database.
   void RestorePage(mcsim::CoreSim* core, const txn::CheckpointPage& page,
                    txn::RecoveryStats* stats);
+  /// Makes one slice index equal to its captured image.
+  void RestoreIndex(mcsim::CoreSim* core, Slice& slice,
+                    const txn::CheckpointIndexImage& image,
+                    txn::RecoveryStats* stats);
 
   /// ARIES REDO: applies committed transactions' records plus all CLRs
-  /// in LSN order. Shared by full replay and checkpoint recovery;
-  /// counts applied records into `stats` when given. Caller brackets
+  /// whose effect landed at or after `from_lsn`, in LSN order. Shared by
+  /// full replay (from 0) and checkpoint recovery (from the checkpoint's
+  /// begin LSN); counts applied records into `stats`. Caller brackets
   /// with SetEnabled(false/true).
-  Status RedoPass(const std::vector<txn::LogRecord>& log,
+  Status RedoPass(const std::vector<txn::LogRecord>& log, uint64_t from_lsn,
                   txn::RecoveryStats* stats);
 
   std::mutex ckpt_mu_;  // manager + capture plan + ticks

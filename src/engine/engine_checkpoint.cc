@@ -37,9 +37,21 @@ void EngineBase::CaptureSliceMeta(mcsim::CoreSim* core, int table,
   out->slice = static_cast<int16_t>(slice_idx);
   out->num_rows =
       slice.disk != nullptr ? slice.disk->num_rows() : slice.mem->num_rows();
-  if (slice.journal_mu != nullptr) {
-    std::lock_guard<std::mutex> lock(*slice.journal_mu);
-    out->journal = slice.journal;  // prefix as of capture time
+  // Image every index that diverged from the population. Engines log a
+  // mutation after applying it, so a mutation missing from the image
+  // has its record at or after the checkpoint's begin LSN and is redone.
+  auto capture = [out](int16_t target, const index::Index& idx) {
+    if (!idx.dirty()) return;
+    txn::CheckpointIndexImage image;
+    image.target = target;
+    idx.ForEach([&image](const index::Key& key, uint64_t value) {
+      image.entries.emplace_back(key, value);
+    });
+    out->indexes.push_back(std::move(image));
+  };
+  if (slice.primary != nullptr) capture(-1, *slice.primary);
+  for (size_t i = 0; i < slice.secondaries.size(); ++i) {
+    capture(static_cast<int16_t>(i), *slice.secondaries[i]);
   }
 }
 
@@ -235,12 +247,7 @@ void EngineBase::RestorePage(mcsim::CoreSim* core,
   }
   TableRt& rt = tables_[page.table];
   if (page.row_bytes != rt.def.schema.row_bytes()) return;
-  const int slice_idx =
-      page.slice >= 0 &&
-              page.slice < static_cast<int16_t>(rt.slices.size())
-          ? page.slice
-          : 0;
-  Slice& slice = rt.slices[slice_idx];
+  Slice& slice = SliceAt(rt, page.slice);
   for (size_t i = 0; i < page.rids.size(); ++i) {
     const bool present = i < page.present.size() && page.present[i] != 0;
     SliceRestore(core, slice, page.rids[i],
@@ -248,6 +255,27 @@ void EngineBase::RestorePage(mcsim::CoreSim* core,
   }
   ++stats->restored_pages;
   stats->restored_bytes += page.images.size();
+}
+
+void EngineBase::RestoreIndex(mcsim::CoreSim* core, Slice& slice,
+                              const txn::CheckpointIndexImage& image,
+                              txn::RecoveryStats* stats) {
+  index::Index* idx = nullptr;
+  if (image.target < 0) {
+    idx = slice.primary.get();
+  } else if (image.target <
+             static_cast<int16_t>(slice.secondaries.size())) {
+    idx = slice.secondaries[image.target].get();
+  }
+  if (idx == nullptr) return;
+  std::vector<index::Key> fresh;
+  idx->ForEach(
+      [&fresh](const index::Key& key, uint64_t) { fresh.push_back(key); });
+  for (const index::Key& key : fresh) idx->Remove(core, key);
+  for (const auto& [key, value] : image.entries) {
+    idx->Insert(core, key, value);
+  }
+  stats->index_entries += image.entries.size();
 }
 
 Status EngineBase::Recover(const std::vector<txn::CheckpointImage>& device,
@@ -269,7 +297,7 @@ Status EngineBase::Recover(const std::vector<txn::CheckpointImage>& device,
           "checksum-clean checkpoint is available");
     }
     machine_->SetEnabled(false);
-    const Status s = RedoPass(log, stats);
+    const Status s = RedoPass(log, /*from_lsn=*/0, stats);
     machine_->SetEnabled(true);
     return s;
   }
@@ -279,53 +307,30 @@ Status EngineBase::Recover(const std::vector<txn::CheckpointImage>& device,
   machine_->SetEnabled(false);
   mcsim::CoreSim* core = &machine_->core(0);
 
-  // 1. Restore captured pages, then replay each slice's index journal
-  // (indexes expose no key iteration; the journal re-derives keys whose
-  // index mutations were truncated out of the log). Application is
-  // defensive — Remove before Insert — so entries repeated by the redo
-  // pass below are harmless.
+  // 1. Restore captured pages and make every imaged index equal to its
+  // image; indexes the checkpoint did not image are still exactly as
+  // population left them.
   for (const txn::CheckpointSliceImage& si : ckpt->slices) {
     if (si.table < 0 ||
         si.table >= static_cast<int16_t>(tables_.size())) {
       continue;
     }
-    TableRt& rt = tables_[si.table];
-    const int slice_idx =
-        si.slice >= 0 && si.slice < static_cast<int16_t>(rt.slices.size())
-            ? si.slice
-            : 0;
-    Slice& slice = rt.slices[slice_idx];
+    Slice& slice = SliceAt(tables_[si.table], si.slice);
     for (const txn::CheckpointPage& pg : si.pages) {
       RestorePage(core, pg, stats);
     }
-    for (const txn::CheckpointJournalEntry& e : si.journal) {
-      if (e.target < 0) {
-        if (slice.primary != nullptr) {
-          slice.primary->Remove(core, e.key);
-          if (e.insert) slice.primary->Insert(core, e.key, e.rid);
-        }
-      } else if (e.target <
-                 static_cast<int16_t>(slice.secondaries.size())) {
-        index::Index* sec = slice.secondaries[e.target].get();
-        sec->Remove(core, e.key);
-        if (e.insert) sec->Insert(core, e.key, e.rid);
-      }
-    }
-    stats->journal_entries += si.journal.size();
-    // Seed the recovered engine's own journal so its future
-    // checkpoints stay self-contained across chaos cycles.
-    if (slice.journal_mu != nullptr && !si.journal.empty()) {
-      std::lock_guard<std::mutex> jlock(*slice.journal_mu);
-      slice.journal.insert(slice.journal.end(), si.journal.begin(),
-                           si.journal.end());
+    for (const txn::CheckpointIndexImage& image : si.indexes) {
+      RestoreIndex(core, slice, image, stats);
     }
   }
 
-  // 2. REDO the retained log tail from the truncation anchor:
-  // committed transactions' records plus every CLR, in LSN order.
-  // Re-applying records older than a captured page is idempotent —
-  // placement replay lands rows exactly where the live run put them.
-  Status result = RedoPass(log, stats);
+  // 2. REDO committed transactions' records plus every CLR, in LSN
+  // order, from the checkpoint's begin LSN. Records whose effect landed
+  // earlier are already in the restored state, and replaying them is
+  // unsafe: a worker that stopped ticking never truncated its log, and
+  // a stale CLR there would delete a heap slot that a later committed
+  // insert reused.
+  Status result = RedoPass(log, ckpt->begin_lsn, stats);
   if (!result.ok()) {
     machine_->SetEnabled(true);
     return result;
@@ -338,13 +343,10 @@ Status EngineBase::Recover(const std::vector<txn::CheckpointImage>& device,
   // finished and its CLRs were redone above — not a loser. Engines
   // that stage updates privately — MVCC — skip kUpdate undo: the
   // loser's update never reached the table.)
-  size_t usable = log.size();
-  for (size_t i = 0; i < log.size(); ++i) {
-    if (log[i].torn) {
-      usable = i;
-      break;
-    }
-  }
+  const size_t usable = static_cast<size_t>(
+      std::find_if(log.begin(), log.end(),
+                   [](const txn::LogRecord& r) { return r.torn; }) -
+      log.begin());
   std::unordered_set<uint64_t> ended;
   for (size_t i = 0; i < usable; ++i) {
     if (log[i].op == txn::LogOp::kCommit ||
@@ -370,12 +372,7 @@ Status EngineBase::Recover(const std::vector<txn::CheckpointImage>& device,
       continue;
     }
     TableRt& rt = tables_[rec.table];
-    const int slice_idx =
-        rec.slice >= 0 &&
-                rec.slice < static_cast<int16_t>(rt.slices.size())
-            ? rec.slice
-            : 0;
-    Slice& slice = rt.slices[slice_idx];
+    Slice& slice = SliceAt(rt, rec.slice);
     switch (rec.op) {
       case txn::LogOp::kUpdate:
         if (!updates_in_place() || rec.before.empty()) break;
@@ -391,11 +388,8 @@ Status EngineBase::Recover(const std::vector<txn::CheckpointImage>& device,
       case txn::LogOp::kInsert: {
         // The loser inserted this row; remove it wherever it landed.
         // All operations are no-ops if the fuzzy capture missed it.
-        if (!rec.key.empty()) {
-          PrimaryRemove(core, slice,
-                        index::Key::FromBytes(
-                            rec.key.data(),
-                            static_cast<uint32_t>(rec.key.size())));
+        if (slice.primary != nullptr && !rec.key.empty()) {
+          slice.primary->Remove(core, RecordKey(rec));
         }
         if (rec.payload.size() >= rt.def.schema.row_bytes()) {
           RemoveSecondaries(core, rt, slice, rec.payload.data());
@@ -408,11 +402,9 @@ Status EngineBase::Recover(const std::vector<txn::CheckpointImage>& device,
         if (rec.before.size() < rt.def.schema.row_bytes()) break;
         SliceRestore(core, slice, rec.row, rec.before.data(),
                      /*present=*/true);
-        if (!rec.key.empty()) {
-          const index::Key k = index::Key::FromBytes(
-              rec.key.data(), static_cast<uint32_t>(rec.key.size()));
-          PrimaryRemove(core, slice, k);
-          PrimaryInsert(core, slice, k, rec.row);
+        if (slice.primary != nullptr && !rec.key.empty()) {
+          slice.primary->Remove(core, RecordKey(rec));
+          slice.primary->Insert(core, RecordKey(rec), rec.row);
         }
         InsertSecondaries(core, rt, slice, rec.before.data(), rec.row);
         ++stats->undone_records;

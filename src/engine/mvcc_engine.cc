@@ -140,7 +140,7 @@ class MvccEngine::Ctx final : public TxnContext {
                            obs::SpanKind::kIndexProbe);
       e_->Exec(core_, e_->index_op_);
       if (slice.primary != nullptr) {
-        const Status s = e_->PrimaryInsert(core_, slice, key, rid);
+        const Status s = slice.primary->Insert(core_, key, rid);
         if (!s.ok()) return s;
       }
       e_->InsertSecondaries(core_, rt, slice, row, rid);
@@ -182,7 +182,7 @@ class MvccEngine::Ctx final : public TxnContext {
       obs::ScopedSpan span(&e_->spans_, core_,
                            obs::SpanKind::kIndexProbe);
       e_->Exec(core_, e_->index_op_);
-      if (!e_->PrimaryRemove(core_, slice, key)) {
+      if (!slice.primary->Remove(core_, key)) {
         return Status::NotFound();
       }
       e_->RemoveSecondaries(core_, rt, slice, before.data());

@@ -237,7 +237,7 @@ StatusOr<ChaosReport> RunChaos(const ChaosOptions& opt) {
     fp = FnvMix(fp, cyc.recovery.checkpoints_discarded);
     fp = FnvMix(fp, cyc.recovery.torn_pages);
     fp = FnvMix(fp, cyc.recovery.restored_pages);
-    fp = FnvMix(fp, cyc.recovery.journal_entries);
+    fp = FnvMix(fp, cyc.recovery.index_entries);
     fp = FnvMix(fp, cyc.recovery.replayed_records);
     fp = FnvMix(fp, cyc.recovery.undone_records);
     fp = FnvLog(fp, log);
@@ -336,7 +336,7 @@ std::string ChaosReportToJson(const ChaosOptions& opt,
     w.KeyValue("torn_pages", c.recovery.torn_pages);
     w.KeyValue("restored_pages", c.recovery.restored_pages);
     w.KeyValue("restored_bytes", c.recovery.restored_bytes);
-    w.KeyValue("journal_entries", c.recovery.journal_entries);
+    w.KeyValue("index_entries", c.recovery.index_entries);
     w.KeyValue("replayed_records", c.recovery.replayed_records);
     w.KeyValue("undone_records", c.recovery.undone_records);
     w.KeyValue("truncation_lsn", c.recovery.truncation_lsn);

@@ -62,6 +62,38 @@ Art::Art(uint32_t key_bytes) : key_bytes_(key_bytes) {}
 
 Art::~Art() { FreeSubtree(root_); }
 
+template <typename Fn>
+void Art::ForEachChild(Node* n, Fn&& fn) {
+  switch (n->type) {
+    case kNode4: {
+      auto* n4 = reinterpret_cast<Node4*>(n);
+      for (int i = 0; i < n->num_children; ++i)
+        fn(n4->keys[i], n4->children[i]);
+      break;
+    }
+    case kNode16: {
+      auto* n16 = reinterpret_cast<Node16*>(n);
+      for (int i = 0; i < n->num_children; ++i)
+        fn(n16->keys[i], n16->children[i]);
+      break;
+    }
+    case kNode48: {
+      auto* n48 = reinterpret_cast<Node48*>(n);
+      for (int b = 0; b < 256; ++b) {
+        if (n48->child_index[b] != 0)
+          fn(static_cast<uint8_t>(b), n48->children[n48->child_index[b] - 1]);
+      }
+      break;
+    }
+    default: {
+      auto* n256 = reinterpret_cast<Node256*>(n);
+      for (int b = 0; b < 256; ++b)
+        fn(static_cast<uint8_t>(b), n256->children[b]);
+      break;
+    }
+  }
+}
+
 void Art::FreeSubtree(void* p) {
   if (p == nullptr) return;
   if (IsLeaf(p)) {
@@ -69,33 +101,23 @@ void Art::FreeSubtree(void* p) {
     return;
   }
   Node* n = static_cast<Node*>(p);
-  switch (n->type) {
-    case kNode4: {
-      auto* n4 = reinterpret_cast<Node4*>(n);
-      for (int i = 0; i < n->num_children; ++i) FreeSubtree(n4->children[i]);
-      break;
-    }
-    case kNode16: {
-      auto* n16 = reinterpret_cast<Node16*>(n);
-      for (int i = 0; i < n->num_children; ++i)
-        FreeSubtree(n16->children[i]);
-      break;
-    }
-    case kNode48: {
-      auto* n48 = reinterpret_cast<Node48*>(n);
-      for (int b = 0; b < 256; ++b) {
-        if (n48->child_index[b] != 0)
-          FreeSubtree(n48->children[n48->child_index[b] - 1]);
-      }
-      break;
-    }
-    default: {
-      auto* n256 = reinterpret_cast<Node256*>(n);
-      for (int b = 0; b < 256; ++b) FreeSubtree(n256->children[b]);
-      break;
-    }
-  }
+  ForEachChild(n, [this](uint8_t, void* child) { FreeSubtree(child); });
   std::free(n);
+}
+
+void Art::ForEach(
+    const std::function<void(const Key&, uint64_t)>& fn) const {
+  auto walk = [&fn](auto& self, void* p) -> void {
+    if (p == nullptr) return;
+    if (IsLeaf(p)) {
+      const Leaf* l = AsLeaf(p);
+      fn(Key::FromBytes(l->key, l->key_len), l->value);
+      return;
+    }
+    ForEachChild(static_cast<Node*>(p),
+                 [&](uint8_t, void* child) { self(self, child); });
+  };
+  walk(walk, root_);
 }
 
 Art::Leaf* Art::NewLeaf(const Key& key, uint64_t value) {
@@ -511,36 +533,7 @@ uint64_t Art::ScanRec(mcsim::CoreSim* core, void* p, const Key& from,
     }
     added += ScanRec(core, child, from, limit, depth + 1, past_from, out);
   };
-  switch (n->type) {
-    case kNode4: {
-      auto* node = reinterpret_cast<Node4*>(n);
-      for (int i = 0; i < n->num_children; ++i)
-        visit(node->keys[i], node->children[i]);
-      break;
-    }
-    case kNode16: {
-      auto* node = reinterpret_cast<Node16*>(n);
-      for (int i = 0; i < n->num_children; ++i)
-        visit(node->keys[i], node->children[i]);
-      break;
-    }
-    case kNode48: {
-      auto* node = reinterpret_cast<Node48*>(n);
-      for (int b = 0; b < 256; ++b) {
-        if (node->child_index[b] != 0) {
-          visit(static_cast<uint8_t>(b),
-                node->children[node->child_index[b] - 1]);
-        }
-      }
-      break;
-    }
-    default: {
-      auto* node = reinterpret_cast<Node256*>(n);
-      for (int b = 0; b < 256; ++b)
-        visit(static_cast<uint8_t>(b), node->children[b]);
-      break;
-    }
-  }
+  ForEachChild(n, visit);
   return added;
 }
 

@@ -35,6 +35,8 @@ class Art final : public Index {
                 std::vector<uint64_t>* out) override;
   uint64_t size() const override { return size_; }
   bool ordered() const override { return true; }
+  void ForEach(const std::function<void(const Key&, uint64_t)>& fn)
+      const override;
 
  private:
   struct Leaf;
@@ -67,6 +69,10 @@ class Art final : public Index {
   uint64_t ScanRec(mcsim::CoreSim* core, void* node, const Key& from,
                    uint64_t limit, uint32_t depth, bool* past_from,
                    std::vector<uint64_t>* out) const;
+  /// Calls `fn(byte, child)` on each child slot of `node` in byte order
+  /// (a Node256 passes its empty slots as null).
+  template <typename Fn>
+  static void ForEachChild(Node* node, Fn&& fn);
 
   uint32_t key_bytes_;
   uint64_t size_ = 0;

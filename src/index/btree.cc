@@ -332,4 +332,19 @@ uint64_t BTree::Scan(mcsim::CoreSim* core, const Key& from, uint64_t limit,
   return n;
 }
 
+void BTree::ForEach(
+    const std::function<void(const Key&, uint64_t)>& fn) const {
+  const Node* leaf = root_;
+  while (!leaf->is_leaf) leaf = leaf->leftmost;
+  const uint32_t entry = key_bytes_ + 8;
+  for (; leaf != nullptr; leaf = leaf->next_leaf) {
+    for (uint32_t i = 0; i < leaf->count; ++i) {
+      const uint8_t* slot = EntryPtr(leaf, i, entry);
+      uint64_t value;
+      std::memcpy(&value, slot + key_bytes_, 8);
+      fn(Key::FromBytes(slot, key_bytes_), value);
+    }
+  }
+}
+
 }  // namespace imoltp::index

@@ -40,6 +40,8 @@ class BTree final : public Index {
                 std::vector<uint64_t>* out) override;
   uint64_t size() const override { return size_; }
   bool ordered() const override { return true; }
+  void ForEach(const std::function<void(const Key&, uint64_t)>& fn)
+      const override;
 
   /// Height of the tree (levels). Exposed for tests/benches.
   uint32_t height() const { return height_; }

@@ -125,4 +125,13 @@ uint64_t HashIndex::Scan(mcsim::CoreSim* core, const Key& from,
   return 0;  // unordered structure: range scans unsupported
 }
 
+void HashIndex::ForEach(
+    const std::function<void(const Key&, uint64_t)>& fn) const {
+  for (const Entry* head : buckets_) {
+    for (const Entry* e = head; e != nullptr; e = e->next) {
+      fn(Key::FromBytes(e->key, e->key_len), e->value);
+    }
+  }
+}
+
 }  // namespace imoltp::index

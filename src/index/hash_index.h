@@ -35,6 +35,8 @@ class HashIndex final : public Index {
                 std::vector<uint64_t>* out) override;
   uint64_t size() const override { return size_; }
   bool ordered() const override { return false; }
+  void ForEach(const std::function<void(const Key&, uint64_t)>& fn)
+      const override;
 
   uint64_t num_buckets() const { return buckets_.size(); }
 

@@ -2,6 +2,7 @@
 #define IMOLTP_INDEX_INDEX_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -63,6 +64,16 @@ class Index {
 
   /// True for ordered (range-capable) structures.
   virtual bool ordered() const = 0;
+
+  /// Host-only walk over every live (key, value) pair, in key order for
+  /// ordered structures: no simulated instruction or cache access.
+  virtual void ForEach(
+      const std::function<void(const Key&, uint64_t)>& fn) const = 0;
+
+  /// Set by a successful Insert/Remove, cleared by MarkClean(). Only
+  /// CreateIndex's indexes track it; bare structures report dirty.
+  virtual bool dirty() const { return true; }
+  virtual void MarkClean() {}
 };
 
 /// Factory. `key_bytes` fixes the stored key slot width for the B-tree

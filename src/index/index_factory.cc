@@ -1,3 +1,4 @@
+#include <atomic>
 #include <shared_mutex>
 #include <utility>
 
@@ -15,7 +16,8 @@ namespace {
 /// free-running parallel workers must not probe mid-restructure. Lookups
 /// and scans share the lock; mutations are exclusive. The simulated cost
 /// model is unchanged — the traced node walks happen inside the lock on
-/// the caller's own core.
+/// the caller's own core. The decorator also keeps the dirty bit: a
+/// successful mutation sets it, MarkClean() clears it.
 class LockedIndex final : public Index {
  public:
   explicit LockedIndex(std::unique_ptr<Index> inner)
@@ -26,7 +28,9 @@ class LockedIndex final : public Index {
   Status Insert(mcsim::CoreSim* core, const Key& key,
                 uint64_t value) override {
     std::unique_lock<std::shared_mutex> lock(mu_);
-    return inner_->Insert(core, key, value);
+    const Status s = inner_->Insert(core, key, value);
+    if (s.ok()) dirty_ = true;
+    return s;
   }
 
   bool Lookup(mcsim::CoreSim* core, const Key& key,
@@ -37,7 +41,9 @@ class LockedIndex final : public Index {
 
   bool Remove(mcsim::CoreSim* core, const Key& key) override {
     std::unique_lock<std::shared_mutex> lock(mu_);
-    return inner_->Remove(core, key);
+    const bool removed = inner_->Remove(core, key);
+    if (removed) dirty_ = true;
+    return removed;
   }
 
   uint64_t Scan(mcsim::CoreSim* core, const Key& from, uint64_t limit,
@@ -53,9 +59,19 @@ class LockedIndex final : public Index {
 
   bool ordered() const override { return inner_->ordered(); }
 
+  void ForEach(const std::function<void(const Key&, uint64_t)>& fn)
+      const override {
+    std::shared_lock<std::shared_mutex> lock(mu_);
+    inner_->ForEach(fn);
+  }
+
+  bool dirty() const override { return dirty_; }
+  void MarkClean() override { dirty_ = false; }
+
  private:
   mutable std::shared_mutex mu_;
   std::unique_ptr<Index> inner_;
+  std::atomic<bool> dirty_{true};
 };
 
 std::unique_ptr<Index> CreateBareIndex(IndexKind kind,

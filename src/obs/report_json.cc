@@ -152,7 +152,7 @@ void RecoveryToJson(JsonWriter& w, const RecoveryInfo& r) {
     w.KeyValue("checkpoint_id", r.recovery.checkpoint_id);
     w.KeyValue("restored_pages", r.recovery.restored_pages);
     w.KeyValue("restored_bytes", r.recovery.restored_bytes);
-    w.KeyValue("journal_entries", r.recovery.journal_entries);
+    w.KeyValue("index_entries", r.recovery.index_entries);
     w.KeyValue("replayed_records", r.recovery.replayed_records);
     w.KeyValue("undone_records", r.recovery.undone_records);
     w.KeyValue("truncation_lsn", r.recovery.truncation_lsn);

@@ -42,7 +42,9 @@ uint64_t CheckpointImage::bytes() const {
   uint64_t n = 0;
   for (const CheckpointSliceImage& s : slices) {
     for (const CheckpointPage& p : s.pages) n += p.bytes();
-    n += s.journal.size() * sizeof(CheckpointJournalEntry);
+    for (const CheckpointIndexImage& idx : s.indexes) {
+      n += idx.entries.size() * sizeof(idx.entries[0]);
+    }
   }
   return n;
 }

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "index/key.h"
@@ -14,20 +15,17 @@ namespace imoltp::txn {
 /// slice *while transactions run*, bracketed by kCheckpointBegin /
 /// kCheckpointEnd WAL records. Recovery restores the newest complete,
 /// checksum-clean checkpoint onto a freshly created database and
-/// replays the retained log tail from the truncation anchor; a torn
+/// replays the retained log from that checkpoint's begin LSN; a torn
 /// page fails its checksum and discards the whole checkpoint in favor
 /// of the previous complete one.
 
-/// One post-population index operation. Indexes expose no key
-/// iteration, so the pages of a checkpoint cannot reconstruct the keys
-/// of rows whose inserts were truncated out of the log — each slice
-/// keeps an append-only journal of its index mutations and the
-/// checkpoint carries the journal prefix as of capture time.
-struct CheckpointJournalEntry {
+/// One index's full contents at capture time. Indexes are not paged, so
+/// a checkpoint carries each index that changed since population
+/// (Index::dirty) as a (key, value) image; clean indexes are rebuilt
+/// exactly by re-populating a fresh database.
+struct CheckpointIndexImage {
   int16_t target = -1;  // -1 = primary index, else secondary ordinal
-  bool insert = true;   // false = remove
-  index::Key key;
-  uint64_t rid = 0;
+  std::vector<std::pair<index::Key, uint64_t>> entries;
 };
 
 /// One captured page: the full row-image contents of a page-aligned
@@ -58,7 +56,7 @@ struct CheckpointSliceImage {
   int16_t table = 0;
   int16_t slice = 0;
   uint64_t num_rows = 0;  // rid-space size at capture time
-  std::vector<CheckpointJournalEntry> journal;  // prefix at capture
+  std::vector<CheckpointIndexImage> indexes;  // dirty indexes only
   std::vector<CheckpointPage> pages;
 };
 
@@ -109,7 +107,7 @@ struct RecoveryStats {
   uint64_t checkpoint_id = 0;
   uint64_t restored_pages = 0;
   uint64_t restored_bytes = 0;
-  uint64_t journal_entries = 0;
+  uint64_t index_entries = 0;  // entries restored from index images
   uint64_t replayed_records = 0;  // log records applied after restore
   uint64_t undone_records = 0;    // loser records rolled back
   uint64_t truncation_lsn = 0;

@@ -135,15 +135,22 @@ class LogManager {
   }
 
   /// Drops retained records with `lsn < upto_lsn` (post-checkpoint
-  /// truncation to the recovery anchor). The truncation LSN is recorded
-  /// so recovery can distinguish a truncated log from an empty one —
-  /// both have zero records, but only one is allowed to start replay at
-  /// an LSN other than 0. Per-worker logs append in LSN order, so this
-  /// is a prefix erase.
+  /// truncation to the recovery anchor), except a transaction that
+  /// straddles it: its staged (MVCC) update reaches the table only at
+  /// commit. The truncation LSN is recorded so recovery can distinguish
+  /// a truncated log from an empty one — both have zero records, but
+  /// only one is allowed to start replay at an LSN other than 0.
+  /// Per-worker logs append in LSN order, one transaction at a time,
+  /// so this is a prefix erase.
   void Truncate(uint64_t upto_lsn) {
     size_t drop = 0;
     while (drop < stable_.size() && stable_[drop].lsn < upto_lsn) {
       ++drop;
+    }
+    while (drop > 0 && drop < stable_.size() &&
+           stable_[drop].txn_id != 0 &&
+           stable_[drop - 1].txn_id == stable_[drop].txn_id) {
+      --drop;
     }
     if (drop > 0) {
       stable_.erase(stable_.begin(),

@@ -215,6 +215,63 @@ TEST_P(IndexConformanceTest, TracesMemoryThroughTheCore) {
   EXPECT_GT(core_->counters().instructions, 0u);
 }
 
+TEST_P(IndexConformanceTest, ForEachVisitsExactlyTheLivePairs) {
+  std::map<uint64_t, uint64_t> oracle;
+  Rng rng(7);
+  for (int i = 0; i < 5000; ++i) {
+    const uint64_t id = rng.Uniform(100000);
+    if (index_->Insert(core_, K(id), id * 3).ok()) oracle[id] = id * 3;
+  }
+  for (auto it = oracle.begin(); it != oracle.end();) {
+    if (rng.Uniform(3) == 0) {
+      ASSERT_TRUE(index_->Remove(core_, K(it->first)));
+      it = oracle.erase(it);
+    } else {
+      ++it;
+    }
+  }
+  std::vector<std::pair<Key, uint64_t>> want;
+  for (const auto& [id, value] : oracle) want.emplace_back(K(id), value);
+
+  const mcsim::CoreCounters before = core_->counters();
+  std::vector<std::pair<Key, uint64_t>> got;
+  index_->ForEach(
+      [&got](const Key& key, uint64_t value) { got.emplace_back(key, value); });
+  // Host-only: the walk is invisible to the simulated core.
+  EXPECT_EQ(core_->counters().instructions, before.instructions);
+  EXPECT_EQ(core_->counters().data_accesses, before.data_accesses);
+
+  if (!index_->ordered()) std::sort(got.begin(), got.end());
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_TRUE(got[i].first == want[i].first) << "entry " << i;
+    ASSERT_EQ(got[i].second, want[i].second) << "entry " << i;
+  }
+}
+
+TEST_P(IndexConformanceTest, DirtyBitTracksSuccessfulMutations) {
+  ASSERT_TRUE(index_->Insert(core_, K(1), 1).ok());
+  EXPECT_TRUE(index_->dirty());
+  index_->MarkClean();
+  EXPECT_FALSE(index_->dirty());
+
+  // Failed mutations and reads leave it clean.
+  EXPECT_FALSE(index_->Insert(core_, K(1), 2).ok());
+  EXPECT_FALSE(index_->Remove(core_, K(2)));
+  uint64_t v = 0;
+  EXPECT_TRUE(index_->Lookup(core_, K(1), &v));
+  std::vector<uint64_t> scanned;
+  index_->Scan(core_, K(0), 10, &scanned);
+  index_->ForEach([](const Key&, uint64_t) {});
+  EXPECT_FALSE(index_->dirty());
+
+  ASSERT_TRUE(index_->Insert(core_, K(2), 2).ok());
+  EXPECT_TRUE(index_->dirty());
+  index_->MarkClean();
+  ASSERT_TRUE(index_->Remove(core_, K(2)));
+  EXPECT_TRUE(index_->dirty());
+}
+
 std::string CaseName(const ::testing::TestParamInfo<IndexCase>& info) {
   std::string name = std::string(IndexKindName(info.param.kind)) + "_" +
                      std::to_string(info.param.key_bytes) + "b";

@@ -27,6 +27,30 @@ TableDef SimpleTable(uint64_t rows) {
           .secondaries = {}};
 }
 
+// (key, key + kSecondaryBase) rows with a secondary index on column 1,
+// whose keys are therefore unique and disjoint from the primary keys.
+constexpr int64_t kSecondaryBase = 1000000;
+
+void IndexedGenerator(const storage::Schema& schema, storage::RowId r,
+                      uint64_t seed, uint8_t* out) {
+  (void)seed;
+  schema.SetLong(out, 0, static_cast<int64_t>(r));
+  schema.SetLong(out, 1, static_cast<int64_t>(r) + kSecondaryBase);
+}
+
+index::Key ValueSecondary(const storage::Schema& schema,
+                          const uint8_t* row) {
+  return index::Key::FromUint64(
+      static_cast<uint64_t>(schema.GetLong(row, 1)));
+}
+
+TableDef IndexedTable(uint64_t rows) {
+  TableDef def = SimpleTable(rows);
+  def.generator = IndexedGenerator;
+  def.secondaries.push_back({"by-value", ValueSecondary});
+  return def;
+}
+
 // Engines whose logging is physical (replayable). VoltDB uses logical
 // command logging, which REDO skips by design.
 constexpr EngineKind kReplayable[] = {
@@ -347,12 +371,40 @@ class CheckpointRecoveryTest : public ::testing::TestWithParam<EngineKind> {
  protected:
   static constexpr uint64_t kRows = 3000;
 
-  void Create(const txn::CheckpointPolicy& policy) {
+  void Create(const txn::CheckpointPolicy& policy,
+              const TableDef& def = SimpleTable(kRows), int cores = 1) {
     EngineOptions opts;
     opts.checkpoint = policy;
-    machine_ = std::make_unique<mcsim::MachineSim>(NoTlb());
+    mcsim::MachineConfig config = NoTlb();
+    config.num_cores = cores;
+    def_ = def;
+    machine_ = std::make_unique<mcsim::MachineSim>(config);
     engine_ = CreateEngine(GetParam(), machine_.get(), opts);
-    ASSERT_TRUE(engine_->CreateDatabase({SimpleTable(kRows)}).ok());
+    ASSERT_TRUE(engine_->CreateDatabase({def_}).ok());
+  }
+
+  /// Inserts (key, key + kSecondaryBase) on `worker`; `commit == false`
+  /// makes the body fail so the engine rolls the insert back.
+  Status InsertRow(int worker, int64_t key, bool commit) {
+    TxnRequest req;
+    req.key_space = kRows;
+    return engine_->Execute(worker, req, [&](TxnContext& ctx) {
+      uint8_t row[16];
+      IndexedGenerator(def_.schema, static_cast<storage::RowId>(key), 0,
+                       row);
+      const Status st =
+          ctx.Insert(0, row, index::Key::FromUint64(key));
+      if (!st.ok()) return st;
+      return commit ? Status::Ok() : Status::Aborted("rolled back");
+    });
+  }
+
+  /// Idle worker-0 ticks until every record up to `lsn` is truncated.
+  void TickPast(uint64_t lsn) {
+    for (int i = 0; i < 1024 && engine_->LogTruncationLsn() <= lsn; ++i) {
+      engine_->CheckpointTick(0);
+    }
+    ASSERT_GT(engine_->LogTruncationLsn(), lsn);
   }
 
   /// One committed single-row update followed by a checkpoint tick —
@@ -389,7 +441,7 @@ class CheckpointRecoveryTest : public ::testing::TestWithParam<EngineKind> {
     fresh_machine_ = std::make_unique<mcsim::MachineSim>(NoTlb());
     auto recovered =
         CreateEngine(GetParam(), fresh_machine_.get(), EngineOptions());
-    EXPECT_TRUE(recovered->CreateDatabase({SimpleTable(kRows)}).ok());
+    EXPECT_TRUE(recovered->CreateDatabase({def_}).ok());
     const Status s =
         recovered->Recover(std::move(device), engine_->StableLog(),
                            engine_->LogTruncationLsn(), stats);
@@ -419,6 +471,28 @@ class CheckpointRecoveryTest : public ::testing::TestWithParam<EngineKind> {
     return value;
   }
 
+  /// Key of the row that secondary `value` finds, or -1 if none.
+  static int64_t KeyBySecondary(Engine* engine, int64_t value) {
+    int64_t key = -1;
+    TxnRequest req;
+    req.key_space = kRows;
+    engine->Execute(0, req, [&](TxnContext& ctx) {
+      std::vector<storage::RowId> rows;
+      Status st = ctx.ScanSecondary(
+          0, 0, index::Key::FromUint64(static_cast<uint64_t>(value)), 1,
+          &rows);
+      if (!st.ok() || rows.empty()) return st;
+      uint8_t row[16];
+      st = ctx.Read(0, rows[0], row);
+      if (!st.ok()) return st;
+      const storage::Schema schema = storage::TwoLongColumns();
+      if (schema.GetLong(row, 1) == value) key = schema.GetLong(row, 0);
+      return Status::Ok();
+    });
+    return key;
+  }
+
+  TableDef def_;
   std::unique_ptr<mcsim::MachineSim> machine_;
   std::unique_ptr<mcsim::MachineSim> fresh_machine_;
   std::unique_ptr<Engine> engine_;
@@ -588,9 +662,147 @@ TEST_P(CheckpointRecoveryTest, TruncatedLogWithoutCheckpointIsAnError) {
   EXPECT_FALSE(stats.used_checkpoint);
 }
 
+TEST_P(CheckpointRecoveryTest, IndexEntriesSurviveTruncatedLog) {
+  // The inserts and the delete below are truncated out of the log, so
+  // only the checkpoint's index images can carry their index entries:
+  // the restored pages hold the rows, but a fresh database's indexes
+  // still hold exactly the population.
+  txn::CheckpointPolicy policy;
+  policy.enabled = true;
+  policy.every_n_ticks = 4;
+  Create(policy, IndexedTable(kRows));
+  for (int64_t k = 0; k < 8; ++k) {
+    ASSERT_TRUE(InsertRow(0, kRows + k, /*commit=*/true).ok()) << k;
+    engine_->CheckpointTick(0);
+  }
+  constexpr int64_t kDeleted = 123;
+  TxnRequest req;
+  req.key_space = kRows;
+  ASSERT_TRUE(engine_
+                  ->Execute(0, req,
+                            [&](TxnContext& ctx) {
+                              const index::Key key =
+                                  index::Key::FromUint64(kDeleted);
+                              storage::RowId rid;
+                              const Status st = ctx.Probe(0, key, &rid);
+                              if (!st.ok()) return st;
+                              return ctx.Delete(0, rid, key);
+                            })
+                  .ok());
+  TickPast(engine_->StableLog().back().lsn);
+
+  txn::RecoveryStats stats;
+  auto recovered = Recover(engine_->checkpoints()->DeviceImage(), &stats);
+  EXPECT_TRUE(stats.used_checkpoint);
+  EXPECT_GT(stats.index_entries, 0u);
+  for (int64_t k = kRows; k < static_cast<int64_t>(kRows) + 8; ++k) {
+    bool found = false;
+    EXPECT_EQ(ReadValue(recovered.get(), k, &found), k + kSecondaryBase);
+    EXPECT_TRUE(found) << k;
+    EXPECT_EQ(KeyBySecondary(recovered.get(), k + kSecondaryBase), k);
+  }
+  bool found = true;
+  ReadValue(recovered.get(), kDeleted, &found);
+  EXPECT_FALSE(found) << "deleted key is back in the primary index";
+  EXPECT_EQ(KeyBySecondary(recovered.get(), kDeleted + kSecondaryBase), -1)
+      << "deleted key is back in the secondary index";
+}
+
+TEST_P(CheckpointRecoveryTest, StaleClrDoesNotDeleteReusedSlot) {
+  // Worker 1 rolls an insert back (its CLR frees the heap slot) and
+  // then never ticks again, so its log is never truncated. Worker 0's
+  // committed insert reuses the slot (slotted pages reuse freed
+  // slots), and worker 0 ticks until the anchor passes that insert.
+  // Redo must start at the checkpoint's begin LSN: replaying the stale
+  // CLR would delete worker 0's committed row.
+  txn::CheckpointPolicy policy;
+  policy.enabled = true;
+  policy.every_n_ticks = 4;
+  Create(policy, IndexedTable(kRows), /*cores=*/2);
+  constexpr int64_t kAborted = kRows + 10;
+  constexpr int64_t kCommitted = kRows + 11;
+  ASSERT_FALSE(InsertRow(1, kAborted, /*commit=*/false).ok());
+  ASSERT_TRUE(InsertRow(0, kCommitted, /*commit=*/true).ok());
+  TickPast(engine_->StableLog().back().lsn);
+
+  txn::RecoveryStats stats;
+  auto recovered = Recover(engine_->checkpoints()->DeviceImage(), &stats);
+  EXPECT_TRUE(stats.used_checkpoint);
+  bool found = false;
+  EXPECT_EQ(ReadValue(recovered.get(), kCommitted, &found),
+            kCommitted + kSecondaryBase);
+  EXPECT_TRUE(found) << "committed row lost to a stale CLR";
+  ReadValue(recovered.get(), kAborted, &found);
+  EXPECT_FALSE(found);
+}
+
+// Engines whose tables are one shared slice, so worker 1 can run a
+// transaction while worker 0 drives a checkpoint.
+class SharedSliceRecoveryTest : public CheckpointRecoveryTest {};
+
+TEST_P(SharedSliceRecoveryTest, UpdateStraddlingTheAnchorSurvives) {
+  // Worker 1 logs an update, then a whole checkpoint runs before it
+  // commits; retain=1 makes that checkpoint's begin LSN the anchor.
+  // DBMS M's staged (MVCC) update reaches the table only at commit, so
+  // the checkpoint copied the old row and only the log holds the new
+  // one: truncation must keep the straddling transaction's records,
+  // and redo must apply them although they predate the begin LSN.
+  txn::CheckpointPolicy policy;
+  policy.enabled = true;
+  policy.every_n_ticks = 2;
+  policy.pages_per_step = 64;
+  policy.retain = 1;
+  Create(policy, SimpleTable(kRows), /*cores=*/2);
+  constexpr uint64_t kKey = 77;
+  UpdateAndTick(kKey, 1);  // dirties the row's page
+  TxnRequest req;
+  req.key_space = kRows;
+  const txn::CheckpointManager* cm = engine_->checkpoints();
+  ASSERT_TRUE(engine_
+                  ->Execute(1, req,
+                            [&](TxnContext& ctx) {
+                              storage::RowId rid;
+                              Status st = ctx.Probe(
+                                  0, index::Key::FromUint64(kKey), &rid);
+                              if (!st.ok()) return st;
+                              const int64_t value = 2;
+                              st = ctx.Update(0, rid, 1, &value);
+                              const uint64_t done =
+                                  cm->stats().completed + 1;
+                              for (int i = 0;
+                                   i < 64 && cm->stats().completed < done;
+                                   ++i) {
+                                engine_->CheckpointTick(0);
+                              }
+                              return st;
+                            })
+                  .ok());
+  ASSERT_EQ(cm->stats().completed, 1u);
+  engine_->CheckpointTick(1);  // worker 1 truncates to the anchor
+
+  txn::RecoveryStats stats;
+  auto recovered = Recover(cm->DeviceImage(), &stats);
+  EXPECT_TRUE(stats.used_checkpoint);
+  bool found = false;
+  EXPECT_EQ(ReadValue(recovered.get(), kKey, &found), 2);
+  EXPECT_TRUE(found);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     ReplayableEngines, CheckpointRecoveryTest,
     ::testing::ValuesIn(kReplayable),
+    [](const ::testing::TestParamInfo<EngineKind>& i) {
+      std::string n = EngineKindName(i.param);
+      for (char& c : n) {
+        if (c == '-' || c == ' ') c = '_';
+      }
+      return n;
+    });
+
+INSTANTIATE_TEST_SUITE_P(
+    NonPartitionedEngines, SharedSliceRecoveryTest,
+    ::testing::Values(EngineKind::kShoreMt, EngineKind::kDbmsD,
+                      EngineKind::kDbmsM),
     [](const ::testing::TestParamInfo<EngineKind>& i) {
       std::string n = EngineKindName(i.param);
       for (char& c : n) {

@@ -305,6 +305,23 @@ TEST_F(LogTest, TruncateDropsRetainedRecords) {
   EXPECT_EQ(log.appended_records(), 3u);
 }
 
+TEST_F(LogTest, TruncateKeepsATransactionThatStraddlesTheAnchor) {
+  // Transaction 2 logged an update before the anchor and committed
+  // after it; a staged update reaches the table only at commit, so all
+  // of transaction 2 stays.
+  LogManager log;
+  const uint8_t payload[8] = {};
+  log.LogCommit(core_, 1);
+  const uint64_t update =
+      log.LogUpdate(core_, 2, 0, 5, -1, payload, sizeof(payload), 0);
+  const uint64_t commit = log.LogCommit(core_, 2);
+  log.Truncate(commit);
+  ASSERT_EQ(log.stable_log().size(), 2u);
+  EXPECT_EQ(log.stable_log()[0].lsn, update);
+  EXPECT_EQ(log.truncated_records(), 1u);
+  EXPECT_EQ(log.truncation_lsn(), commit);
+}
+
 TEST_F(LogTest, TruncateRecordsPositionEvenWhenLogDrainsEmpty) {
   // A fully truncated log must not look like a never-written log:
   // recovery needs the anchor LSN to know replay legitimately starts

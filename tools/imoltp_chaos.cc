@@ -239,7 +239,7 @@ int main(int argc, char** argv) {
           stderr,
           "  checkpoints %llu (torn pages injected %llu), truncated "
           "%llu of %llu appended records\n"
-          "  recovery: %s, restored %llu page(s), journal %llu, "
+          "  recovery: %s, restored %llu page(s), index entries %llu, "
           "replayed %llu, undone %llu\n",
           static_cast<unsigned long long>(c.checkpoints_completed),
           static_cast<unsigned long long>(c.torn_pages_injected),
@@ -247,7 +247,7 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(c.appended_records),
           c.recovery.used_checkpoint ? "from checkpoint" : "full replay",
           static_cast<unsigned long long>(c.recovery.restored_pages),
-          static_cast<unsigned long long>(c.recovery.journal_entries),
+          static_cast<unsigned long long>(c.recovery.index_entries),
           static_cast<unsigned long long>(c.recovery.replayed_records),
           static_cast<unsigned long long>(c.recovery.undone_records));
     }
