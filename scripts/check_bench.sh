@@ -5,7 +5,8 @@
 #   - an injected refs/sec collapse trips the regression gate (exit 1),
 #     and the --json verdict names the failing cell metric;
 #   - a bench matrix against a run report is a usage error (exit 2);
-#   - --max-regress on two run reports is a usage error (exit 2).
+#   - --max-regress on two run reports is a usage error (exit 2);
+#   - a tpcc-cluster cell reports the references its nodes simulated.
 # Exercises the full trajectory loop — run, serialize, parse, tolerance
 # rules — in a few seconds; CI and ctest both run it
 # (docs/OBSERVABILITY.md, "Benchmark trajectories").
@@ -70,3 +71,20 @@ echo "json verdict: drift on .refs_per_sec"
 expect_exit 2 "bench matrix vs run report" "$base" "$golden"
 expect_exit 2 "--max-regress on run reports" --max-regress=0.5 \
             "$golden" "$golden"
+
+# 5. Cluster cells count the references of every node's machine.
+cluster="$outdir/BENCH_smoke_cluster.json"
+"$imoltp_bench" --label=smoke-cluster --out="$cluster" \
+                --engines=hyper --workloads=tpcc-cluster \
+                --workers=1 --warehouses=1 \
+                --txns=100 --warmup=20 --seed=11 >/dev/null
+python3 - "$cluster" <<'EOF'
+import json, sys
+cells = [c for c in json.load(open(sys.argv[1]))["cells"]
+         if c["workload"] == "tpcc-cluster"]
+assert cells, "no tpcc-cluster cell in the matrix"
+for c in cells:
+    assert c["simulated_refs"] > 0, f"{c['id']}: simulated_refs is 0"
+    assert c["refs_per_sec"] > 0, f"{c['id']}: refs_per_sec is 0"
+    print(f"{c['id']}: {c['simulated_refs']} simulated refs")
+EOF

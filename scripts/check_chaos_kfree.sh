@@ -8,11 +8,21 @@
 # truncated log records and replayed strictly fewer records than the
 # lifetime log — proof the checkpoint actually short-circuited replay.
 #
-# usage: check_chaos_kfree.sh IMOLTP_CHAOS [OUT_DIR] [WORKLOAD] [ENGINES...]
+# --seed=N picks the campaign seed (default 17); a loop over seeds
+# repeats the campaign under other schedules.
+#
+# usage: check_chaos_kfree.sh [--seed=N] IMOLTP_CHAOS [OUT_DIR] [WORKLOAD]
+#                             [ENGINES...]
 set -euo pipefail
 
-if [ "$#" -lt 1 ]; then
-  echo "usage: $0 IMOLTP_CHAOS [OUT_DIR] [WORKLOAD] [ENGINES...]" >&2
+seed=17
+if [ "$#" -gt 0 ] && [ "${1#--seed=}" != "$1" ]; then
+  seed=${1#--seed=}
+  shift
+fi
+if [ "$#" -lt 1 ] || ! [[ "$seed" =~ ^[0-9]+$ ]]; then
+  echo "usage: $0 [--seed=N] IMOLTP_CHAOS [OUT_DIR] [WORKLOAD]" \
+       "[ENGINES...]" >&2
   exit 2
 fi
 
@@ -27,17 +37,17 @@ if [ "${#engines[@]}" -eq 0 ] || [ -z "${engines[0]}" ]; then
 fi
 
 for engine in "${engines[@]}"; do
-  report="$outdir/chaos_kfree_${engine}_${workload}.json"
+  report="$outdir/chaos_kfree_${engine}_${workload}_s${seed}.json"
   "$imoltp_chaos" --engine="$engine" --workload="$workload" \
       --mode=free --invariant-only --cycles=3 --workers=2 \
-      --txns=200 --warmup=20 --seed=17 --retry=3 \
+      --txns=200 --warmup=20 --seed="$seed" --retry=3 \
       --checkpoint-every=16 --checkpoint-pages=8 \
       --chaos-points=crash.post_commit=0.002,ckpt.torn_page=0.5,lock.conflict=0.02 \
       --json="$report"
 
-  python3 - "$report" "$engine" <<'EOF'
+  python3 - "$report" "$engine" "$seed" <<'EOF'
 import json, sys
-report, engine = sys.argv[1], sys.argv[2]
+report, engine = sys.argv[1], f"{sys.argv[2]} seed {sys.argv[3]}"
 doc = json.load(open(report))
 assert doc["schema"] == "imoltp.chaos.v2", doc["schema"]
 assert doc["ok"], f"{engine}: campaign reported violations"
@@ -49,7 +59,7 @@ truncated_cycles = [
 assert truncated_cycles, (
     f"{engine}: no cycle replayed fewer records than the lifetime log "
     "(checkpoint truncation never kicked in)")
-print(f"{engine}/{doc['options']['workload']}: "
+print(f"{engine}, {doc['options']['workload']}: "
       f"{len(doc['cycles'])} cycle(s) consistent, "
       f"{len(truncated_cycles)} with truncated replay")
 EOF

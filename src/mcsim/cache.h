@@ -1,7 +1,6 @@
 #ifndef IMOLTP_MCSIM_CACHE_H_
 #define IMOLTP_MCSIM_CACHE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -11,21 +10,24 @@
 
 namespace imoltp::mcsim {
 
-/// A set-associative cache with true-LRU replacement, operating on line
+/// A set-associative cache with exact LRU replacement, operating on line
 /// addresses (byte address >> log2(line size)). This is the only data
-/// structure on the simulation hot path, so lookups are a linear tag scan
-/// over one set (associativity is 8–20).
+/// structure on the simulation hot path. Each set is one block of memory
+/// holding its ways' tags followed by their LRU stamps, and the set
+/// remembers its most-recently-used way, which every lookup probes
+/// before scanning the set. On a miss the victim is an empty way if the
+/// set has one, else the way with the oldest stamp, i.e. the
+/// least-recently-used line.
 ///
-/// Threading: private caches (L1I/L1D/L2/TLBs) are thread-confined to one
-/// host thread and never need locking. The machine-shared LLC is switched
-/// into concurrent mode (`set_concurrent(true)`) for free-running parallel
-/// execution; set state is then guarded by sharded per-set-group mutexes.
-/// Hit/miss/tick counters are relaxed atomics in every mode — in serial
-/// mode all accesses are totally ordered, so the counts (and
-/// the LRU stamps derived from tick_) stay bit-identical to the historical
-/// single-threaded values.
+/// Threading: a Cache is thread-confined. Its clock and hit/miss
+/// counters are plain integers and it holds no locks. The private
+/// L1I/L1D/L2/TLBs of a core are Caches; the machine-shared LLC is a
+/// SharedCache, which shards its sets over several Caches.
 class Cache {
  public:
+  /// The MRU way index is stored in one byte per set.
+  static constexpr uint32_t kMaxAssociativity = 256;
+
   explicit Cache(const CacheConfig& config);
 
   Cache(const Cache&) = delete;
@@ -34,20 +36,29 @@ class Cache {
   /// Looks up a line; inserts it (evicting LRU) on miss.
   /// Returns true on hit.
   bool Access(uint64_t line_addr) {
-    if (concurrent_) {
-      std::lock_guard<std::mutex> guard(ShardFor(line_addr));
-      return AccessLocked(line_addr);
+    const uint64_t set = SetIndex(line_addr);
+    const uint64_t tag = line_addr | kValidBit;
+    uint32_t victim = 0;
+    uint32_t way = Probe(set, tag, &victim);
+    const bool hit = way != assoc_;
+    uint64_t* tags = Tags(set);
+    if (hit) {
+      ++hits_;
+    } else {
+      way = victim;
+      tags[way] = tag;
+      ++misses_;
     }
-    return AccessLocked(line_addr);
+    tags[assoc_ + way] = ++tick_;
+    mru_[set] = static_cast<uint8_t>(way);
+    return hit;
   }
 
   /// Returns true if the line is present (no replacement state change).
   bool Contains(uint64_t line_addr) const {
-    if (concurrent_) {
-      std::lock_guard<std::mutex> guard(ShardFor(line_addr));
-      return ContainsLocked(line_addr);
-    }
-    return ContainsLocked(line_addr);
+    uint32_t victim = 0;
+    return Probe(SetIndex(line_addr), line_addr | kValidBit, &victim) !=
+           assoc_;
   }
 
   /// Removes a line if present (cross-core write invalidation).
@@ -56,87 +67,118 @@ class Cache {
   /// Drops all lines and zeroes hit/miss counters.
   void Reset();
 
-  /// Guards set state with sharded mutexes so concurrent Access /
-  /// Contains / Invalidate calls from different host threads are safe.
-  /// Only ever enabled on the shared LLC, and only in free-running
-  /// parallel mode; private caches stay lock-free.
-  void set_concurrent(bool concurrent) { concurrent_ = concurrent; }
-  bool concurrent() const { return concurrent_; }
-
-  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  uint64_t misses() const {
-    return misses_.load(std::memory_order_relaxed);
-  }
+  uint64_t hits() const { return hits_; }
+  uint64_t misses() const { return misses_; }
   uint64_t num_sets() const { return num_sets_; }
-  uint32_t associativity() const { return assoc_; }
-  const CacheConfig& config() const { return config_; }
 
  private:
   // Tag 0 must not alias an empty way; real line addresses can be 0 after
   // shifting, so every valid tag has this bit set (bit 63 is never used by
   // line addresses derived from 48-bit virtual addresses).
   static constexpr uint64_t kValidBit = 1ULL << 63;
-  // Shard count for concurrent mode: enough that 4-16 host threads rarely
-  // collide, small enough that the mutex array stays cache-resident.
-  static constexpr uint64_t kShards = 64;
 
   uint64_t SetIndex(uint64_t line_addr) const {
     return line_addr & set_mask_;
   }
 
-  std::mutex& ShardFor(uint64_t line_addr) const {
-    return shard_mu_[SetIndex(line_addr) & (kShards - 1)];
+  /// The block of `set`: assoc_ tags, then assoc_ stamps. An empty way
+  /// has tag 0 and stamp 0; a filled way's stamp is the cache clock at
+  /// its last access, so stamps order a set by recency.
+  uint64_t* Tags(uint64_t set) { return &sets_[set * 2 * assoc_]; }
+  const uint64_t* Tags(uint64_t set) const {
+    return &sets_[set * 2 * assoc_];
   }
 
-  bool AccessLocked(uint64_t line_addr) {
-    const uint64_t set = SetIndex(line_addr);
-    const uint64_t tag = line_addr | kValidBit;
-    uint64_t* tags = &tags_[set * assoc_];
-    uint64_t* stamps = &stamps_[set * assoc_];
-    const uint64_t now =
-        tick_.fetch_add(1, std::memory_order_relaxed) + 1;
-    uint32_t victim = 0;
-    uint64_t victim_stamp = UINT64_MAX;
+  /// The way of `set` holding `tag`, or assoc_ when absent. The set's
+  /// MRU way is probed first. A scan that finds no match leaves in
+  /// `victim` the first way with the oldest stamp: the first empty way,
+  /// else the least-recently-used one. Tags and stamps are read in one
+  /// pass so both halves of the block are fetched together.
+  uint32_t Probe(uint64_t set, uint64_t tag, uint32_t* victim) const {
+    const uint64_t* tags = Tags(set);
+    const uint64_t* stamps = tags + assoc_;
+    const uint32_t mru = mru_[set];
+    if (tags[mru] == tag) return mru;
+    uint64_t oldest = UINT64_MAX;
     for (uint32_t way = 0; way < assoc_; ++way) {
-      if (tags[way] == tag) {
-        stamps[way] = now;
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        return true;
-      }
-      if (stamps[way] < victim_stamp) {
-        victim_stamp = stamps[way];
-        victim = way;
+      if (tags[way] == tag) return way;
+      if (stamps[way] < oldest) {
+        oldest = stamps[way];
+        *victim = way;
       }
     }
-    tags[victim] = tag;
-    stamps[victim] = now;
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return false;
+    return assoc_;
   }
 
-  bool ContainsLocked(uint64_t line_addr) const {
-    const uint64_t set = SetIndex(line_addr);
-    const uint64_t tag = line_addr | kValidBit;
-    const uint64_t* tags = &tags_[set * assoc_];
-    for (uint32_t way = 0; way < assoc_; ++way) {
-      if (tags[way] == tag) return true;
-    }
-    return false;
-  }
-
-  void InvalidateLocked(uint64_t line_addr);
-
-  CacheConfig config_;
   uint32_t assoc_;
   uint64_t num_sets_;
   uint64_t set_mask_;
+  uint64_t tick_ = 0;
+  uint64_t hits_ = 0;
+  uint64_t misses_ = 0;
+  std::vector<uint64_t> sets_;
+  std::vector<uint8_t> mru_;
+};
+
+/// The machine-shared last-level cache: the same sets as one Cache of
+/// this geometry, split by the low set-index bits over up to 64 shard
+/// Caches, each with its own clock, counters and mutex. LRU stamps are
+/// only ever compared inside one set, and a set lives in exactly one
+/// shard, so per-shard clocks choose the same victims as one global
+/// clock and every hit and miss is the same.
+///
+/// The shard mutexes are taken only in concurrent mode
+/// (`set_concurrent(true)`, free-running parallel execution). Read
+/// hits()/misses() only while no thread is accessing the cache.
+class SharedCache {
+ public:
+  explicit SharedCache(const CacheConfig& config);
+
+  SharedCache(const SharedCache&) = delete;
+  SharedCache& operator=(const SharedCache&) = delete;
+
+  /// Looks up a line; inserts it (evicting LRU) on miss.
+  /// Returns true on hit.
+  bool Access(uint64_t line_addr) {
+    Shard& shard = ShardFor(line_addr);
+    const uint64_t inner = line_addr >> shard_bits_;
+    if (concurrent_) {
+      std::lock_guard<std::mutex> guard(shard.mu);
+      return shard.sets.Access(inner);
+    }
+    return shard.sets.Access(inner);
+  }
+
+  /// Drops all lines and zeroes hit/miss counters.
+  void Reset();
+
+  /// Guards set state with the shard mutexes so concurrent calls from
+  /// different host threads are safe. Flip only while no thread is
+  /// accessing the cache.
+  void set_concurrent(bool concurrent) { concurrent_ = concurrent; }
+
+  uint64_t hits() const;
+  uint64_t misses() const;
+  uint64_t num_sets() const { return num_sets_; }
+
+ private:
+  // Enough shards that 4-16 host threads rarely collide.
+  static constexpr uint64_t kMaxShards = 64;
+
+  struct alignas(64) Shard {
+    explicit Shard(const CacheConfig& config) : sets(config) {}
+    std::mutex mu;
+    Cache sets;
+  };
+
+  Shard& ShardFor(uint64_t line_addr) {
+    return *shards_[line_addr & (shards_.size() - 1)];
+  }
+
+  uint64_t num_sets_;
+  int shard_bits_;
   bool concurrent_ = false;
-  std::atomic<uint64_t> tick_{0};
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::vector<uint64_t> tags_;
-  std::vector<uint64_t> stamps_;
-  mutable std::unique_ptr<std::mutex[]> shard_mu_;
+  std::vector<std::unique_ptr<Shard>> shards_;
 };
 
 }  // namespace imoltp::mcsim

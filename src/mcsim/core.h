@@ -171,12 +171,7 @@ class CoreSim {
   const CoreCounters& counters() const { return counters_; }
   int core_id() const { return core_id_; }
 
-  Cache& l1i() { return l1i_; }
-  Cache& l1d() { return l1d_; }
-  Cache& l2() { return l2_; }
-
-  /// True if `line` is present in any private level (used by sibling
-  /// write-invalidation).
+  /// True if `line` is present in any private level.
   bool HoldsLine(uint64_t line) const {
     return l1d_.Contains(line) || l2_.Contains(line) || l1i_.Contains(line);
   }

@@ -33,27 +33,24 @@ class MachineSim {
 
   CoreSim& core(int i) { return *cores_[i]; }
   int num_cores() const { return static_cast<int>(cores_.size()); }
-  Cache& llc() { return llc_; }
+  SharedCache& llc() { return llc_; }
   const MachineConfig& config() const { return config_; }
   ModuleRegistry& modules() { return modules_; }
   const ModuleRegistry& modules() const { return modules_; }
   CodeSpace& code_space() { return code_space_; }
 
   /// Invalidates `line` in every private cache except `writer_core`'s.
-  /// Called on writes when more than one core is simulated. Serialized
-  /// modes check presence and invalidate in place; free-running mode
-  /// posts to each sibling's mailbox unconditionally (peeking at a
-  /// sibling's tags from the writer's thread would race — an invalidate
-  /// for an absent line is a no-op when drained).
+  /// Called on writes when more than one core is simulated. Serial
+  /// execution invalidates in place; free-running mode posts to each
+  /// sibling's mailbox (touching a sibling's tags from the writer's
+  /// thread would race). Invalidating an absent line is a no-op and
+  /// touches no counter, so neither path checks presence first.
   void InvalidateOthers(uint64_t line, int writer_core) {
-    if (free_running_) {
-      for (auto& core : cores_) {
-        if (core->core_id() != writer_core) core->PostInvalidate(line);
-      }
-      return;
-    }
     for (auto& core : cores_) {
-      if (core->core_id() != writer_core && core->HoldsLine(line)) {
+      if (core->core_id() == writer_core) continue;
+      if (free_running_) {
+        core->PostInvalidate(line);
+      } else {
         core->InvalidateLine(line);
       }
     }
@@ -112,7 +109,7 @@ class MachineSim {
  private:
   MachineConfig config_;
   bool free_running_ = false;
-  Cache llc_;
+  SharedCache llc_;
   std::vector<std::unique_ptr<CoreSim>> cores_;
   ModuleRegistry modules_;
   CodeSpace code_space_;

@@ -1,5 +1,6 @@
 #include "trace/meta.h"
 
+#include "mcsim/cache.h"
 #include "mcsim/counters.h"
 
 namespace imoltp::trace {
@@ -34,6 +35,10 @@ Status CacheFromJson(const obs::JsonValue* v, mcsim::CacheConfig* c,
   if (c->line_bytes == 0 || c->associativity == 0) {
     return Status::InvalidArgument(std::string("trace header: zero geometry in cache ") +
                                    name);
+  }
+  if (c->associativity > mcsim::Cache::kMaxAssociativity) {
+    return Status::InvalidArgument(
+        std::string("trace header: associativity too high in cache ") + name);
   }
   return Status::Ok();
 }

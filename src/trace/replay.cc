@@ -180,6 +180,15 @@ Status ApplyConfigSpec(const std::string& spec,
       *dst = static_cast<uint32_t>(n);
       return Status::Ok();
     };
+    auto as_assoc = [&](uint32_t* dst) -> Status {
+      uint32_t ways = 0;
+      Status st = as_u32(&ways);
+      if (st.ok() && ways > mcsim::Cache::kMaxAssociativity) {
+        st = BadSpec(item);
+      }
+      if (st.ok()) *dst = ways;
+      return st;
+    };
     auto as_double = [&](double* dst) -> Status {
       char* end = nullptr;
       const double d = std::strtod(val.c_str(), &end);
@@ -210,9 +219,9 @@ Status ApplyConfigSpec(const std::string& spec,
     } else if (key == "llc") {
       s = as_size(&config->llc.size_bytes);
     } else if (key == "l2_assoc") {
-      s = as_u32(&config->l2.associativity);
+      s = as_assoc(&config->l2.associativity);
     } else if (key == "llc_assoc") {
-      s = as_u32(&config->llc.associativity);
+      s = as_assoc(&config->llc.associativity);
     } else if (key == "line") {
       uint32_t line = 0;
       s = as_u32(&line);

@@ -45,7 +45,7 @@ Status ReplayTraceRecorded(const std::string& path, ReplayResult* result);
 
 /// Applies a comma-separated override spec to `config`. Keys:
 ///   l1i,l1d,l2,llc = cache size ("32KB", "20MB", bare bytes)
-///   llc_assoc, l2_assoc = ways;  line = bytes (all caches)
+///   llc_assoc, l2_assoc = ways (at most 256);  line = bytes (all caches)
 ///   pf = on|off;  pfdeg = N;  tlb = on|off
 ///   base_cpi, cpi_floor, clock = doubles
 /// An empty spec (or "recorded") changes nothing.

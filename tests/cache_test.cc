@@ -2,7 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <list>
+#include <ostream>
+#include <string>
+#include <thread>
 #include <vector>
+
+#include "common/rng.h"
 
 namespace imoltp::mcsim {
 namespace {
@@ -146,6 +154,178 @@ INSTANTIATE_TEST_SUITE_P(
       return std::to_string(info.param.size_bytes) + "b" +
              std::to_string(info.param.assoc) + "w";
     });
+
+// Exact-LRU oracle: a naive per-set recency list, most recent first.
+class LruModel {
+ public:
+  LruModel(uint64_t num_sets, uint32_t assoc)
+      : assoc_(assoc), sets_(num_sets) {}
+
+  bool Access(uint64_t line) {
+    std::list<uint64_t>& set = SetOf(line);
+    const auto it = std::find(set.begin(), set.end(), line);
+    const bool hit = it != set.end();
+    if (hit) {
+      set.erase(it);
+      ++hits_;
+    } else {
+      if (set.size() == assoc_) set.pop_back();
+      ++misses_;
+    }
+    set.push_front(line);
+    return hit;
+  }
+
+  bool Contains(uint64_t line) {
+    const std::list<uint64_t>& set = SetOf(line);
+    return std::find(set.begin(), set.end(), line) != set.end();
+  }
+
+  void Invalidate(uint64_t line) { SetOf(line).remove(line); }
+
+  void Reset() {
+    for (auto& set : sets_) set.clear();
+    hits_ = misses_ = 0;
+  }
+
+  uint64_t hits() const { return hits_; }
+  uint64_t misses() const { return misses_; }
+
+ private:
+  std::list<uint64_t>& SetOf(uint64_t line) {
+    return sets_[line % sets_.size()];
+  }
+
+  size_t assoc_;
+  std::vector<std::list<uint64_t>> sets_;
+  uint64_t hits_ = 0;
+  uint64_t misses_ = 0;
+};
+
+struct OracleGeometry {
+  const char* name;
+  uint64_t size_bytes;
+  uint32_t assoc;
+};
+
+void PrintTo(const OracleGeometry& g, std::ostream* os) { *os << g.name; }
+
+uint64_t ExpectedSets(const OracleGeometry& g) {
+  return std::bit_ceil(std::max<uint64_t>(1, g.size_bytes / 64 / g.assoc));
+}
+
+// Lines drawn from a handful of sets, each with twice as many distinct
+// tags as ways, so every set keeps filling, hitting and evicting. The
+// sets differ from a random base set in one index bit each, low and
+// high (so in the LLC some share a shard and some do not): a mapping
+// that merged two sets would show. Tags reach bit 40.
+class LineMix {
+ public:
+  LineMix(uint64_t num_sets, uint32_t assoc, uint64_t seed)
+      : rng_(seed), tags_(2ULL * assoc), num_sets_(num_sets) {
+    const uint64_t base = rng_.Uniform(num_sets);
+    sets_.push_back(base);
+    for (uint64_t bit = 1; bit < num_sets && sets_.size() < 8; bit <<= 2) {
+      sets_.push_back(base ^ bit);
+    }
+  }
+
+  uint64_t Next() {
+    uint64_t tag = rng_.Uniform(tags_);
+    if (rng_.Uniform(4) == 0) tag |= 1ULL << 40;
+    return tag * num_sets_ + sets_[rng_.Uniform(sets_.size())];
+  }
+
+  Rng& rng() { return rng_; }
+
+ private:
+  Rng rng_;
+  std::vector<uint64_t> sets_;
+  uint64_t tags_;
+  uint64_t num_sets_;
+};
+
+class CacheOracleTest : public ::testing::TestWithParam<OracleGeometry> {};
+
+TEST_P(CacheOracleTest, MatchesNaiveLruOnRandomMix) {
+  const OracleGeometry g = GetParam();
+  Cache c(CacheConfig{g.size_bytes, 64, g.assoc});
+  ASSERT_EQ(c.num_sets(), ExpectedSets(g));
+  LruModel model(c.num_sets(), g.assoc);
+  LineMix mix(c.num_sets(), g.assoc, 7);
+  for (int i = 0; i < 60000; ++i) {
+    const uint64_t line = mix.Next();
+    const uint64_t op = mix.rng().Uniform(1000);
+    if (op < 700) {
+      ASSERT_EQ(c.Access(line), model.Access(line)) << "op " << i;
+    } else if (op < 850) {
+      ASSERT_EQ(c.Contains(line), model.Contains(line)) << "op " << i;
+    } else if (op < 998) {
+      c.Invalidate(line);
+      model.Invalidate(line);
+    } else {
+      c.Reset();
+      model.Reset();
+    }
+    ASSERT_EQ(c.hits(), model.hits()) << "op " << i;
+    ASSERT_EQ(c.misses(), model.misses()) << "op " << i;
+  }
+}
+
+TEST_P(CacheOracleTest, SharedCacheMatchesNaiveLru) {
+  const OracleGeometry g = GetParam();
+  SharedCache c(CacheConfig{g.size_bytes, 64, g.assoc});
+  ASSERT_EQ(c.num_sets(), ExpectedSets(g));
+  LruModel model(c.num_sets(), g.assoc);
+  LineMix mix(c.num_sets(), g.assoc, 11);
+  for (int i = 0; i < 60000; ++i) {
+    const uint64_t line = mix.Next();
+    if (mix.rng().Uniform(1000) < 998) {
+      ASSERT_EQ(c.Access(line), model.Access(line)) << "op " << i;
+    } else {
+      c.Reset();
+      model.Reset();
+    }
+    ASSERT_EQ(c.hits(), model.hits()) << "op " << i;
+    ASSERT_EQ(c.misses(), model.misses()) << "op " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, CacheOracleTest,
+    ::testing::Values(OracleGeometry{"direct_mapped", 4096, 1},
+                      OracleGeometry{"dtlb64", 64 * 64, 4},
+                      OracleGeometry{"stlb512", 512 * 64, 4},
+                      OracleGeometry{"l1_32k", 32 * 1024, 8},
+                      OracleGeometry{"l2_256k", 256 * 1024, 8},
+                      OracleGeometry{"llc_20m", 20 * 1024 * 1024, 20},
+                      // 12288 sets round up to 16384.
+                      OracleGeometry{"llc_12m_16w", 12 * 1024 * 1024, 16}),
+    [](const ::testing::TestParamInfo<OracleGeometry>& info) {
+      return std::string(info.param.name);
+    });
+
+// Free-running LLC: threads hammer overlapping sets; the shard locks
+// must keep every access counted exactly once.
+TEST(SharedCacheTest, ConcurrentAccessesAreAllCounted) {
+  SharedCache llc(CacheConfig{1024 * 1024, 64, 16});
+  llc.set_concurrent(true);
+  constexpr int kThreads = 4;
+  constexpr uint64_t kPerThread = 50000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&llc] {
+      // Same set choice in every thread: all of them contend.
+      LineMix mix(llc.num_sets(), 16, 100);
+      for (uint64_t i = 0; i < kPerThread; ++i) llc.Access(mix.Next());
+    });
+  }
+  for (auto& th : threads) th.join();
+  llc.set_concurrent(false);
+  EXPECT_EQ(llc.hits() + llc.misses(), kThreads * kPerThread);
+  EXPECT_GT(llc.hits(), 0u);
+  EXPECT_GT(llc.misses(), 0u);
+}
 
 }  // namespace
 }  // namespace imoltp::mcsim

@@ -176,6 +176,7 @@ TEST(ConfigSpecTest, RejectsMalformedSpecs) {
   EXPECT_FALSE(ApplyConfigSpec("pf=maybe", &c).ok());
   EXPECT_FALSE(ApplyConfigSpec("line=100", &c).ok());  // not a power of 2
   EXPECT_FALSE(ApplyConfigSpec("line=8", &c).ok());    // below minimum
+  EXPECT_FALSE(ApplyConfigSpec("llc_assoc=512", &c).ok());  // > 256 ways
   EXPECT_FALSE(ApplyConfigSpec("base_cpi=abc", &c).ok());
 }
 
