@@ -43,6 +43,21 @@ void BM_HierarchyDataRead(benchmark::State& state) {
 }
 BENCHMARK(BM_HierarchyDataRead)->Arg(0)->Arg(1);
 
+// Ascending line addresses with the TLB off: every read misses every
+// level, the shape of the engines' cache warm-up stream.
+void BM_HierarchyDataReadSequential(benchmark::State& state) {
+  MachineConfig cfg;
+  cfg.model_tlb = false;
+  MachineSim machine(cfg);
+  uint64_t addr = 0;
+  for (auto _ : state) {
+    machine.core(0).Read(addr, 8);
+    addr += cfg.l1d.line_bytes;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_HierarchyDataReadSequential);
+
 void BM_RegionExecution(benchmark::State& state) {
   MachineSim machine;
   CodeRegion region = machine.code_space().Define(

@@ -6,7 +6,8 @@
 #     and the --json verdict names the failing cell metric;
 #   - a bench matrix against a run report is a usage error (exit 2);
 #   - --max-regress on two run reports is a usage error (exit 2);
-#   - a tpcc-cluster cell reports the references its nodes simulated.
+#   - a tpcc-cluster cell reports the references its nodes simulated
+#     and its peak RSS.
 # Exercises the full trajectory loop — run, serialize, parse, tolerance
 # rules — in a few seconds; CI and ctest both run it
 # (docs/OBSERVABILITY.md, "Benchmark trajectories").
@@ -72,7 +73,8 @@ expect_exit 2 "bench matrix vs run report" "$base" "$golden"
 expect_exit 2 "--max-regress on run reports" --max-regress=0.5 \
             "$golden" "$golden"
 
-# 5. Cluster cells count the references of every node's machine.
+# 5. Cluster cells count the references of every node's machine and
+# report the process's peak RSS.
 cluster="$outdir/BENCH_smoke_cluster.json"
 "$imoltp_bench" --label=smoke-cluster --out="$cluster" \
                 --engines=hyper --workloads=tpcc-cluster \
@@ -86,5 +88,7 @@ assert cells, "no tpcc-cluster cell in the matrix"
 for c in cells:
     assert c["simulated_refs"] > 0, f"{c['id']}: simulated_refs is 0"
     assert c["refs_per_sec"] > 0, f"{c['id']}: refs_per_sec is 0"
-    print(f"{c['id']}: {c['simulated_refs']} simulated refs")
+    assert c["peak_rss_bytes"] > 0, f"{c['id']}: peak_rss_bytes is 0"
+    print(f"{c['id']}: {c['simulated_refs']} simulated refs, "
+          f"peak RSS {c['peak_rss_bytes']} bytes")
 EOF

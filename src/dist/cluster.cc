@@ -6,6 +6,7 @@
 #include "dist/cluster_invariants.h"
 #include "fault/fingerprint.h"
 #include "mcsim/counters.h"
+#include "obs/host_metrics.h"
 
 namespace imoltp::dist {
 
@@ -502,7 +503,15 @@ Status Cluster::RunPhase(uint64_t per_node, bool measure) {
   return Status::Ok();
 }
 
+uint64_t Cluster::SimulatedRefs() const {
+  uint64_t refs = 0;
+  for (const auto& node : nodes_) refs += node->SimulatedRefs();
+  return refs;
+}
+
 Status Cluster::Run() {
+  const uint64_t refs_before = SimulatedRefs();
+  const double run_start = obs::MonotonicSeconds();
   Status s = RunPhase(config_.warmup_per_node, /*measure=*/false);
   if (!s.ok()) return s;
 
@@ -543,6 +552,15 @@ Status Cluster::Run() {
   result_.net = network_.stats();
   result_.fault_points = injector_.Stats();
   ComputeFingerprint();
+
+  host_perf_.run_seconds = obs::MonotonicSeconds() - run_start;
+  host_perf_.simulated_refs = SimulatedRefs() - refs_before;
+  host_perf_.refs_per_second =
+      host_perf_.run_seconds > 0
+          ? static_cast<double>(host_perf_.simulated_refs) /
+                host_perf_.run_seconds
+          : 0.0;
+  host_perf_.peak_rss_bytes = obs::PeakRssBytes();
   return Status::Ok();
 }
 

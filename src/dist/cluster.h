@@ -88,6 +88,18 @@ struct ClusterResult {
   double throughput_per_mcycle = 0.0;
 };
 
+/// Host cost of one Cluster::Run (warm-up, measurement, recovery and
+/// audit): the simulator process, not the simulated cluster, so never
+/// deterministic and never part of the fingerprint.
+struct ClusterHostPerf {
+  double run_seconds = 0.0;
+  /// References (code-line fetches + data accesses) every node's
+  /// machine simulated during Run, and their rate per host second.
+  uint64_t simulated_refs = 0;
+  double refs_per_second = 0.0;
+  uint64_t peak_rss_bytes = 0;
+};
+
 /// The simulated shared-nothing cluster: N nodes (each a full
 /// engine + machine + local TPC-C shard) joined only by the in-process
 /// message layer, with SLOG-style deterministic ordering — per-node
@@ -114,6 +126,14 @@ class Cluster {
 
   const ClusterConfig& config() const { return config_; }
   const ClusterResult& result() const { return result_; }
+  /// Host cost of the last successful Run().
+  const ClusterHostPerf& host_perf() const { return host_perf_; }
+
+  /// References every node has simulated so far (Node::SimulatedRefs):
+  /// code-line fetches plus data accesses over all cores. The total
+  /// never decreases, so a phase's references are a difference of two
+  /// calls.
+  uint64_t SimulatedRefs() const;
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
   Node* node(int i) { return nodes_[static_cast<size_t>(i)].get(); }
   const Node* node(int i) const {
@@ -157,6 +177,7 @@ class Cluster {
   TxnTracer tracer_;
   uint64_t round_ = 0;
   ClusterResult result_;
+  ClusterHostPerf host_perf_;
 };
 
 }  // namespace imoltp::dist

@@ -245,6 +245,16 @@ std::string ClusterReportToJson(Cluster* cluster) {
   w.EndObject();
 
   w.EndObject();  // cluster
+
+  // Host cost of Run: never deterministic, ignored by imoltp_diff.
+  const ClusterHostPerf& host = cluster->host_perf();
+  w.Key("host");
+  w.BeginObject();
+  w.KeyValue("run_seconds", host.run_seconds);
+  w.KeyValue("simulated_refs", host.simulated_refs);
+  w.KeyValue("refs_per_sec", host.refs_per_second);
+  w.KeyValue("peak_rss_bytes", host.peak_rss_bytes);
+  w.EndObject();
   w.EndObject();
   return w.TakeString();
 }

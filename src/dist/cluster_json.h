@@ -27,7 +27,8 @@ struct SweepPoint {
 /// `p99_composition`, `p99_net_order_share`) — those carry cycle-model
 /// values and get jitter tolerances (see the cluster rules in
 /// tools/imoltp_diff.cc). Trace *counts* stay under the exact rule:
-/// they are part of the determinism contract.
+/// they are part of the determinism contract. The top-level `host`
+/// object is the host cost of Run (Cluster::host_perf()).
 std::string ClusterReportToJson(Cluster* cluster);
 
 /// Serializes a multi-home sweep (one cluster run per percentage).

@@ -53,10 +53,20 @@ void Node::Kill(uint64_t round) {
   EndWindow();
   saved_log_ = engine_->StableLog();
   engine_.reset();
+  killed_machine_refs_ = SimulatedRefs();
   machine_.reset();
   alive_ = false;
   ever_died_ = true;
   death_round_ = round;
+}
+
+uint64_t Node::SimulatedRefs() const {
+  uint64_t refs = killed_machine_refs_;
+  if (machine_ != nullptr) {
+    const mcsim::CoreCounters c = machine_->TotalCounters();
+    refs += c.code_line_fetches + c.data_accesses;
+  }
+  return refs;
 }
 
 Status Node::Recover() {

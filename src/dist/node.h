@@ -84,6 +84,10 @@ class Node {
   mcsim::MachineSim* machine() { return machine_.get(); }
   core::TpccBenchmark* bench() { return bench_.get(); }
 
+  /// References (code-line fetches + data accesses) simulated by every
+  /// machine this node has had, including those Kill() destroyed.
+  uint64_t SimulatedRefs() const;
+
   NodeStats& stats() { return stats_; }
   const NodeStats& stats() const { return stats_; }
 
@@ -121,6 +125,7 @@ class Node {
   bool alive_ = false;
   bool ever_died_ = false;
   uint64_t death_round_ = 0;
+  uint64_t killed_machine_refs_ = 0;
   std::vector<txn::LogRecord> saved_log_;
 };
 

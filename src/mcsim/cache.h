@@ -2,7 +2,6 @@
 #define IMOLTP_MCSIM_CACHE_H_
 
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -22,7 +21,7 @@ namespace imoltp::mcsim {
 /// Threading: a Cache is thread-confined. Its clock and hit/miss
 /// counters are plain integers and it holds no locks. The private
 /// L1I/L1D/L2/TLBs of a core are Caches; the machine-shared LLC is a
-/// SharedCache, which shards its sets over several Caches.
+/// SharedCache, one Cache behind a mutex taken only in free-running mode.
 class Cache {
  public:
   /// The MRU way index is stored in one byte per set.
@@ -120,19 +119,17 @@ class Cache {
   std::vector<uint8_t> mru_;
 };
 
-/// The machine-shared last-level cache: the same sets as one Cache of
-/// this geometry, split by the low set-index bits over up to 64 shard
-/// Caches, each with its own clock, counters and mutex. LRU stamps are
-/// only ever compared inside one set, and a set lives in exactly one
-/// shard, so per-shard clocks choose the same victims as one global
-/// clock and every hit and miss is the same.
+/// The machine-shared last-level cache: one Cache of this geometry, its
+/// sets in set-index order, plus one mutex. Consecutive lines map to
+/// consecutive sets, so a sequential stream (cache warm-up) walks the
+/// set array in address order.
 ///
-/// The shard mutexes are taken only in concurrent mode
-/// (`set_concurrent(true)`, free-running parallel execution). Read
-/// hits()/misses() only while no thread is accessing the cache.
+/// The mutex is taken only in concurrent mode (`set_concurrent(true)`,
+/// free-running parallel execution). Read hits()/misses() only while no
+/// thread is accessing the cache.
 class SharedCache {
  public:
-  explicit SharedCache(const CacheConfig& config);
+  explicit SharedCache(const CacheConfig& config) : sets_(config) {}
 
   SharedCache(const SharedCache&) = delete;
   SharedCache& operator=(const SharedCache&) = delete;
@@ -140,45 +137,29 @@ class SharedCache {
   /// Looks up a line; inserts it (evicting LRU) on miss.
   /// Returns true on hit.
   bool Access(uint64_t line_addr) {
-    Shard& shard = ShardFor(line_addr);
-    const uint64_t inner = line_addr >> shard_bits_;
     if (concurrent_) {
-      std::lock_guard<std::mutex> guard(shard.mu);
-      return shard.sets.Access(inner);
+      std::lock_guard<std::mutex> guard(mu_);
+      return sets_.Access(line_addr);
     }
-    return shard.sets.Access(inner);
+    return sets_.Access(line_addr);
   }
 
   /// Drops all lines and zeroes hit/miss counters.
-  void Reset();
+  void Reset() { sets_.Reset(); }
 
-  /// Guards set state with the shard mutexes so concurrent calls from
-  /// different host threads are safe. Flip only while no thread is
-  /// accessing the cache.
+  /// Guards set state with the mutex so concurrent calls from different
+  /// host threads are safe. Flip only while no thread is accessing the
+  /// cache.
   void set_concurrent(bool concurrent) { concurrent_ = concurrent; }
 
-  uint64_t hits() const;
-  uint64_t misses() const;
-  uint64_t num_sets() const { return num_sets_; }
+  uint64_t hits() const { return sets_.hits(); }
+  uint64_t misses() const { return sets_.misses(); }
+  uint64_t num_sets() const { return sets_.num_sets(); }
 
  private:
-  // Enough shards that 4-16 host threads rarely collide.
-  static constexpr uint64_t kMaxShards = 64;
-
-  struct alignas(64) Shard {
-    explicit Shard(const CacheConfig& config) : sets(config) {}
-    std::mutex mu;
-    Cache sets;
-  };
-
-  Shard& ShardFor(uint64_t line_addr) {
-    return *shards_[line_addr & (shards_.size() - 1)];
-  }
-
-  uint64_t num_sets_;
-  int shard_bits_;
   bool concurrent_ = false;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::mutex mu_;
+  Cache sets_;
 };
 
 }  // namespace imoltp::mcsim

@@ -21,7 +21,7 @@ namespace imoltp::mcsim {
 /// caches directly and every counter is bit-identical to the historical
 /// single-threaded interleaving. In free-running mode
 /// (`SetFreeRunning(true)`) one host thread runs per core concurrently:
-/// the shared LLC switches to sharded locking and cross-core
+/// the shared LLC takes its one lock on every access and cross-core
 /// invalidations are posted to per-core mailboxes instead of touching
 /// sibling caches from the writer's thread.
 class MachineSim {
@@ -57,7 +57,7 @@ class MachineSim {
   }
 
   /// Switches the machine between serialized execution (default) and
-  /// free-running parallel execution: the LLC takes sharded locks and
+  /// free-running parallel execution: the LLC takes its lock and
   /// cross-core invalidation goes through per-core mailboxes. Flip only
   /// while no worker threads are running.
   void SetFreeRunning(bool on) {

@@ -23,9 +23,8 @@ BufferPool::BufferPool(uint32_t num_frames, uint32_t page_bytes)
   table_mask_ = table_size - 1;
   table_.assign(table_size, TableSlot());
   frames_.assign(num_frames, FrameMeta());
-  frame_data_ =
-      std::make_unique<uint8_t[]>(static_cast<uint64_t>(num_frames) *
-                                  page_bytes);
+  frame_data_ = std::make_unique_for_overwrite<uint8_t[]>(
+      static_cast<uint64_t>(num_frames) * page_bytes);
 }
 
 uint32_t BufferPool::FindFrame(PageId page_id) const {

@@ -27,6 +27,10 @@ inline constexpr PageId kInvalidPage = UINT64_MAX;
 /// rely on. In the paper's configurations the data is memory-resident, so
 /// measured windows run without evictions.
 ///
+/// Frames are first-touch: the frame array is allocated uninitialized
+/// and FixPage zero-fills or restores a frame before handing it out, so
+/// resident memory tracks the pages in use, not the pool's capacity.
+///
 /// Page-table probes and frame-header touches flow through the simulated
 /// hierarchy (they are real memory the engine walks on every access).
 ///

@@ -217,8 +217,7 @@ uint64_t ExpectedSets(const OracleGeometry& g) {
 // Lines drawn from a handful of sets, each with twice as many distinct
 // tags as ways, so every set keeps filling, hitting and evicting. The
 // sets differ from a random base set in one index bit each, low and
-// high (so in the LLC some share a shard and some do not): a mapping
-// that merged two sets would show. Tags reach bit 40.
+// high: a mapping that merged two sets would show. Tags reach bit 40.
 class LineMix {
  public:
   LineMix(uint64_t num_sets, uint32_t assoc, uint64_t seed)
@@ -305,7 +304,7 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param.name);
     });
 
-// Free-running LLC: threads hammer overlapping sets; the shard locks
+// Free-running LLC: threads hammer overlapping sets; the LLC's lock
 // must keep every access counted exactly once.
 TEST(SharedCacheTest, ConcurrentAccessesAreAllCounted) {
   SharedCache llc(CacheConfig{1024 * 1024, 64, 16});

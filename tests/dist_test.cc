@@ -229,7 +229,11 @@ TEST(ClusterChaosTest, NodeDeathRecoveryPreservesInvariants) {
   cfg.chaos.nth_hit = 10;  // deterministic death, early in the window
   Cluster c(cfg);
   ASSERT_TRUE(c.Create().ok());
+  const uint64_t refs_before = c.SimulatedRefs();
   ASSERT_TRUE(c.Run().ok());
+  // The killed machine's references still count, so the total grows.
+  EXPECT_GT(c.SimulatedRefs(), refs_before);
+  EXPECT_EQ(c.host_perf().simulated_refs, c.SimulatedRefs() - refs_before);
   EXPECT_GE(c.result().died_node, 0);
   EXPECT_TRUE(c.result().recovered);
   EXPECT_GT(c.result().rejected_dead, 0u);
@@ -263,7 +267,10 @@ TEST(ClusterChaosTest, UnrecoveredDeadNodeSkipsCrossNodeAudit) {
   cfg.chaos.recover = false;
   Cluster c(cfg);
   ASSERT_TRUE(c.Create().ok());
+  const uint64_t refs_before = c.SimulatedRefs();
   ASSERT_TRUE(c.Run().ok());
+  EXPECT_GT(c.SimulatedRefs(), refs_before);
+  EXPECT_EQ(c.host_perf().simulated_refs, c.SimulatedRefs() - refs_before);
   EXPECT_GE(c.result().died_node, 0);
   EXPECT_FALSE(c.result().recovered);
   EXPECT_FALSE(c.node(c.result().died_node)->alive());

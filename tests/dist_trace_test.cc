@@ -204,6 +204,15 @@ TEST(ClusterTraceTest, ReportCarriesTracingSection) {
   ASSERT_NE(share, nullptr);
   EXPECT_GT(share->number, 0.0);
   EXPECT_LE(share->number, 1.0);
+
+  const obs::JsonValue* refs = root.FindPath("host.simulated_refs");
+  ASSERT_NE(refs, nullptr);
+  EXPECT_GT(refs->number, 0.0);
+  EXPECT_EQ(static_cast<uint64_t>(refs->number),
+            c.host_perf().simulated_refs);
+  const obs::JsonValue* rss = root.FindPath("host.peak_rss_bytes");
+  ASSERT_NE(rss, nullptr);
+  EXPECT_GT(rss->number, 0.0);
 }
 
 TEST(ClusterTraceTest, TimelineExportValidatesWithFlowArrows) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstdio>
 #include <cstring>
 #include <map>
 #include <vector>
@@ -119,6 +122,43 @@ TEST_F(BufferPoolTest, NewPageComesUpZeroFilled) {
   for (int i = 0; i < 8192; ++i) ASSERT_EQ(page[i], 0);
   pool.UnfixPage(core_, 1, false);
   EXPECT_EQ(pool.stats().misses, 1u);
+}
+
+TEST_F(BufferPoolTest, RecycledFrameComesUpZeroFilledForNewPage) {
+  BufferPool pool(1, 8192);
+  uint8_t* a = pool.FixPage(core_, 1);
+  ASSERT_NE(a, nullptr);
+  std::memset(a, 0xAB, 8192);
+  pool.UnfixPage(core_, 1, /*dirty=*/true);
+  // The only frame now holds page 1's bytes; page 2 must not see them.
+  uint8_t* b = pool.FixPage(core_, 2);
+  ASSERT_EQ(b, a);
+  EXPECT_FALSE(pool.IsResident(1));
+  for (int i = 0; i < 8192; ++i) ASSERT_EQ(b[i], 0) << "byte " << i;
+  pool.UnfixPage(core_, 2, false);
+}
+
+// Resident pages of this process, or -1 where /proc/self/statm is absent.
+int64_t ResidentPages() {
+  std::FILE* f = std::fopen("/proc/self/statm", "r");
+  if (f == nullptr) return -1;
+  long long size = 0, resident = 0;
+  const int n = std::fscanf(f, "%lld %lld", &size, &resident);
+  std::fclose(f);
+  return n == 2 ? resident : -1;
+}
+
+TEST_F(BufferPoolTest, ResidentMemoryTracksPagesUsedNotCapacity) {
+  const int64_t before = ResidentPages();
+  if (before < 0) GTEST_SKIP() << "no /proc/self/statm";
+  BufferPool pool(1u << 17, 8192);  // 1 GiB of frames
+  for (PageId p = 0; p < 16; ++p) {
+    ASSERT_NE(pool.FixPage(core_, p), nullptr);
+    pool.UnfixPage(core_, p, /*dirty=*/true);
+  }
+  const int64_t page_bytes = sysconf(_SC_PAGESIZE);
+  const int64_t grown_bytes = (ResidentPages() - before) * page_bytes;
+  EXPECT_LT(grown_bytes, 64LL << 20);
 }
 
 TEST_F(BufferPoolTest, RefixHits) {

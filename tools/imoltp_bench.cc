@@ -259,20 +259,7 @@ bool RunClusterCell(const BenchFlags& bench, const std::string& engine,
   const double cell_start = obs::MonotonicSeconds();
   dist::Cluster cluster(cfg);
   Status s = cluster.Create();
-  // Nodes never reset their counters, so refs are a delta across Run.
-  const auto cluster_refs = [&cluster] {
-    uint64_t refs = 0;
-    for (int n = 0; n < cluster.num_nodes(); ++n) {
-      const mcsim::CoreCounters c =
-          cluster.node(n)->machine()->TotalCounters();
-      refs += c.code_line_fetches + c.data_accesses;
-    }
-    return refs;
-  };
-  const uint64_t refs_before = s.ok() ? cluster_refs() : 0;
-  const double run_start = obs::MonotonicSeconds();
   if (s.ok()) s = cluster.Run();
-  const double run_seconds = obs::MonotonicSeconds() - run_start;
   if (!s.ok()) {
     *error = s.ToString();
     return false;
@@ -322,11 +309,10 @@ bool RunClusterCell(const BenchFlags& bench, const std::string& engine,
       cluster.tracer().TailComposition().net_order_share;
   cell->wall_seconds = obs::MonotonicSeconds() - cell_start;
   cell->total_wall_seconds = cell->wall_seconds;
-  cell->simulated_refs = cluster_refs() - refs_before;
-  if (run_seconds > 0) {
-    cell->refs_per_sec =
-        static_cast<double>(cell->simulated_refs) / run_seconds;
-  }
+  const dist::ClusterHostPerf& host = cluster.host_perf();
+  cell->simulated_refs = host.simulated_refs;
+  cell->refs_per_sec = host.refs_per_second;
+  cell->peak_rss_bytes = host.peak_rss_bytes;
   return true;
 }
 
