@@ -3,9 +3,11 @@
 # must be bit-identical across two same-seed invocations — equal
 # fingerprints AND an imoltp_diff-clean report pair (the diff holds all
 # deterministic sections exact and only tolerates the cycle-model
-# sections, which inherit ASLR jitter from address-hashed caches). The
-# sweep document must also self-compare clean, so the cluster_sweep
-# schema stays inside imoltp_diff's rule set.
+# sections, which inherit ASLR jitter from address-hashed caches). A
+# small VoltDB cluster must fingerprint alike across two same-seed
+# invocations as well (its command log records requests). The sweep
+# document must also self-compare clean, so the cluster_sweep schema
+# stays inside imoltp_diff's rule set.
 #
 # MODE=tracing exercises the distributed-tracing layer instead
 # (docs/distributed.md, "Distributed tracing"):
@@ -151,6 +153,26 @@ fi
 echo "cluster ${fp_a} (both runs)"
 
 "$imoltp_diff" "$run_a" "$run_b"
+
+# VoltDB's command log records each committed request: the records must
+# hold the request's fields only, never host bytes, so two same-seed
+# processes must fingerprint a VoltDB cluster alike too.
+volt_flags=(--engine=voltdb --nodes=2 --warehouses-per-node=2
+            --workers-per-node=2 --orders-per-district=30 --warmup=50
+            --txns=300 --multi-home-pct=20 --seed=7)
+for run in a b; do
+  "$imoltp_cluster" run "${volt_flags[@]}" --fingerprint \
+      --json=/dev/null 2> "$outdir/voltdb_$run.err"
+done
+fp_a=$(grep '^fingerprint:' "$outdir/voltdb_a.err")
+fp_b=$(grep '^fingerprint:' "$outdir/voltdb_b.err")
+if [ -z "$fp_a" ] || [ "$fp_a" != "$fp_b" ]; then
+  echo "FAIL: same-seed VoltDB cluster fingerprints differ:" >&2
+  echo "  run a: ${fp_a:-<missing>}" >&2
+  echo "  run b: ${fp_b:-<missing>}" >&2
+  exit 1
+fi
+echo "voltdb cluster ${fp_a} (both runs)"
 
 sweep="$outdir/cluster_sweep.json"
 "$imoltp_cluster" sweep "${flags[@]}" --sweep-pcts=0,50 --json="$sweep"

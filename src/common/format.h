@@ -1,6 +1,7 @@
 #ifndef IMOLTP_COMMON_FORMAT_H_
 #define IMOLTP_COMMON_FORMAT_H_
 
+#include <cstdarg>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -23,6 +24,17 @@ inline std::string FormatBytes(uint64_t bytes) {
     std::snprintf(buf, sizeof(buf), "%lluB",
                   static_cast<unsigned long long>(bytes));
   }
+  return buf;
+}
+
+/// printf into a std::string (one line of a report: at most 255 bytes).
+__attribute__((format(printf, 1, 2))) inline std::string Sprintf(
+    const char* fmt, ...) {
+  char buf[256];
+  va_list ap;
+  va_start(ap, fmt);
+  std::vsnprintf(buf, sizeof(buf), fmt, ap);
+  va_end(ap);
   return buf;
 }
 

@@ -75,21 +75,6 @@ void NetToJson(JsonWriter& w, const NetworkStats& n) {
   w.EndObject();
 }
 
-void InvariantsToJson(JsonWriter& w, const fault::InvariantReport& rep) {
-  w.Key("invariants");
-  w.BeginObject();
-  w.KeyValue("ok", rep.ok);
-  w.Key("violations");
-  w.BeginArray();
-  for (const std::string& v : rep.violations) w.Value(v);
-  w.EndArray();
-  w.Key("checksums");
-  w.BeginArray();
-  for (int64_t c : rep.checksums) w.Value(c);
-  w.EndArray();
-  w.EndObject();
-}
-
 void ChaosToJson(JsonWriter& w, const ClusterResult& r) {
   w.Key("chaos");
   w.BeginObject();
@@ -207,7 +192,8 @@ std::string ClusterReportToJson(Cluster* cluster) {
   ChaosToJson(w, r);
   TracingToJson(w, *cluster);
   w.KeyValue("fingerprint", HexFingerprint(r.fingerprint));
-  InvariantsToJson(w, r.invariants);
+  w.Key("invariants");
+  fault::InvariantsToJson(w, r.invariants);
 
   w.Key("per_node");
   w.BeginObject();

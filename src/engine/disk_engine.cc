@@ -49,12 +49,10 @@ DiskEngine::DiskEngine(EngineKind kind, mcsim::MachineSim* machine,
 /// Stored-procedure context for the disk archetypes. Every data
 /// operation goes through: plan interpretation (DBMS D only) → lock
 /// manager → B-tree / buffer-pooled heap → log manager.
-class DiskEngine::Ctx final : public TxnContext {
+class DiskEngine::Ctx final : public EngineBase::CtxBase {
  public:
   Ctx(DiskEngine* e, mcsim::CoreSim* core, uint64_t txn_id)
-      : e_(e), core_(core), txn_id_(txn_id) {}
-
-  mcsim::CoreSim* core() override { return core_; }
+      : CtxBase(e, core, txn_id, /*slice=*/0), e_(e) {}
 
   Status Probe(int table, const index::Key& key,
                storage::RowId* row) override {
@@ -63,203 +61,110 @@ class DiskEngine::Ctx final : public TxnContext {
                          obs::SpanKind::kIndexProbe);
     mcsim::ScopedModule mod(core_, e_->btree_.module);
     e_->Exec(core_, e_->btree_);
-    auto& slice = e_->tables_[table].slices[0];
-    uint64_t value;
-    if (slice.primary == nullptr ||
-        !slice.primary->Lookup(core_, key, &value)) {
-      return Status::NotFound();
-    }
-    *row = value;
-    return Status::Ok();
+    return Lookup(table, key, row);
   }
 
   Status Read(int table, storage::RowId row, uint8_t* out) override {
-    auto& slice = e_->tables_[table].slices[0];
-    {
-      obs::ScopedSpan span(&e_->spans_, core_,
-                           obs::SpanKind::kLockAcquire);
-      mcsim::ScopedModule mod(core_, e_->lock_.module);
-      e_->Exec(core_, e_->lock_);
-      const Status s = e_->lock_manager_.Acquire(
-          core_, txn_id_, LockId(table, row), txn::LockMode::kShared);
-      if (!s.ok()) return s;
-    }
+    Status s = Lock(table, row, txn::LockMode::kShared);
+    if (!s.ok()) return s;
     obs::ScopedSpan span(&e_->spans_, core_,
                          obs::SpanKind::kStorageAccess);
     mcsim::ScopedModule mod(core_, HeapRegion().module);
     e_->Exec(core_, HeapRegion());
-    if (!RowRead(slice, row, out)) return Status::NotFound();
-    return Status::Ok();
+    return ReadRow(table, row, out);
   }
 
   Status Update(int table, storage::RowId row, uint32_t column,
                 const void* value) override {
-    auto& slice = e_->tables_[table].slices[0];
-    {
-      obs::ScopedSpan span(&e_->spans_, core_,
-                           obs::SpanKind::kLockAcquire);
-      mcsim::ScopedModule mod(core_, e_->lock_.module);
-      e_->Exec(core_, e_->lock_);
-      const Status s = e_->lock_manager_.Acquire(
-          core_, txn_id_, LockId(table, row), txn::LockMode::kExclusive);
-      if (!s.ok()) return s;
-    }
-    const storage::Schema& schema = e_->tables_[table].def.schema;
+    Status s = Lock(table, row, txn::LockMode::kExclusive);
+    if (!s.ok()) return s;
     {
       obs::ScopedSpan span(&e_->spans_, core_,
                            obs::SpanKind::kStorageAccess);
       mcsim::ScopedModule mod(core_, HeapRegion().module);
       e_->Exec(core_, HeapRegion());
-      // Before-image for undo (steal policy: in-place writes must be
-      // reversible on abort).
-      std::vector<uint8_t> before(schema.row_bytes());
-      if (!RowRead(slice, row, before.data())) return Status::NotFound();
-      EngineBase::UndoEntry u;
-      u.kind = EngineBase::UndoEntry::Kind::kColumnImage;
-      u.table = table;
-      u.slice = 0;
-      u.row = row;
-      u.column = column;
-      u.image.assign(schema.ColumnPtr(before.data(), column),
-                     schema.ColumnPtr(before.data(), column) +
-                         schema.column_width(column));
-      undo.push_back(std::move(u));
-      if (!RowWriteColumn(slice, row, column, value)) {
-        return Status::NotFound();
-      }
+      s = UpdateInPlace(table, row, column, value);
+      if (!s.ok()) return s;
     }
     obs::ScopedSpan span(&e_->spans_, core_,
                          obs::SpanKind::kLogAppend);
     mcsim::ScopedModule mod(core_, e_->log_.module);
     e_->Exec(core_, e_->log_);
-    const auto& before_img = undo.back().image;
-    e_->logs_[core_->core_id()]->LogUpdate(
-        core_, txn_id_, static_cast<int16_t>(table), row,
-        static_cast<int16_t>(column), value,
-        schema.column_width(column), /*slice=*/0,
-        e_->ckpt_logging() ? before_img.data() : nullptr,
-        e_->ckpt_logging() ? static_cast<uint32_t>(before_img.size())
-                           : 0);
-    dirty = true;
+    LogColumnUpdate(table, row, column, value);
     return Status::Ok();
   }
 
   Status Insert(int table, const uint8_t* row, const index::Key& key,
                 storage::RowId* out_row) override {
-    auto& rt = e_->tables_[table];
-    auto& slice = rt.slices[0];
     PerOpFrontend();
-    storage::RowId rid;
+    storage::RowId rid = storage::kInvalidRow;
+    Status s;
     {
       obs::ScopedSpan span(&e_->spans_, core_,
                            obs::SpanKind::kStorageAccess);
       mcsim::ScopedModule mod(core_, HeapRegion().module);
       e_->Exec(core_, HeapRegion());
-      rid = RowAppend(slice, row);
-      if (rid == storage::kInvalidRow) {
-        return Status::ResourceExhausted("buffer pool full");
-      }
-    }
-    Status s;
-    {
-      obs::ScopedSpan span(&e_->spans_, core_,
-                           obs::SpanKind::kLockAcquire);
-      mcsim::ScopedModule mod(core_, e_->lock_.module);
-      e_->Exec(core_, e_->lock_);
-      s = e_->lock_manager_.Acquire(core_, txn_id_, LockId(table, rid),
-                                    txn::LockMode::kExclusive);
+      s = AppendRow(table, row, &rid);
       if (!s.ok()) return s;
     }
-    if (slice.primary != nullptr) {
+    s = Lock(table, rid, txn::LockMode::kExclusive);
+    if (!s.ok()) return DropAppended(table, rid, s);
+    if (slice(table).primary != nullptr) {
       obs::ScopedSpan span(&e_->spans_, core_,
                            obs::SpanKind::kIndexProbe);
       mcsim::ScopedModule mod(core_, e_->btree_.module);
       e_->Exec(core_, e_->btree_);
-      s = slice.primary->Insert(core_, key, rid);
+      s = InsertPrimaryKey(table, key, rid);
       if (!s.ok()) return s;
     }
-    if (!slice.secondaries.empty()) {
+    if (!slice(table).secondaries.empty()) {
       obs::ScopedSpan span(&e_->spans_, core_,
                            obs::SpanKind::kIndexProbe);
       mcsim::ScopedModule mod(core_, e_->btree_.module);
-      e_->InsertSecondaries(core_, rt, slice, row, rid);
+      InsertSecondaryKeys(table, row, rid);
     }
     obs::ScopedSpan span(&e_->spans_, core_,
                          obs::SpanKind::kLogAppend);
     mcsim::ScopedModule mod(core_, e_->log_.module);
     e_->Exec(core_, e_->log_);
-    e_->logs_[core_->core_id()]->Append(
-        core_, txn::LogOp::kInsert, txn_id_, static_cast<int16_t>(table),
-        rid, -1, row, rt.def.schema.row_bytes(), key.data(), key.size());
-    EngineBase::UndoEntry u;
-    u.kind = EngineBase::UndoEntry::Kind::kInsertedRow;
-    u.table = table;
-    u.slice = 0;
-    u.row = rid;
-    u.key = key;
-    u.image.assign(row, row + rt.def.schema.row_bytes());
-    undo.push_back(std::move(u));
-    dirty = true;
-    if (out_row != nullptr) *out_row = rid;
-    return Status::Ok();
+    LogInsert(table, rid, row, key);
+    return Inserted(table, rid, key, row, out_row);
   }
 
   Status Delete(int table, storage::RowId row,
                 const index::Key& key) override {
-    auto& slice = e_->tables_[table].slices[0];
-    {
-      obs::ScopedSpan span(&e_->spans_, core_,
-                           obs::SpanKind::kLockAcquire);
-      mcsim::ScopedModule mod(core_, e_->lock_.module);
-      e_->Exec(core_, e_->lock_);
-      const Status s = e_->lock_manager_.Acquire(
-          core_, txn_id_, LockId(table, row), txn::LockMode::kExclusive);
-      if (!s.ok()) return s;
-    }
-    const storage::Schema& schema = e_->tables_[table].def.schema;
-    std::vector<uint8_t> before(schema.row_bytes());
+    Status s = Lock(table, row, txn::LockMode::kExclusive);
+    if (!s.ok()) return s;
+    std::vector<uint8_t> before(schema(table).row_bytes());
     {
       obs::ScopedSpan span(&e_->spans_, core_,
                            obs::SpanKind::kStorageAccess);
       mcsim::ScopedModule mod(core_, HeapRegion().module);
-      if (!RowRead(slice, row, before.data())) return Status::NotFound();
+      s = ReadRow(table, row, before.data());
+      if (!s.ok()) return s;
     }
     {
       obs::ScopedSpan span(&e_->spans_, core_,
                            obs::SpanKind::kIndexProbe);
       mcsim::ScopedModule mod(core_, e_->btree_.module);
       e_->Exec(core_, e_->btree_);
-      if (!slice.primary->Remove(core_, key)) {
-        return Status::NotFound();
-      }
-      e_->RemoveSecondaries(core_, e_->tables_[table], slice,
-                            before.data());
+      s = RemoveKeys(table, key, before.data());
+      if (!s.ok()) return s;
     }
     {
       obs::ScopedSpan span(&e_->spans_, core_,
                            obs::SpanKind::kStorageAccess);
       mcsim::ScopedModule mod(core_, HeapRegion().module);
       e_->Exec(core_, HeapRegion());
-      if (!RowDelete(slice, row)) return Status::NotFound();
+      s = DeleteRow(table, row);
+      if (!s.ok()) return s;
     }
     obs::ScopedSpan span(&e_->spans_, core_,
                          obs::SpanKind::kLogAppend);
     mcsim::ScopedModule mod(core_, e_->log_.module);
     e_->Exec(core_, e_->log_);
-    e_->logs_[core_->core_id()]->Append(
-        core_, txn::LogOp::kDelete, txn_id_, static_cast<int16_t>(table),
-        row, -1, nullptr, 0, key.data(), key.size(), /*slice=*/0,
-        e_->ckpt_logging() ? before.data() : nullptr,
-        e_->ckpt_logging() ? schema.row_bytes() : 0);
-    EngineBase::UndoEntry u;
-    u.kind = EngineBase::UndoEntry::Kind::kDeletedRow;
-    u.table = table;
-    u.slice = 0;
-    u.row = row;
-    u.image = std::move(before);
-    u.key = key;
-    undo.push_back(std::move(u));
-    dirty = true;
+    LogDelete(table, row, key, before.data());
+    Deleted(table, row, key, std::move(before));
     return Status::Ok();
   }
 
@@ -270,9 +175,7 @@ class DiskEngine::Ctx final : public TxnContext {
                          obs::SpanKind::kIndexProbe);
     mcsim::ScopedModule mod(core_, e_->btree_.module);
     e_->Exec(core_, e_->btree_);
-    auto& slice = e_->tables_[table].slices[0];
-    slice.primary->Scan(core_, from, limit, rows);
-    return Status::Ok();
+    return ScanPrimary(table, from, limit, rows);
   }
 
   Status ScanSecondary(int table, int secondary, const index::Key& from,
@@ -283,19 +186,22 @@ class DiskEngine::Ctx final : public TxnContext {
                          obs::SpanKind::kIndexProbe);
     mcsim::ScopedModule mod(core_, e_->btree_.module);
     e_->Exec(core_, e_->btree_);
-    auto& slice = e_->tables_[table].slices[0];
-    if (secondary < 0 ||
-        secondary >= static_cast<int>(slice.secondaries.size())) {
-      return Status::InvalidArgument("no such secondary index");
-    }
-    slice.secondaries[secondary]->Scan(core_, from, limit, rows);
-    return Status::Ok();
+    return ScanIndex(table, secondary, from, limit, rows);
   }
 
  private:
   /// DBMS D interprets a plan operator per data operation.
   void PerOpFrontend() {
     if (e_->full_stack_) e_->Exec(core_, e_->plan_exec_);
+  }
+
+  /// Two-phase locking: the lock-manager code path plus the request.
+  Status Lock(int table, storage::RowId row, txn::LockMode mode) {
+    obs::ScopedSpan span(&e_->spans_, core_, obs::SpanKind::kLockAcquire);
+    mcsim::ScopedModule mod(core_, e_->lock_.module);
+    e_->Exec(core_, e_->lock_);
+    return e_->lock_manager_.Acquire(core_, txn_id_, LockId(table, row),
+                                     mode);
   }
 
   /// Shore-MT: row-granularity lock ids; DBMS D: page granularity.
@@ -311,35 +217,8 @@ class DiskEngine::Ctx final : public TxnContext {
   const mcsim::CodeRegion& HeapRegion() const {
     return e_->options_.use_bufferpool ? e_->heap_bp_ : e_->heap_direct_;
   }
-  bool RowRead(EngineBase::Slice& slice, storage::RowId row,
-               uint8_t* out) {
-    return slice.disk ? slice.disk->Read(core_, row, out)
-                      : slice.mem->ReadRow(core_, row, out);
-  }
-  bool RowWriteColumn(EngineBase::Slice& slice, storage::RowId row,
-                      uint32_t column, const void* value) {
-    if (slice.disk) {
-      return slice.disk->WriteColumn(core_, row, column, value);
-    }
-    slice.mem->WriteColumn(core_, row, column, value);
-    return true;
-  }
-  storage::RowId RowAppend(EngineBase::Slice& slice, const uint8_t* row) {
-    return slice.disk ? slice.disk->Append(core_, row)
-                      : slice.mem->Append(core_, row);
-  }
-  bool RowDelete(EngineBase::Slice& slice, storage::RowId row) {
-    return slice.disk ? slice.disk->Delete(core_, row)
-                      : slice.mem->Delete(core_, row);
-  }
 
   DiskEngine* e_;
-  mcsim::CoreSim* core_;
-  uint64_t txn_id_;
-
- public:
-  bool dirty = false;  // any update/insert/delete ran
-  std::vector<EngineBase::UndoEntry> undo;
 };
 
 Status DiskEngine::Execute(int worker, const TxnRequest& request,
@@ -376,7 +255,7 @@ Status DiskEngine::Execute(int worker, const TxnRequest& request,
       obs::ScopedSpan span(&spans_, core,
                            obs::SpanKind::kStorageAccess);
       mcsim::ScopedModule mod(core, heap_bp_.module);
-      ApplyUndo(core, ctx.undo, logs_[core->core_id()].get(), txn_id);
+      ctx.Rollback();
     }
     {
       obs::ScopedSpan span(&spans_, core,

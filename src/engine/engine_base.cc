@@ -194,11 +194,7 @@ void EngineBase::WarmCaches() {
         if (!slice.primary->Lookup(core, KeyForRow(rt.def, r), &value)) {
           continue;
         }
-        if (slice.mem != nullptr) {
-          slice.mem->ReadRow(core, value, buf.data());
-        } else {
-          slice.disk->Read(core, value, buf.data());
-        }
+        SliceRead(core, slice, value, buf.data());
       }
     }
   }
@@ -220,9 +216,7 @@ bool EngineBase::SliceRead(mcsim::CoreSim* core, Slice& slice,
 
 bool EngineBase::SliceWriteColumn(mcsim::CoreSim* core, Slice& slice,
                                   storage::RowId row, uint32_t column,
-                                  const void* value,
-                                  const storage::Schema& schema) {
-  (void)schema;
+                                  const void* value) {
   if (slice.disk) {
     return slice.disk->WriteColumn(core, row, column, value);
   }
@@ -234,8 +228,7 @@ void EngineBase::SliceWriteRow(mcsim::CoreSim* core, Slice& slice,
                                storage::RowId row, const uint8_t* image,
                                const storage::Schema& schema) {
   for (uint32_t c = 0; c < schema.num_columns(); ++c) {
-    SliceWriteColumn(core, slice, row, c, schema.ColumnPtr(image, c),
-                     schema);
+    SliceWriteColumn(core, slice, row, c, schema.ColumnPtr(image, c));
   }
 }
 
@@ -284,65 +277,183 @@ void EngineBase::RemoveSecondaries(mcsim::CoreSim* core, TableRt& rt,
   }
 }
 
-void EngineBase::ApplyUndo(mcsim::CoreSim* core,
-                           std::vector<UndoEntry>& undo,
-                           txn::LogManager* log, uint64_t txn_id) {
+// ---------------------------------------------------------------------------
+// The engine-neutral data work of a transaction context.
+// ---------------------------------------------------------------------------
+
+void EngineBase::CtxBase::Rollback() {
   // CLRs: redo-only compensation records, emitted when a checkpoint
   // may have captured the transaction's in-place writes. Recovery
   // replays them unconditionally, repeating this rollback.
-  const bool clr =
-      log != nullptr && ckpt_logging() && logs_physical();
+  const bool clr = engine_->ckpt_logging() && engine_->logs_physical();
   for (auto it = undo.rbegin(); it != undo.rend(); ++it) {
     UndoEntry& u = *it;
-    TableRt& rt = tables_[u.table];
-    Slice& slice = rt.slices[u.slice];
-    const int16_t slice16 = static_cast<int16_t>(u.slice);
+    TableRt& rt = engine_->tables_[u.table];
+    Slice& s = rt.slices[u.slice];
+    const uint32_t bytes = static_cast<uint32_t>(u.image.size());
     switch (u.kind) {
       case UndoEntry::Kind::kColumnImage:
-        SliceWriteColumn(core, slice, u.row, u.column, u.image.data(),
-                         rt.def.schema);
+        engine_->SliceWriteColumn(core_, s, u.row, u.column,
+                                  u.image.data());
         if (clr) {
-          log->Append(core, txn::LogOp::kUpdate, txn_id,
-                      static_cast<int16_t>(u.table), u.row,
-                      static_cast<int16_t>(u.column), u.image.data(),
-                      static_cast<uint32_t>(u.image.size()), nullptr, 0,
-                      slice16, nullptr, 0, /*clr=*/true);
+          Log(txn::LogOp::kUpdate, u.table, u.row,
+              static_cast<int>(u.column), u.image.data(), bytes, nullptr,
+              nullptr, 0, /*clr=*/true);
         }
         break;
       case UndoEntry::Kind::kInsertedRow:
-        if (slice.primary != nullptr) slice.primary->Remove(core, u.key);
+        if (s.primary != nullptr) s.primary->Remove(core_, u.key);
         if (!u.image.empty()) {
-          RemoveSecondaries(core, rt, slice, u.image.data());
+          engine_->RemoveSecondaries(core_, rt, s, u.image.data());
         }
-        SliceDelete(core, slice, u.row);
+        engine_->SliceDelete(core_, s, u.row);
         if (clr) {
-          log->Append(core, txn::LogOp::kDelete, txn_id,
-                      static_cast<int16_t>(u.table), u.row, -1, nullptr,
-                      0, u.key.data(), u.key.size(), slice16,
-                      u.image.data(),
-                      static_cast<uint32_t>(u.image.size()),
-                      /*clr=*/true);
+          Log(txn::LogOp::kDelete, u.table, u.row, -1, nullptr, 0, &u.key,
+              u.image.data(), bytes, /*clr=*/true);
         }
         break;
       case UndoEntry::Kind::kDeletedRow: {
         // Resurrect the row (possibly at a fresh slot) and re-index it.
         const storage::RowId rid =
-            SliceAppend(core, slice, u.image.data());
-        if (slice.primary != nullptr) slice.primary->Insert(core, u.key, rid);
-        InsertSecondaries(core, rt, slice, u.image.data(), rid);
+            engine_->SliceAppend(core_, s, u.image.data());
+        if (s.primary != nullptr) s.primary->Insert(core_, u.key, rid);
+        engine_->InsertSecondaries(core_, rt, s, u.image.data(), rid);
         if (clr) {
-          log->Append(core, txn::LogOp::kInsert, txn_id,
-                      static_cast<int16_t>(u.table), rid, -1,
-                      u.image.data(),
-                      static_cast<uint32_t>(u.image.size()),
-                      u.key.data(), u.key.size(), slice16, nullptr, 0,
-                      /*clr=*/true);
+          Log(txn::LogOp::kInsert, u.table, rid, -1, u.image.data(), bytes,
+              &u.key, nullptr, 0, /*clr=*/true);
         }
         break;
       }
     }
   }
   undo.clear();
+}
+
+Status EngineBase::CtxBase::Lookup(int table, const index::Key& key,
+                                   storage::RowId* row) {
+  const Slice& s = slice(table);
+  uint64_t value = 0;
+  if (s.primary == nullptr || !s.primary->Lookup(core_, key, &value)) {
+    return Status::NotFound();
+  }
+  *row = value;
+  return Status::Ok();
+}
+
+Status EngineBase::CtxBase::ScanIndex(int table, int secondary,
+                                      const index::Key& from,
+                                      uint64_t limit,
+                                      std::vector<storage::RowId>* rows) {
+  Slice& s = slice(table);
+  if (secondary < 0 ||
+      secondary >= static_cast<int>(s.secondaries.size())) {
+    return Status::InvalidArgument("no such secondary index");
+  }
+  s.secondaries[secondary]->Scan(core_, from, limit, rows);
+  return Status::Ok();
+}
+
+Status EngineBase::CtxBase::UpdateInPlace(int table, storage::RowId row,
+                                          uint32_t column,
+                                          const void* value) {
+  // Before-image for undo: in-place writes must be reversible on abort.
+  const storage::Schema& sch = schema(table);
+  std::vector<uint8_t> before(sch.row_bytes());
+  const Status s = ReadRow(table, row, before.data());
+  if (!s.ok()) return s;
+  const uint8_t* old = sch.ColumnPtr(before.data(), column);
+  undo.push_back({UndoEntry::Kind::kColumnImage, table, slice_, row, column,
+                  std::vector<uint8_t>(old, old + sch.column_width(column)),
+                  index::Key()});
+  if (!engine_->SliceWriteColumn(core_, slice(table), row, column,
+                                 value)) {
+    return Status::NotFound();
+  }
+  dirty = true;
+  return Status::Ok();
+}
+
+Status EngineBase::CtxBase::AppendRow(int table, const uint8_t* row,
+                                      storage::RowId* rid) {
+  *rid = engine_->SliceAppend(core_, slice(table), row);
+  return *rid == storage::kInvalidRow
+             ? Status::ResourceExhausted("buffer pool full")
+             : Status::Ok();
+}
+
+Status EngineBase::CtxBase::InsertPrimaryKey(int table,
+                                             const index::Key& key,
+                                             storage::RowId rid) {
+  index::Index* primary = slice(table).primary.get();
+  if (primary == nullptr) return Status::Ok();
+  const Status s = primary->Insert(core_, key, rid);
+  return s.ok() ? s : DropAppended(table, rid, s);
+}
+
+Status EngineBase::CtxBase::Inserted(int table, storage::RowId rid,
+                                     const index::Key& key,
+                                     const uint8_t* row,
+                                     storage::RowId* out_row) {
+  undo.push_back({UndoEntry::Kind::kInsertedRow, table, slice_, rid,
+                  /*column=*/0,
+                  std::vector<uint8_t>(row, row + schema(table).row_bytes()),
+                  key});
+  dirty = true;
+  if (out_row != nullptr) *out_row = rid;
+  return Status::Ok();
+}
+
+Status EngineBase::CtxBase::RemoveKeys(int table, const index::Key& key,
+                                       const uint8_t* before) {
+  Slice& s = slice(table);
+  if (!s.primary->Remove(core_, key)) return Status::NotFound();
+  engine_->RemoveSecondaries(core_, engine_->tables_[table], s, before);
+  return Status::Ok();
+}
+
+void EngineBase::CtxBase::LogColumnUpdate(int table, storage::RowId row,
+                                          uint32_t column,
+                                          const void* value) {
+  const std::vector<uint8_t>& before = undo.back().image;
+  Log(txn::LogOp::kUpdate, table, row, static_cast<int>(column), value,
+      schema(table).column_width(column), nullptr, before.data(),
+      static_cast<uint32_t>(before.size()));
+}
+
+void EngineBase::CtxBase::LogRowUpdate(int table, storage::RowId row,
+                                       const uint8_t* image,
+                                       const uint8_t* before) {
+  const uint32_t bytes = schema(table).row_bytes();
+  Log(txn::LogOp::kUpdate, table, row, -1, image, bytes, nullptr, before,
+      bytes);
+}
+
+void EngineBase::CtxBase::LogInsert(int table, storage::RowId rid,
+                                    const uint8_t* row,
+                                    const index::Key& key) {
+  Log(txn::LogOp::kInsert, table, rid, -1, row, schema(table).row_bytes(),
+      &key, nullptr, 0);
+}
+
+void EngineBase::CtxBase::LogDelete(int table, storage::RowId row,
+                                    const index::Key& key,
+                                    const uint8_t* before) {
+  Log(txn::LogOp::kDelete, table, row, -1, nullptr, 0, &key, before,
+      schema(table).row_bytes());
+}
+
+void EngineBase::CtxBase::Log(txn::LogOp op, int table, storage::RowId row,
+                              int column, const void* payload,
+                              uint32_t payload_bytes, const index::Key* key,
+                              const void* before, uint32_t before_bytes,
+                              bool clr) {
+  const bool with_before = engine_->ckpt_logging() && before != nullptr;
+  engine_->logs_[core_->core_id()]->Append(
+      core_, op, txn_id_, static_cast<int16_t>(table), row,
+      static_cast<int16_t>(column), payload, payload_bytes,
+      key != nullptr ? key->data() : nullptr,
+      key != nullptr ? key->size() : 0, static_cast<int16_t>(slice_),
+      with_before ? before : nullptr, with_before ? before_bytes : 0, clr);
 }
 
 // ---------------------------------------------------------------------------
@@ -448,7 +559,7 @@ Status EngineBase::RedoPass(const std::vector<txn::LogRecord>& log,
       case txn::LogOp::kUpdate:
         if (rec.column >= 0) {
           SliceWriteColumn(core, slice, rec.row, rec.column,
-                           rec.payload.data(), rt.def.schema);
+                           rec.payload.data());
         } else {
           SliceWriteRow(core, slice, rec.row, rec.payload.data(),
                         rt.def.schema);

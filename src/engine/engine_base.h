@@ -111,12 +111,12 @@ class EngineBase : public Engine {
       const TableDef& def) const = 0;
 
   /// Storage-agnostic row operations on a slice (disk heap or memory
-  /// table), used by recovery replay and the engines' undo paths.
+  /// table), shared by the transaction contexts, undo and recovery.
   bool SliceRead(mcsim::CoreSim* core, Slice& slice, storage::RowId row,
                  uint8_t* out);
   bool SliceWriteColumn(mcsim::CoreSim* core, Slice& slice,
                         storage::RowId row, uint32_t column,
-                        const void* value, const storage::Schema& schema);
+                        const void* value);
   void SliceWriteRow(mcsim::CoreSim* core, Slice& slice,
                      storage::RowId row, const uint8_t* image,
                      const storage::Schema& schema);
@@ -145,13 +145,127 @@ class EngineBase : public Engine {
     index::Key key;
   };
 
-  /// Rolls a failed transaction back: applies `undo` in reverse order.
-  /// When fuzzy checkpointing is on and the engine logs physically,
-  /// pass the worker's log + txn id: every undo action then emits a
-  /// redo-only compensation record (CLR) so recovery can repair
-  /// checkpoint pages that captured the aborted transaction's writes.
-  void ApplyUndo(mcsim::CoreSim* core, std::vector<UndoEntry>& undo,
-                 txn::LogManager* log = nullptr, uint64_t txn_id = 0);
+  /// The engine-neutral half of a stored-procedure context: the
+  /// transaction's identity, its undo log, and the data work every
+  /// archetype does alike (slice row operations, index maintenance,
+  /// undo entries, redo records). An engine's context adds what makes
+  /// it an archetype: the code regions it runs around each step, its
+  /// concurrency control, and the span and module scopes the steps are
+  /// charged to. No helper here opens a scope or runs a code region.
+  class CtxBase : public TxnContext {
+   public:
+    mcsim::CoreSim* core() override { return core_; }
+
+    /// Rolls a failed transaction back: applies `undo` in reverse
+    /// order. When fuzzy checkpointing is on and the engine logs
+    /// physically, every undo action also emits a redo-only
+    /// compensation record (CLR), so recovery can repair checkpoint
+    /// pages that captured the aborted transaction's writes.
+    void Rollback();
+
+    bool dirty = false;  // an update, insert or delete ran
+    std::vector<UndoEntry> undo;
+
+   protected:
+    CtxBase(EngineBase* engine, mcsim::CoreSim* core, uint64_t txn_id,
+            int slice)
+        : engine_(engine), core_(core), txn_id_(txn_id), slice_(slice) {}
+
+    Slice& slice(int table) const {
+      return engine_->tables_[table].slices[slice_];
+    }
+    const storage::Schema& schema(int table) const {
+      return engine_->tables_[table].def.schema;
+    }
+
+    /// Primary-index point lookup; kNotFound when the key is absent.
+    Status Lookup(int table, const index::Key& key, storage::RowId* row);
+    /// Ordered scans of the primary index and of secondary index
+    /// `secondary` (kInvalidArgument when the table has no such index).
+    Status ScanPrimary(int table, const index::Key& from, uint64_t limit,
+                       std::vector<storage::RowId>* rows) {
+      slice(table).primary->Scan(core_, from, limit, rows);
+      return Status::Ok();
+    }
+    Status ScanIndex(int table, int secondary, const index::Key& from,
+                     uint64_t limit, std::vector<storage::RowId>* rows);
+
+    /// Full-row read; kNotFound for a deleted or absent row.
+    Status ReadRow(int table, storage::RowId row, uint8_t* out) {
+      return engine_->SliceRead(core_, slice(table), row, out)
+                 ? Status::Ok()
+                 : Status::NotFound();
+    }
+    /// In-place column update: saves the column's before-image as an
+    /// undo entry, then writes the new value.
+    Status UpdateInPlace(int table, storage::RowId row, uint32_t column,
+                         const void* value);
+
+    /// Insert, step by step. AppendRow places the row; until Inserted
+    /// hands it to the undo log nothing owns it, so a step that fails
+    /// in between returns through DropAppended, which deletes it again
+    /// (never through a kInsertedRow entry: its key removal would
+    /// delete the index entry of the row that refused the key).
+    Status AppendRow(int table, const uint8_t* row, storage::RowId* rid);
+    Status DropAppended(int table, storage::RowId rid, Status why) {
+      engine_->SliceDelete(core_, slice(table), rid);
+      return why;
+    }
+    /// The primary key (if the table has a primary index); a refused
+    /// key drops the row.
+    Status InsertPrimaryKey(int table, const index::Key& key,
+                            storage::RowId rid);
+    void InsertSecondaryKeys(int table, const uint8_t* row,
+                             storage::RowId rid) {
+      engine_->InsertSecondaries(core_, engine_->tables_[table],
+                                 slice(table), row, rid);
+    }
+    /// The insert is complete: records its undo entry.
+    Status Inserted(int table, storage::RowId rid, const index::Key& key,
+                    const uint8_t* row, storage::RowId* out_row);
+
+    /// Delete, step by step: the caller reads the before-image
+    /// (ReadRow), removes the keys, deletes the row, and records the
+    /// undo entry.
+    Status RemoveKeys(int table, const index::Key& key,
+                      const uint8_t* before);
+    Status DeleteRow(int table, storage::RowId row) {
+      return engine_->SliceDelete(core_, slice(table), row)
+                 ? Status::Ok()
+                 : Status::NotFound();
+    }
+    void Deleted(int table, storage::RowId row, const index::Key& key,
+                 std::vector<uint8_t> before) {
+      undo.push_back({UndoEntry::Kind::kDeletedRow, table, slice_, row,
+                      /*column=*/0, std::move(before), key});
+      dirty = true;
+    }
+
+    /// Redo records on this worker's log. Before-images ride along only
+    /// while checkpointing is on (recovery needs them to roll back
+    /// losers a fuzzy checkpoint captured). LogColumnUpdate logs the
+    /// update UpdateInPlace just made (its undo entry holds the
+    /// before-image).
+    void LogColumnUpdate(int table, storage::RowId row, uint32_t column,
+                         const void* value);
+    void LogRowUpdate(int table, storage::RowId row, const uint8_t* image,
+                      const uint8_t* before);
+    void LogInsert(int table, storage::RowId rid, const uint8_t* row,
+                   const index::Key& key);
+    void LogDelete(int table, storage::RowId row, const index::Key& key,
+                   const uint8_t* before);
+
+    EngineBase* const engine_;
+    mcsim::CoreSim* const core_;
+    const uint64_t txn_id_;
+    const int slice_;  // the home partition's slice (0 if unpartitioned)
+
+   private:
+    void Log(txn::LogOp op, int table, storage::RowId row, int column,
+             const void* payload, uint32_t payload_bytes,
+             const index::Key* key, const void* before,
+             uint32_t before_bytes, bool clr = false);
+  };
 
   /// Secondary-index maintenance from a row image.
   void InsertSecondaries(mcsim::CoreSim* core, TableRt& rt, Slice& slice,

@@ -378,7 +378,7 @@ Status EngineBase::Recover(const std::vector<txn::CheckpointImage>& device,
         if (!updates_in_place() || rec.before.empty()) break;
         if (rec.column >= 0) {
           SliceWriteColumn(core, slice, rec.row, rec.column,
-                           rec.before.data(), rt.def.schema);
+                           rec.before.data());
         } else if (rec.before.size() >= rt.def.schema.row_bytes()) {
           SliceWriteRow(core, slice, rec.row, rec.before.data(),
                         rt.def.schema);

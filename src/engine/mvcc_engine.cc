@@ -22,12 +22,10 @@ MvccEngine::MvccEngine(mcsim::MachineSim* machine,
 
 /// Stored-procedure context: every operation runs MVCC visibility /
 /// staging plus the (compiled or interpreted) storage-engine code.
-class MvccEngine::Ctx final : public TxnContext {
+class MvccEngine::Ctx final : public EngineBase::CtxBase {
  public:
   Ctx(MvccEngine* e, mcsim::CoreSim* core, uint64_t txn_id)
-      : e_(e), core_(core), txn_id_(txn_id) {}
-
-  mcsim::CoreSim* core() override { return core_; }
+      : CtxBase(e, core, txn_id, /*slice=*/0), e_(e) {}
 
   Status Probe(int table, const index::Key& key,
                storage::RowId* row) override {
@@ -36,14 +34,7 @@ class MvccEngine::Ctx final : public TxnContext {
     mcsim::ScopedModule mod(core_, e_->index_op_.module);
     e_->Exec(core_, e_->storage_op_);
     e_->Exec(core_, e_->index_op_);
-    auto& slice = e_->tables_[table].slices[0];
-    uint64_t value;
-    if (slice.primary == nullptr ||
-        !slice.primary->Lookup(core_, key, &value)) {
-      return Status::NotFound();
-    }
-    *row = value;
-    return Status::Ok();
+    return Lookup(table, key, row);
   }
 
   Status Read(int table, storage::RowId row, uint8_t* out) override {
@@ -51,42 +42,33 @@ class MvccEngine::Ctx final : public TxnContext {
                          obs::SpanKind::kStorageAccess);
     mcsim::ScopedModule mod(core_, e_->mvcc_op_.module);
     e_->Exec(core_, e_->storage_op_);
-    core_->Retire(e_->tables_[table].def.schema.row_bytes() * 4);
+    core_->Retire(schema(table).row_bytes() * 4);
     e_->Exec(core_, e_->mvcc_op_);
-    auto& slice = e_->tables_[table].slices[0];
     std::vector<uint8_t> version;
     if (e_->mvcc_.ReadOwnWrite(core_, txn_id_,
                                static_cast<uint64_t>(table), row,
-                               &version)) {
-      // Read-your-own-writes: the txn's staged image shadows every
-      // committed version.
-      std::memcpy(out, version.data(),
-                  e_->tables_[table].def.schema.row_bytes());
-      return Status::Ok();
-    }
-    if (e_->mvcc_.Read(core_, txn_id_, static_cast<uint64_t>(table), row,
+                               &version) ||
+        e_->mvcc_.Read(core_, txn_id_, static_cast<uint64_t>(table), row,
                        &version)) {
-      // An older image is visible at this snapshot.
-      std::memcpy(out, version.data(),
-                  e_->tables_[table].def.schema.row_bytes());
+      // The txn's own staged image shadows every committed version;
+      // otherwise an older image may be visible at this snapshot.
+      std::memcpy(out, version.data(), schema(table).row_bytes());
       return Status::Ok();
     }
-    if (!slice.mem->ReadRow(core_, row, out)) return Status::NotFound();
-    return Status::Ok();
+    return ReadRow(table, row, out);
   }
 
   Status Update(int table, storage::RowId row, uint32_t column,
                 const void* value) override {
     mcsim::ScopedModule mod(core_, e_->mvcc_op_.module);
-    auto& rt = e_->tables_[table];
-    auto& slice = rt.slices[0];
+    const storage::Schema& sch = schema(table);
+    std::vector<uint8_t> prior(sch.row_bytes());
     std::vector<uint8_t> next;
-    std::vector<uint8_t> prior_copy;
     {
       obs::ScopedSpan span(&e_->spans_, core_,
                            obs::SpanKind::kStorageAccess);
       e_->Exec(core_, e_->storage_op_);
-      core_->Retire(rt.def.schema.row_bytes() * 4);
+      core_->Retire(sch.row_bytes() * 4);
       e_->Exec(core_, e_->mvcc_op_);
       // Versioned update: build the new full-row image from the current
       // one (multiversioning copies rows; it never updates in place).
@@ -94,120 +76,87 @@ class MvccEngine::Ctx final : public TxnContext {
       // already wrote the row — otherwise a second single-column update
       // would rebuild from the committed image and silently drop the
       // first one.
-      std::vector<uint8_t> prior(rt.def.schema.row_bytes());
       std::vector<uint8_t> own;
       if (e_->mvcc_.ReadOwnWrite(core_, txn_id_,
                                  static_cast<uint64_t>(table), row,
                                  &own)) {
         std::memcpy(prior.data(), own.data(), prior.size());
-      } else if (!slice.mem->ReadRow(core_, row, prior.data())) {
-        return Status::NotFound();
+      } else {
+        const Status s = ReadRow(table, row, prior.data());
+        if (!s.ok()) return s;
       }
       next = prior;
-      std::memcpy(next.data() + rt.def.schema.column_offset(column),
-                  value, rt.def.schema.column_width(column));
+      std::memcpy(next.data() + sch.column_offset(column), value,
+                  sch.column_width(column));
       const Status s = e_->mvcc_.StageWrite(
           core_, txn_id_, static_cast<uint64_t>(table), row, next.data(),
           static_cast<uint32_t>(next.size()), prior.data());
       if (!s.ok()) return s;
-      if (e_->ckpt_logging()) prior_copy = std::move(prior);
     }
     obs::ScopedSpan span(&e_->spans_, core_,
                          obs::SpanKind::kLogAppend);
     e_->Exec(core_, e_->log_);
-    e_->logs_[core_->core_id()]->LogUpdate(
-        core_, txn_id_, static_cast<int16_t>(table), row, -1,
-        next.data(), rt.def.schema.row_bytes(), /*slice=*/0,
-        e_->ckpt_logging() ? prior_copy.data() : nullptr,
-        e_->ckpt_logging() ? rt.def.schema.row_bytes() : 0);
+    LogRowUpdate(table, row, next.data(), prior.data());
     return Status::Ok();
   }
 
   Status Insert(int table, const uint8_t* row, const index::Key& key,
                 storage::RowId* out_row) override {
     mcsim::ScopedModule mod(core_, e_->index_op_.module);
-    auto& rt = e_->tables_[table];
-    auto& slice = rt.slices[0];
-    storage::RowId rid;
+    storage::RowId rid = storage::kInvalidRow;
     {
       obs::ScopedSpan span(&e_->spans_, core_,
                            obs::SpanKind::kStorageAccess);
       e_->Exec(core_, e_->storage_op_);
-      rid = slice.mem->Append(core_, row);
+      const Status s = AppendRow(table, row, &rid);
+      if (!s.ok()) return s;
     }
     {
       obs::ScopedSpan span(&e_->spans_, core_,
                            obs::SpanKind::kIndexProbe);
       e_->Exec(core_, e_->index_op_);
-      if (slice.primary != nullptr) {
-        const Status s = slice.primary->Insert(core_, key, rid);
-        if (!s.ok()) return s;
-      }
-      e_->InsertSecondaries(core_, rt, slice, row, rid);
+      const Status s = InsertPrimaryKey(table, key, rid);
+      if (!s.ok()) return s;
+      InsertSecondaryKeys(table, row, rid);
     }
     obs::ScopedSpan span(&e_->spans_, core_,
                          obs::SpanKind::kLogAppend);
     e_->Exec(core_, e_->log_);
-    e_->logs_[core_->core_id()]->Append(
-        core_, txn::LogOp::kInsert, txn_id_, static_cast<int16_t>(table),
-        rid, -1, row, rt.def.schema.row_bytes(), key.data(), key.size());
-    EngineBase::UndoEntry u;
-    u.kind = EngineBase::UndoEntry::Kind::kInsertedRow;
-    u.table = table;
-    u.slice = 0;
-    u.row = rid;
-    u.key = key;
-    u.image.assign(row, row + rt.def.schema.row_bytes());
-    undo.push_back(std::move(u));
-    if (out_row != nullptr) *out_row = rid;
-    return Status::Ok();
+    LogInsert(table, rid, row, key);
+    return Inserted(table, rid, key, row, out_row);
   }
 
   Status Delete(int table, storage::RowId row,
                 const index::Key& key) override {
     mcsim::ScopedModule mod(core_, e_->mvcc_op_.module);
-    auto& rt = e_->tables_[table];
-    auto& slice = rt.slices[0];
-    std::vector<uint8_t> before(rt.def.schema.row_bytes());
+    std::vector<uint8_t> before(schema(table).row_bytes());
+    Status s;
     {
       obs::ScopedSpan span(&e_->spans_, core_,
                            obs::SpanKind::kStorageAccess);
       e_->Exec(core_, e_->storage_op_);
       e_->Exec(core_, e_->mvcc_op_);
-      if (!slice.mem->ReadRow(core_, row, before.data())) {
-        return Status::NotFound();
-      }
+      s = ReadRow(table, row, before.data());
+      if (!s.ok()) return s;
     }
     {
       obs::ScopedSpan span(&e_->spans_, core_,
                            obs::SpanKind::kIndexProbe);
       e_->Exec(core_, e_->index_op_);
-      if (!slice.primary->Remove(core_, key)) {
-        return Status::NotFound();
-      }
-      e_->RemoveSecondaries(core_, rt, slice, before.data());
+      s = RemoveKeys(table, key, before.data());
+      if (!s.ok()) return s;
     }
     {
       obs::ScopedSpan span(&e_->spans_, core_,
                            obs::SpanKind::kStorageAccess);
-      if (!slice.mem->Delete(core_, row)) return Status::NotFound();
+      s = DeleteRow(table, row);
+      if (!s.ok()) return s;
     }
     obs::ScopedSpan span(&e_->spans_, core_,
                          obs::SpanKind::kLogAppend);
     e_->Exec(core_, e_->log_);
-    e_->logs_[core_->core_id()]->Append(
-        core_, txn::LogOp::kDelete, txn_id_, static_cast<int16_t>(table),
-        row, -1, nullptr, 0, key.data(), key.size(), /*slice=*/0,
-        e_->ckpt_logging() ? before.data() : nullptr,
-        e_->ckpt_logging() ? rt.def.schema.row_bytes() : 0);
-    EngineBase::UndoEntry u;
-    u.kind = EngineBase::UndoEntry::Kind::kDeletedRow;
-    u.table = table;
-    u.slice = 0;
-    u.row = row;
-    u.image = std::move(before);
-    u.key = key;
-    undo.push_back(std::move(u));
+    LogDelete(table, row, key, before.data());
+    Deleted(table, row, key, std::move(before));
     return Status::Ok();
   }
 
@@ -218,9 +167,7 @@ class MvccEngine::Ctx final : public TxnContext {
     mcsim::ScopedModule mod(core_, e_->index_op_.module);
     e_->Exec(core_, e_->storage_op_);
     e_->Exec(core_, e_->index_op_);
-    auto& slice = e_->tables_[table].slices[0];
-    slice.primary->Scan(core_, from, limit, rows);
-    return Status::Ok();
+    return ScanPrimary(table, from, limit, rows);
   }
 
   Status ScanSecondary(int table, int secondary, const index::Key& from,
@@ -231,22 +178,11 @@ class MvccEngine::Ctx final : public TxnContext {
     mcsim::ScopedModule mod(core_, e_->index_op_.module);
     e_->Exec(core_, e_->storage_op_);
     e_->Exec(core_, e_->index_op_);
-    auto& slice = e_->tables_[table].slices[0];
-    if (secondary < 0 ||
-        secondary >= static_cast<int>(slice.secondaries.size())) {
-      return Status::InvalidArgument("no such secondary index");
-    }
-    slice.secondaries[secondary]->Scan(core_, from, limit, rows);
-    return Status::Ok();
+    return ScanIndex(table, secondary, from, limit, rows);
   }
 
  private:
   MvccEngine* e_;
-  mcsim::CoreSim* core_;
-  uint64_t txn_id_;
-
- public:
-  std::vector<EngineBase::UndoEntry> undo;
 };
 
 Status MvccEngine::Execute(int worker, const TxnRequest& request,
@@ -284,7 +220,7 @@ Status MvccEngine::Execute(int worker, const TxnRequest& request,
     mvcc_.Abort(core, txn_id);
     // Inserts/deletes were applied in place; their undo emits CLRs
     // under checkpointing.
-    ApplyUndo(core, ctx.undo, logs_[core->core_id()].get(), txn_id);
+    ctx.Rollback();
     logs_[core->core_id()]->LogAbort(core, txn_id);
     return s;
   }
@@ -296,18 +232,14 @@ Status MvccEngine::Execute(int worker, const TxnRequest& request,
   if (!s.ok()) {
     // Validation failure: staged updates vanish with the transaction,
     // but in-place inserts/deletes need explicit rollback.
-    ApplyUndo(core, ctx.undo, logs_[core->core_id()].get(), txn_id);
+    ctx.Rollback();
     logs_[core->core_id()]->LogAbort(core, txn_id);
     return s;
   }
   for (const auto& w : installs) {
-    auto& rt = tables_[w.table_id];
-    auto& slice = rt.slices[0];
     // Install the committed image as the table's current version.
-    for (uint32_t c = 0; c < rt.def.schema.num_columns(); ++c) {
-      slice.mem->WriteColumn(core, w.row, c,
-                             rt.def.schema.ColumnPtr(w.data.data(), c));
-    }
+    TableRt& rt = tables_[w.table_id];
+    SliceWriteRow(core, rt.slices[0], w.row, w.data.data(), rt.def.schema);
   }
   if (!installs.empty() || !ctx.undo.empty()) {
     // Staged updates or in-place inserts/deletes: a commit record makes

@@ -1,8 +1,34 @@
 #include "engine/partitioned_engine.h"
 
+#include <array>
+#include <cstddef>
+#include <cstring>
+
 #include "obs/span.h"
 
 namespace imoltp::engine {
+
+namespace {
+
+/// The command-log payload of `request`: its fields at their struct
+/// offsets in a zero-filled image of sizeof(TxnRequest) bytes. Copying
+/// the struct itself would log its padding, which holds whatever the
+/// caller's stack held, so same-seed runs would log different bytes.
+std::array<uint8_t, sizeof(TxnRequest)> CommandImage(
+    const TxnRequest& request) {
+  static_assert(sizeof(TxnRequest) == 32, "copy every TxnRequest field");
+  std::array<uint8_t, sizeof(TxnRequest)> image{};
+  auto put = [&](size_t offset, const auto& field) {
+    std::memcpy(image.data() + offset, &field, sizeof(field));
+  };
+  put(offsetof(TxnRequest, type), request.type);
+  put(offsetof(TxnRequest, partition_key), request.partition_key);
+  put(offsetof(TxnRequest, key_space), request.key_space);
+  put(offsetof(TxnRequest, statements), request.statements);
+  return image;
+}
+
+}  // namespace
 
 PartitionedEngine::PartitionedEngine(EngineKind kind,
                                      mcsim::MachineSim* machine,
@@ -51,17 +77,11 @@ mcsim::CodeRegion PartitionedEngine::CompiledRegion(int txn_type,
 
 /// Stored-procedure context: direct in-memory table and index access, no
 /// locks (serial partition execution guarantees isolation).
-class PartitionedEngine::Ctx final : public TxnContext {
+class PartitionedEngine::Ctx final : public EngineBase::CtxBase {
  public:
   Ctx(PartitionedEngine* e, mcsim::CoreSim* core, uint64_t txn_id,
       int slice, mcsim::ModuleId op_module)
-      : e_(e),
-        core_(core),
-        txn_id_(txn_id),
-        slice_(slice),
-        op_module_(op_module) {}
-
-  mcsim::CoreSim* core() override { return core_; }
+      : CtxBase(e, core, txn_id, slice), e_(e), op_module_(op_module) {}
 
   Status Probe(int table, const index::Key& key,
                storage::RowId* row) override {
@@ -69,16 +89,8 @@ class PartitionedEngine::Ctx final : public TxnContext {
                          obs::SpanKind::kIndexProbe);
     mcsim::ScopedModule mod(
         core_, e_->compiled_ ? op_module_ : e_->index_op_.module);
-    OpCode(table);
-    if (!e_->compiled_) e_->Exec(core_, e_->index_op_);
-    auto& slice = e_->tables_[table].slices[slice_];
-    uint64_t value;
-    if (slice.primary == nullptr ||
-        !slice.primary->Lookup(core_, key, &value)) {
-      return Status::NotFound();
-    }
-    *row = value;
-    return Status::Ok();
+    IndexOpCode(table);
+    return Lookup(table, key, row);
   }
 
   Status Read(int table, storage::RowId row, uint8_t* out) override {
@@ -86,36 +98,18 @@ class PartitionedEngine::Ctx final : public TxnContext {
                          obs::SpanKind::kStorageAccess);
     mcsim::ScopedModule mod(core_, op_module_);
     OpCode(table);
-    auto& slice = e_->tables_[table].slices[slice_];
-    if (!slice.mem->ReadRow(core_, row, out)) return Status::NotFound();
-    return Status::Ok();
+    return ReadRow(table, row, out);
   }
 
   Status Update(int table, storage::RowId row, uint32_t column,
                 const void* value) override {
     mcsim::ScopedModule mod(core_, op_module_);
-    auto& rt = e_->tables_[table];
-    auto& slice = rt.slices[slice_];
     {
       obs::ScopedSpan span(&e_->spans_, core_,
                            obs::SpanKind::kStorageAccess);
       OpCode(table);
-      // Before-image for rollback of failed procedures.
-      std::vector<uint8_t> before(rt.def.schema.row_bytes());
-      if (!slice.mem->ReadRow(core_, row, before.data())) {
-        return Status::NotFound();
-      }
-      EngineBase::UndoEntry u;
-      u.kind = EngineBase::UndoEntry::Kind::kColumnImage;
-      u.table = table;
-      u.slice = slice_;
-      u.row = row;
-      u.column = column;
-      u.image.assign(rt.def.schema.ColumnPtr(before.data(), column),
-                     rt.def.schema.ColumnPtr(before.data(), column) +
-                         rt.def.schema.column_width(column));
-      undo.push_back(std::move(u));
-      slice.mem->WriteColumn(core_, row, column, value);
+      const Status s = UpdateInPlace(table, row, column, value);
+      if (!s.ok()) return s;
     }
     // VoltDB command logging logs per transaction, not per update;
     // HyPer writes a redo record per update.
@@ -123,114 +117,71 @@ class PartitionedEngine::Ctx final : public TxnContext {
       obs::ScopedSpan span(&e_->spans_, core_,
                            obs::SpanKind::kLogAppend);
       e_->Exec(core_, e_->log_);
-      const auto& before_img = undo.back().image;
-      e_->logs_[core_->core_id()]->LogUpdate(
-          core_, txn_id_, static_cast<int16_t>(table), row,
-          static_cast<int16_t>(column), value,
-          rt.def.schema.column_width(column),
-          static_cast<int16_t>(slice_),
-          e_->ckpt_logging() ? before_img.data() : nullptr,
-          e_->ckpt_logging()
-              ? static_cast<uint32_t>(before_img.size())
-              : 0);
+      LogColumnUpdate(table, row, column, value);
     }
-    dirty = true;
     return Status::Ok();
   }
 
   Status Insert(int table, const uint8_t* row, const index::Key& key,
                 storage::RowId* out_row) override {
     mcsim::ScopedModule mod(core_, op_module_);
-    auto& rt = e_->tables_[table];
-    auto& slice = rt.slices[slice_];
-    storage::RowId rid;
+    storage::RowId rid = storage::kInvalidRow;
     {
       obs::ScopedSpan span(&e_->spans_, core_,
                            obs::SpanKind::kStorageAccess);
       OpCode(table);
-      rid = slice.mem->Append(core_, row);
+      const Status s = AppendRow(table, row, &rid);
+      if (!s.ok()) return s;
     }
     {
       obs::ScopedSpan span(&e_->spans_, core_,
                            obs::SpanKind::kIndexProbe);
       if (!e_->compiled_) e_->Exec(core_, e_->index_op_);
-      if (slice.primary != nullptr) {
-        const Status s = slice.primary->Insert(core_, key, rid);
-        if (!s.ok()) return s;
-      }
-      e_->InsertSecondaries(core_, rt, slice, row, rid);
+      const Status s = InsertPrimaryKey(table, key, rid);
+      if (!s.ok()) return s;
+      InsertSecondaryKeys(table, row, rid);
     }
     if (e_->compiled_) {
       obs::ScopedSpan span(&e_->spans_, core_,
                            obs::SpanKind::kLogAppend);
       e_->Exec(core_, e_->log_);
-      e_->logs_[core_->core_id()]->Append(
-          core_, txn::LogOp::kInsert, txn_id_,
-          static_cast<int16_t>(table), rid, -1, row,
-          rt.def.schema.row_bytes(), key.data(), key.size(),
-          static_cast<int16_t>(slice_));
+      LogInsert(table, rid, row, key);
     }
-    EngineBase::UndoEntry u;
-    u.kind = EngineBase::UndoEntry::Kind::kInsertedRow;
-    u.table = table;
-    u.slice = slice_;
-    u.row = rid;
-    u.key = key;
-    u.image.assign(row, row + rt.def.schema.row_bytes());
-    undo.push_back(std::move(u));
-    dirty = true;
-    if (out_row != nullptr) *out_row = rid;
-    return Status::Ok();
+    return Inserted(table, rid, key, row, out_row);
   }
 
   Status Delete(int table, storage::RowId row,
                 const index::Key& key) override {
     mcsim::ScopedModule mod(core_, op_module_);
-    auto& rt = e_->tables_[table];
-    auto& slice = rt.slices[slice_];
-    std::vector<uint8_t> before(rt.def.schema.row_bytes());
+    std::vector<uint8_t> before(schema(table).row_bytes());
+    Status s;
     {
       obs::ScopedSpan span(&e_->spans_, core_,
                            obs::SpanKind::kStorageAccess);
       OpCode(table);
-      if (!slice.mem->ReadRow(core_, row, before.data())) {
-        return Status::NotFound();
-      }
+      s = ReadRow(table, row, before.data());
+      if (!s.ok()) return s;
     }
     {
       obs::ScopedSpan span(&e_->spans_, core_,
                            obs::SpanKind::kIndexProbe);
       if (!e_->compiled_) e_->Exec(core_, e_->index_op_);
-      if (!slice.primary->Remove(core_, key)) {
-        return Status::NotFound();
-      }
-      e_->RemoveSecondaries(core_, rt, slice, before.data());
+      s = RemoveKeys(table, key, before.data());
+      if (!s.ok()) return s;
     }
     {
       obs::ScopedSpan span(&e_->spans_, core_,
                            obs::SpanKind::kStorageAccess);
-      if (!slice.mem->Delete(core_, row)) return Status::NotFound();
+      s = DeleteRow(table, row);
+      if (!s.ok()) return s;
     }
     if (e_->compiled_) {
       obs::ScopedSpan span(&e_->spans_, core_,
                            obs::SpanKind::kLogAppend);
       e_->Exec(core_, e_->log_);
-      e_->logs_[core_->core_id()]->Append(
-          core_, txn::LogOp::kDelete, txn_id_,
-          static_cast<int16_t>(table), row, -1, nullptr, 0, key.data(),
-          key.size(), static_cast<int16_t>(slice_),
-          e_->ckpt_logging() ? before.data() : nullptr,
-          e_->ckpt_logging() ? rt.def.schema.row_bytes() : 0);
+      LogDelete(table, row, key, before.data());
     }
-    EngineBase::UndoEntry u;
-    u.kind = EngineBase::UndoEntry::Kind::kDeletedRow;
-    u.table = table;
-    u.slice = slice_;
-    u.row = row;
-    u.image = std::move(before);
-    u.key = key;
-    undo.push_back(std::move(u));
-    dirty = true;
+    Deleted(table, row, key, std::move(before));
     return Status::Ok();
   }
 
@@ -239,11 +190,8 @@ class PartitionedEngine::Ctx final : public TxnContext {
     obs::ScopedSpan span(&e_->spans_, core_,
                          obs::SpanKind::kIndexProbe);
     mcsim::ScopedModule mod(core_, op_module_);
-    OpCode(table);
-    if (!e_->compiled_) e_->Exec(core_, e_->index_op_);
-    auto& slice = e_->tables_[table].slices[slice_];
-    slice.primary->Scan(core_, from, limit, rows);
-    return Status::Ok();
+    IndexOpCode(table);
+    return ScanPrimary(table, from, limit, rows);
   }
 
   Status ScanSecondary(int table, int secondary, const index::Key& from,
@@ -252,15 +200,8 @@ class PartitionedEngine::Ctx final : public TxnContext {
     obs::ScopedSpan span(&e_->spans_, core_,
                          obs::SpanKind::kIndexProbe);
     mcsim::ScopedModule mod(core_, op_module_);
-    OpCode(table);
-    if (!e_->compiled_) e_->Exec(core_, e_->index_op_);
-    auto& slice = e_->tables_[table].slices[slice_];
-    if (secondary < 0 ||
-        secondary >= static_cast<int>(slice.secondaries.size())) {
-      return Status::InvalidArgument("no such secondary index");
-    }
-    slice.secondaries[secondary]->Scan(core_, from, limit, rows);
-    return Status::Ok();
+    IndexOpCode(table);
+    return ScanIndex(table, secondary, from, limit, rows);
   }
 
  private:
@@ -270,8 +211,7 @@ class PartitionedEngine::Ctx final : public TxnContext {
   /// interpreted engines pay ~12 instructions per byte, compiled code
   /// ~3 (it operates on the storage format in place).
   void OpCode(int table) {
-    const uint32_t row_bytes =
-        e_->tables_[table].def.schema.row_bytes();
+    const uint32_t row_bytes = schema(table).row_bytes();
     if (e_->compiled_) {
       core_->Retire(e_->hyper_profile_.per_op_instructions +
                     row_bytes * 2);
@@ -281,15 +221,14 @@ class PartitionedEngine::Ctx final : public TxnContext {
     }
   }
 
-  PartitionedEngine* e_;
-  mcsim::CoreSim* core_;
-  uint64_t txn_id_;
-  int slice_;
-  mcsim::ModuleId op_module_;
+  /// OpCode plus VoltDB's index executor.
+  void IndexOpCode(int table) {
+    OpCode(table);
+    if (!e_->compiled_) e_->Exec(core_, e_->index_op_);
+  }
 
- public:
-  bool dirty = false;  // any update/insert/delete ran
-  std::vector<EngineBase::UndoEntry> undo;
+  PartitionedEngine* e_;
+  mcsim::ModuleId op_module_;
 };
 
 Status PartitionedEngine::Execute(
@@ -345,7 +284,7 @@ Status PartitionedEngine::Execute(
     {
       obs::ScopedSpan span(&spans_, core,
                            obs::SpanKind::kStorageAccess);
-      ApplyUndo(core, ctx.undo, logs_[core->core_id()].get(), txn_id);
+      ctx.Rollback();
     }
     if (compiled_ && ctx.dirty) {
       obs::ScopedSpan span(&spans_, core, obs::SpanKind::kLogAppend);
@@ -360,9 +299,10 @@ Status PartitionedEngine::Execute(
     if (!compiled_) {
       // Command logging: one record per transaction invocation.
       Exec(core, log_);
+      const auto command = CommandImage(request);
       logs_[core->core_id()]->Append(core, txn::LogOp::kCommand, txn_id,
-                                     -1, 0, -1, &request,
-                                     sizeof(request));
+                                     -1, 0, -1, command.data(),
+                                     static_cast<uint32_t>(command.size()));
     } else {
       logs_[core->core_id()]->LogCommit(core, txn_id);
     }

@@ -11,24 +11,6 @@
 
 namespace imoltp::fault {
 
-namespace {
-
-void InvariantsToJson(obs::JsonWriter& w, const InvariantReport& rep) {
-  w.BeginObject();
-  w.KeyValue("ok", rep.ok);
-  w.Key("violations");
-  w.BeginArray();
-  for (const std::string& v : rep.violations) w.Value(v);
-  w.EndArray();
-  w.Key("checksums");
-  w.BeginArray();
-  for (int64_t v : rep.checksums) w.Value(v);
-  w.EndArray();
-  w.EndObject();
-}
-
-}  // namespace
-
 StatusOr<ChaosReport> RunChaos(const ChaosOptions& opt) {
   core::WorkloadKind wkind;
   if (!core::ParseWorkload(opt.workload, &wkind)) {

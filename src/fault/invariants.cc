@@ -1,9 +1,9 @@
 #include "fault/invariants.h"
 
-#include <cstdarg>
-#include <cstdio>
 #include <vector>
 
+#include "common/format.h"
+#include "obs/json.h"
 #include "storage/table.h"
 
 namespace imoltp::fault {
@@ -19,15 +19,6 @@ using storage::Schema;
 /// its own (tiny) code footprint.
 constexpr int kTxnAudit = 90;
 
-std::string Sprintf(const char* fmt, ...) {
-  char buf[256];
-  va_list ap;
-  va_start(ap, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  return buf;
-}
-
 /// Regenerates the initial balance (column 1) of row `row` exactly as
 /// the bulk load produced it: TPC-B's tables use the default generator.
 int64_t InitialBalance(const Schema& schema, uint64_t row, uint64_t seed) {
@@ -38,6 +29,20 @@ int64_t InitialBalance(const Schema& schema, uint64_t row, uint64_t seed) {
 }
 
 }  // namespace
+
+void InvariantsToJson(obs::JsonWriter& w, const InvariantReport& rep) {
+  w.BeginObject();
+  w.KeyValue("ok", rep.ok);
+  w.Key("violations");
+  w.BeginArray();
+  for (const std::string& v : rep.violations) w.Value(v);
+  w.EndArray();
+  w.Key("checksums");
+  w.BeginArray();
+  for (int64_t v : rep.checksums) w.Value(v);
+  w.EndArray();
+  w.EndObject();
+}
 
 InvariantReport CheckTpcbInvariants(engine::Engine* engine,
                                     const core::TpcbBenchmark& bench,
@@ -143,7 +148,7 @@ InvariantReport CheckTpcbInvariants(engine::Engine* engine,
 
 InvariantReport CheckTpccInvariants(engine::Engine* engine,
                                     const core::TpccConfig& config,
-                                    int num_workers) {
+                                    int num_workers, TpccSums* sums) {
   InvariantReport rep;
   // Rebuilding the benchmark from the same config reproduces the exact
   // schemas the crashed instance was created with.
@@ -151,8 +156,10 @@ InvariantReport CheckTpccInvariants(engine::Engine* engine,
   const std::vector<engine::TableDef> defs = bench.Tables();
   const Schema wsch = defs[TpccBenchmark::kWarehouse].schema;
   const Schema dsch = defs[TpccBenchmark::kDistrict].schema;
+  const Schema csch = defs[TpccBenchmark::kCustomer].schema;
   const Schema osch = defs[TpccBenchmark::kOrder].schema;
   const Schema olsch = defs[TpccBenchmark::kOrderLine].schema;
+  const Schema ssch = defs[TpccBenchmark::kStock].schema;
   const uint64_t warehouses = static_cast<uint64_t>(config.warehouses);
   const int64_t orders0 = config.orders_per_district;
 
@@ -184,6 +191,7 @@ InvariantReport CheckTpccInvariants(engine::Engine* engine,
           st = ctx.Read(TpccBenchmark::kWarehouse, rid, row);
           if (!st.ok()) return st;
           const int64_t w_ytd = wsch.GetLong(row, 1);
+          if (sums != nullptr) sums->w_ytd += w_ytd;
 
           int64_t d_ytd_sum = 0;
           for (uint64_t d = 0;
@@ -197,6 +205,18 @@ InvariantReport CheckTpccInvariants(engine::Engine* engine,
             if (!st.ok()) return st;
             d_ytd_sum += dsch.GetLong(row, 1);
             const int64_t next_o = dsch.GetLong(row, 2);
+            const uint64_t customers =
+                sums != nullptr ? TpccBenchmark::kCustomersPerDistrict : 0;
+            for (uint64_t c = 0; c < customers; ++c) {
+              st = ctx.Probe(TpccBenchmark::kCustomer,
+                             index::Key::FromUint64(
+                                 TpccBenchmark::CustomerKey(w, d, c)),
+                             &rid);
+              if (!st.ok()) return st;
+              st = ctx.Read(TpccBenchmark::kCustomer, rid, row);
+              if (!st.ok()) return st;
+              sums->customer_paid += csch.GetLong(row, 2) - 10;
+            }
             if (next_o < orders0) {
               rep.Violate(Sprintf(
                   "tpcc w=%llu d=%llu: next_o_id %lld below the "
@@ -250,7 +270,11 @@ InvariantReport CheckTpccInvariants(engine::Engine* engine,
                 if (!st.ok()) return st;
                 const uint64_t lkey =
                     static_cast<uint64_t>(olsch.GetLong(line, 0));
-                if ((lkey >> 8) == okey) ++matched;
+                if ((lkey >> 8) != okey) continue;
+                ++matched;
+                if (sums != nullptr) {
+                  sums->order_line_qty += olsch.GetLong(line, 2);
+                }
               }
               if (matched != ol_cnt) {
                 rep.Violate(Sprintf(
@@ -264,6 +288,19 @@ InvariantReport CheckTpccInvariants(engine::Engine* engine,
               }
               lines_total += matched;
             }
+          }
+
+          const uint64_t stock =
+              sums != nullptr ? TpccBenchmark::kStockPerWarehouse : 0;
+          for (uint64_t i = 0; i < stock; ++i) {
+            st = ctx.Probe(TpccBenchmark::kStock,
+                           index::Key::FromUint64(
+                               TpccBenchmark::StockKey(w, i)),
+                           &rid);
+            if (!st.ok()) return st;
+            st = ctx.Read(TpccBenchmark::kStock, rid, row);
+            if (!st.ok()) return st;
+            sums->stock_ytd += ssch.GetLong(row, 2);
           }
 
           if (w_ytd != d_ytd_sum) {
@@ -280,6 +317,7 @@ InvariantReport CheckTpccInvariants(engine::Engine* engine,
       rep.Violate(Sprintf("tpcc audit of warehouse %llu aborted: %s",
                           static_cast<unsigned long long>(w),
                           s.message().c_str()));
+      if (sums != nullptr) sums->complete = false;
     }
   }
 

@@ -9,6 +9,10 @@
 #include "core/tpcc.h"
 #include "engine/engine.h"
 
+namespace imoltp::obs {
+class JsonWriter;
+}  // namespace imoltp::obs
+
 namespace imoltp::fault {
 
 /// Result of one workload-level consistency audit. The audit runs as
@@ -27,6 +31,9 @@ struct InvariantReport {
   }
 };
 
+/// Writes `rep` as a JSON object: ok, violations, checksums.
+void InvariantsToJson(obs::JsonWriter& w, const InvariantReport& rep);
+
 /// TPC-B money conservation. Every AccountUpdate adds the same delta to
 /// one branch, one teller of that branch, and one account of that
 /// branch, so for every branch b:
@@ -41,6 +48,18 @@ InvariantReport CheckTpcbInvariants(engine::Engine* engine,
                                     const core::TpcbBenchmark& bench,
                                     int num_workers);
 
+/// One database's share of the TPC-C sums that balance only across a
+/// whole cluster: a remote Payment or order line puts its two halves
+/// on different nodes. Initial W_YTD and S_YTD are 0 and initial
+/// ytd_paid is 10 per customer.
+struct TpccSums {
+  int64_t w_ytd = 0;           // Σ W_YTD
+  int64_t customer_paid = 0;   // Σ (ytd_paid − 10): payments received
+  int64_t stock_ytd = 0;       // Σ S_YTD
+  int64_t order_line_qty = 0;  // Σ quantities of committed orders
+  bool complete = true;        // no warehouse's audit aborted
+};
+
 /// TPC-C conservation invariants (TPC-C clause 3.3 consistency
 /// conditions, scaled to this implementation):
 ///
@@ -51,9 +70,15 @@ InvariantReport CheckTpcbInvariants(engine::Engine* engine,
 ///      [orders_per_district, D_NEXT_O_ID) the Order row exists and
 ///      exactly O_OL_CNT order lines with its key prefix exist
 ///      (NewOrder inserts them atomically; Delivery never deletes them).
+///
+/// With `sums`, the same audit transactions also add this database's
+/// share to the cluster-wide conservation sums
+/// (dist/cluster_invariants.h) and clear `sums->complete` if a
+/// warehouse's audit aborted.
 InvariantReport CheckTpccInvariants(engine::Engine* engine,
                                     const core::TpccConfig& config,
-                                    int num_workers);
+                                    int num_workers,
+                                    TpccSums* sums = nullptr);
 
 }  // namespace imoltp::fault
 

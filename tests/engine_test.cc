@@ -2,8 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
+#include <new>
+#include <sstream>
+#include <string>
+#include <utility>
 
+#include "core/experiment.h"
+#include "core/tpcc.h"
+#include "fault/fault_injector.h"
+#include "fault/fingerprint.h"
 #include "mcsim/machine.h"
 #include "storage/disk_heap_file.h"
 
@@ -174,15 +183,344 @@ TEST_P(EngineConformanceTest, RegistersEngineSideModules) {
   EXPECT_TRUE(engine_side);
 }
 
+std::string EngineTestName(const ::testing::TestParamInfo<EngineKind>& i) {
+  std::string n = EngineKindName(i.param);
+  for (char& c : n) {
+    if (c == '-' || c == ' ') c = '_';
+  }
+  return n;
+}
+
 INSTANTIATE_TEST_SUITE_P(AllEngines, EngineConformanceTest,
-                         ::testing::ValuesIn(kAllEngines),
-                         [](const ::testing::TestParamInfo<EngineKind>& i) {
-                           std::string n = EngineKindName(i.param);
-                           for (char& c : n) {
-                             if (c == '-' || c == ' ') c = '_';
-                           }
-                           return n;
-                         });
+                         ::testing::ValuesIn(kAllEngines), EngineTestName);
+
+// ---------------------------------------------------------------------------
+// A failed Insert leaves no row behind
+// ---------------------------------------------------------------------------
+
+// Insert appends the row before the primary index (or, on the disk
+// engines, the row lock) can refuse it. The refused row must not stay
+// live: it was never logged, so a recovered database would not have it.
+// The table starts empty, so the appends land at predictable RowIds.
+class FailedInsertFixture {
+ public:
+  explicit FailedInsertFixture(EngineKind kind)
+      : machine_(NoTlb()), fault_(1) {
+    EngineOptions opts;
+    opts.fault_injector = &fault_;
+    engine_ = CreateEngine(kind, &machine_, opts);
+    EXPECT_TRUE(engine_->CreateDatabase({SimpleTable(0)}).ok());
+  }
+
+  Status RunTxn(const std::function<Status(TxnContext&)>& body) {
+    TxnRequest req;
+    req.type = 1;
+    return engine_->Execute(0, req, body);
+  }
+
+  Status Insert(int64_t id, storage::RowId* rid = nullptr) {
+    return RunTxn([&](TxnContext& ctx) {
+      uint8_t row[16];
+      const storage::Schema schema = storage::TwoLongColumns();
+      schema.SetLong(row, 0, id);
+      schema.SetLong(row, 1, id * 10);
+      return ctx.Insert(0, row, index::Key::FromUint64(id), rid);
+    });
+  }
+
+  Status ReadRid(storage::RowId rid, int64_t* id = nullptr) {
+    return RunTxn([&](TxnContext& ctx) {
+      uint8_t row[16];
+      const Status st = ctx.Read(0, rid, row);
+      if (st.ok() && id != nullptr) {
+        *id = storage::TwoLongColumns().GetLong(row, 0);
+      }
+      return st;
+    });
+  }
+
+  mcsim::MachineSim machine_;
+  fault::FaultInjector fault_;
+  std::unique_ptr<Engine> engine_;
+};
+
+class FailedInsertTest : public ::testing::TestWithParam<EngineKind>,
+                         protected FailedInsertFixture {
+ protected:
+  FailedInsertTest() : FailedInsertFixture(GetParam()) {}
+};
+
+TEST_P(FailedInsertTest, DuplicateKeyLeavesNoLiveRow) {
+  storage::RowId first = storage::kInvalidRow;
+  ASSERT_TRUE(Insert(7, &first).ok());
+  const Status dup = Insert(7);
+  EXPECT_EQ(dup.code(), StatusCode::kAlreadyExists) << dup.ToString();
+
+  // The refused duplicate was appended right after the first row.
+  EXPECT_TRUE(ReadRid(first + 1).IsNotFound());
+  // The existing row and its index entry are untouched.
+  int64_t id = 0;
+  ASSERT_TRUE(ReadRid(first, &id).ok());
+  EXPECT_EQ(id, 7);
+  const Status probe = RunTxn([&](TxnContext& ctx) {
+    storage::RowId rid = storage::kInvalidRow;
+    const Status st = ctx.Probe(0, index::Key::FromUint64(7), &rid);
+    EXPECT_EQ(rid, first);
+    return st;
+  });
+  EXPECT_TRUE(probe.ok()) << probe.ToString();
+}
+
+INSTANTIATE_TEST_SUITE_P(AllEngines, FailedInsertTest,
+                         ::testing::ValuesIn(kAllEngines), EngineTestName);
+
+TEST(DiskEngineTest, RefusedInsertLockLeavesNoLiveRow) {
+  for (EngineKind kind : {EngineKind::kShoreMt, EngineKind::kDbmsD}) {
+    SCOPED_TRACE(EngineKindName(kind));
+    FailedInsertFixture t(kind);
+    // The insert's lock is the first lock the engine takes.
+    t.fault_.Arm(fault::kLockConflict, {.probability = 0.0, .nth_hit = 1});
+    EXPECT_TRUE(t.Insert(7).IsAborted());
+    EXPECT_TRUE(t.ReadRid(0).IsNotFound());
+    EXPECT_TRUE(t.Insert(7).ok());
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Pinned simulated signature per engine
+// ---------------------------------------------------------------------------
+
+// TPC-C with rollbacks. Every 16th transaction of a worker is a
+// New-Order whose last line names an unused item (the spec's 1%
+// rollback): it advances the district, inserts the order, the
+// new-order entry and four lines and updates stock before the item
+// probe fails. Every 16th, offset by 8, deletes a pending new-order
+// entry and then fails, so a deleted row is resurrected.
+class RollbackTpcc final : public core::Workload {
+ public:
+  explicit RollbackTpcc(const core::TpccConfig& config)
+      : config_(config),
+        tpcc_(config),
+        new_order_schema_(
+            tpcc_.Tables()[core::TpccBenchmark::kNewOrder].schema),
+        calls_(config.num_partitions) {}
+
+  const char* name() const override { return "tpcc-rollback"; }
+  std::vector<TableDef> Tables() const override { return tpcc_.Tables(); }
+  int NumTransactionTypes() const override {
+    return tpcc_.NumTransactionTypes();
+  }
+  const char* TransactionTypeName(int type) const override {
+    return tpcc_.TransactionTypeName(type);
+  }
+  int LastTransactionType(int worker) const override {
+    return tpcc_.LastTransactionType(worker);
+  }
+
+  Status RunTransaction(Engine* engine, int worker, Rng* rng) override {
+    using core::TpccBenchmark;
+    const uint64_t call = calls_[worker]++;
+    const uint64_t w = static_cast<uint64_t>(config_.warehouses) *
+                       static_cast<uint64_t>(worker) /
+                       static_cast<uint64_t>(config_.num_partitions);
+    if (call % 16 == 15) {
+      TpccBenchmark::NewOrderParams p;
+      p.d = rng->Uniform(TpccBenchmark::kDistrictsPerWarehouse);
+      p.c = rng->Uniform(TpccBenchmark::kCustomersPerDistrict);
+      p.ol_cnt = 5;
+      for (int i = 0; i < p.ol_cnt; ++i) {
+        p.items[i] = rng->Uniform(TpccBenchmark::kItems);
+        p.quantities[i] = 1 + rng->Uniform(10);
+      }
+      p.items[p.ol_cnt - 1] = TpccBenchmark::kItems;  // unused item
+      return tpcc_.ExecuteNewOrderHome(engine, worker, w, p);
+    }
+    if (call % 16 == 7) {
+      const uint64_t d = rng->Uniform(TpccBenchmark::kDistrictsPerWarehouse);
+      TxnRequest req;
+      req.type = TpccBenchmark::kTxnDelivery;
+      req.partition_key = w;
+      req.key_space = static_cast<uint64_t>(config_.warehouses);
+      req.statements = 8;
+      return engine->Execute(worker, req, [&](TxnContext& ctx) {
+        const uint64_t from = TpccBenchmark::OrderKey(w, d, 0);
+        std::vector<storage::RowId> rows;
+        Status st = ctx.Scan(TpccBenchmark::kNewOrder,
+                             index::Key::FromUint64(from), 1, &rows);
+        if (!st.ok() || rows.empty()) return Status::Aborted("no rows");
+        uint8_t row[16];
+        st = ctx.Read(TpccBenchmark::kNewOrder, rows[0], row);
+        if (!st.ok()) return st;
+        const uint64_t key =
+            static_cast<uint64_t>(new_order_schema_.GetLong(row, 0));
+        st = ctx.Delete(TpccBenchmark::kNewOrder, rows[0],
+                        index::Key::FromUint64(key));
+        if (!st.ok()) return st;
+        return Status::Aborted("delivery rolled back");
+      });
+    }
+    return tpcc_.RunTransaction(engine, worker, rng);
+  }
+
+ private:
+  core::TpccConfig config_;
+  core::TpccBenchmark tpcc_;
+  storage::Schema new_order_schema_;
+  std::vector<uint64_t> calls_;
+};
+
+// Everything of a run that does not depend on host addresses.
+struct Signature {
+  uint64_t instructions = 0;
+  uint64_t committed = 0;
+  uint64_t aborted = 0;
+  std::array<uint64_t, obs::kNumSpanKinds> spans{};
+  uint64_t log_fnv = 0;
+  std::vector<std::pair<std::string, uint64_t>> module_instructions;
+
+  bool operator==(const Signature&) const = default;
+};
+
+// The signature as a C++ initializer, to paste into kPinned.
+std::string ToCpp(const Signature& sig) {
+  std::ostringstream os;
+  os << "{" << sig.instructions << "ull, " << sig.committed << ", "
+     << sig.aborted << ", {";
+  for (size_t i = 0; i < sig.spans.size(); ++i) {
+    os << (i ? ", " : "") << sig.spans[i];
+  }
+  os << "}, 0x" << std::hex << sig.log_fnv << std::dec << "ull, {";
+  for (size_t i = 0; i < sig.module_instructions.size(); ++i) {
+    os << (i ? ", " : "") << "{\"" << sig.module_instructions[i].first
+       << "\", " << sig.module_instructions[i].second << "ull}";
+  }
+  os << "}}";
+  return os.str();
+}
+
+Signature RunSignature(EngineKind kind) {
+  core::TpccConfig tcfg;
+  tcfg.warehouses = 2;
+  tcfg.orders_per_district = 30;
+  tcfg.num_partitions = 2;
+  RollbackTpcc workload(tcfg);
+
+  core::ExperimentConfig cfg;
+  cfg.engine = kind;
+  cfg.num_workers = 2;
+  cfg.warmup_txns = 20;
+  cfg.measure_txns = 200;
+  cfg.seed = 17;
+  cfg.parallel_mode = core::ParallelMode::kSerial;
+  // Checkpointing on, so the log carries before-images and
+  // compensation records; no checkpoint begins within the run, so no
+  // truncation shortens the pinned log.
+  cfg.engine_options.checkpoint.enabled = true;
+  cfg.engine_options.checkpoint.every_n_ticks = 1u << 30;
+  auto runner = core::ExperimentRunner::Create(cfg, &workload);
+  EXPECT_TRUE(runner.ok()) << runner.status().ToString();
+  if (!runner.ok()) return {};
+  EXPECT_TRUE((*runner)->Run(&workload).ok());
+
+  Signature sig;
+  mcsim::MachineSim* machine = (*runner)->machine();
+  const mcsim::ModuleRegistry& modules = machine->modules();
+  for (int m = 0; m < modules.size(); ++m) {
+    uint64_t n = 0;
+    for (int c = 0; c < machine->num_cores(); ++c) {
+      n += machine->core(c).counters().per_module[m].instructions;
+    }
+    if (n != 0) sig.module_instructions.emplace_back(modules.info(m).name, n);
+  }
+  for (int c = 0; c < machine->num_cores(); ++c) {
+    sig.instructions += machine->core(c).counters().instructions;
+  }
+  sig.committed = (*runner)->committed();
+  sig.aborted = (*runner)->aborts();
+  for (int k = 0; k < obs::kNumSpanKinds; ++k) {
+    sig.spans[k] = (*runner)->spans().stats(static_cast<obs::SpanKind>(k)).count;
+  }
+  const std::vector<txn::LogRecord> log = (*runner)->engine()->StableLog();
+  sig.log_fnv = fault::FnvLog(fault::kFnvOffset, log);
+
+  // The run covers what the pinned signature claims to cover.
+  uint64_t clrs = 0, deletes = 0, before_images = 0;
+  for (const txn::LogRecord& rec : log) {
+    clrs += rec.clr ? 1 : 0;
+    deletes += rec.op == txn::LogOp::kDelete && !rec.clr ? 1 : 0;
+    before_images += rec.before.empty() ? 0 : 1;
+  }
+  EXPECT_GT(sig.aborted, 0u);
+  if (kind != EngineKind::kVoltDb) {  // command log: no physical records
+    EXPECT_GT(clrs, 0u);
+    EXPECT_GT(deletes, 0u);
+    EXPECT_GT(before_images, 0u);
+  }
+  return sig;
+}
+
+class PinnedSignatureTest : public ::testing::TestWithParam<EngineKind> {};
+
+// The engines' data-operation paths are shared plumbing: any change to
+// them must leave every simulated event where it was. These signatures
+// pin a seeded serial TPC-C run with checkpointing on (before-images
+// and compensation records are logged) that covers New-Order and
+// deletion rollbacks, Delivery deletes, by-name secondary scans and
+// Stock-Level scans.
+TEST_P(PinnedSignatureTest, SerialTpccSignatureIsPinned) {
+  static const std::pair<EngineKind, Signature> kPinned[] = {
+      {EngineKind::kShoreMt,
+       {305065174ull, 350, 50, {11131, 20711, 7302, 20477},
+        0x4848dbbeb699d5f3ull,
+        {{"<none>", 79608400ull}, {"sm-xct", 2288000ull},
+         {"sm-xct", 2464000ull}, {"sm-btree", 63503876ull},
+         {"sm-bufferpool", 91132790ull}, {"sm-lock", 52895071ull},
+         {"sm-log", 13173037ull}}}},
+      {EngineKind::kDbmsD,
+       {324984917ull, 350, 50, {11131, 20711, 7302, 20477},
+        0x4848dbbeb699d5f3ull,
+        {{"<none>", 79608400ull}, {"network", 3469200ull},
+         {"parser", 3344000ull}, {"optimizer", 3080000ull},
+         {"plan-exec", 40072400ull}, {"sm-xct", 1584000ull},
+         {"sm-xct", 1672000ull}, {"sm-btree", 54101476ull},
+         {"sm-bufferpool", 78119390ull}, {"sm-lock", 48387414ull},
+         {"sm-log", 11546637ull}}}},
+      {EngineKind::kVoltDb,
+       {167994784ull, 350, 50, {11074, 400, 316, 20477},
+        0x607ccb0130169b6ull,
+        {{"<none>", 104608920ull}, {"dispatch", 4048000ull},
+         {"exec-engine", 44698624ull}, {"ee-index", 13664440ull},
+         {"ee-commit", 694800ull}, {"cmd-log", 280000ull}}}},
+      {EngineKind::kHyPer,
+       {38773743ull, 350, 50, {11074, 400, 7302, 20477},
+        0x31e280dc6445195eull,
+        {{"<none>", 23370414ull}, {"dispatch", 132000ull},
+         {"txn-commit", 77200ull}, {"redo-log", 1391040ull},
+         {"compiled-txn#20", 7689731ull},
+         {"compiled-txn#21", 1735890ull},
+         {"compiled-txn#22", 117076ull},
+         {"compiled-txn#23", 875098ull},
+         {"compiled-txn#24", 3385294ull}}}},
+      {EngineKind::kDbmsM,
+       {66740774ull, 350, 50, {11074, 0, 7252, 20427},
+        0xbee1b4d655f6a0baull,
+        {{"<none>", 9547378ull}, {"legacy-session", 1848000ull},
+         {"legacy-query", 2200000ull}, {"legacy-txn", 1325280ull},
+         {"mvcc", 21801567ull}, {"compiled-op", 16059160ull},
+         {"mm-index", 6763013ull}, {"mvcc-commit", 1137876ull},
+         {"mm-log", 6058500ull}}}},
+  };
+  const Signature got = RunSignature(GetParam());
+  const Signature* want = nullptr;
+  for (const auto& [kind, sig] : kPinned) {
+    if (kind == GetParam()) want = &sig;
+  }
+  ASSERT_NE(want, nullptr) << "observed: " << ToCpp(got);
+  EXPECT_EQ(got, *want) << "observed: " << ToCpp(got);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllEngines, PinnedSignatureTest,
+                         ::testing::ValuesIn(kAllEngines), EngineTestName);
 
 // ---------------------------------------------------------------------------
 // Engine-specific behavior
@@ -320,6 +658,40 @@ TEST(VoltDbTest, MultiSiteModeRaisesInstructionFootprint) {
     instr[single_site] = m.core(0).counters().instructions - before;
   }
   EXPECT_GT(instr[0], instr[1]);  // multi-site path costs more
+}
+
+TEST(VoltDbTest, CommandRecordIgnoresRequestPadding) {
+  // Two requests with equal fields whose padding bytes differ (the
+  // placement-new default-initializes the fields and leaves the
+  // padding as the buffer held it) must log equal command records.
+  mcsim::MachineSim m(NoTlb());
+  auto engine = CreateEngine(EngineKind::kVoltDb, &m, EngineOptions());
+  ASSERT_TRUE(engine->CreateDatabase({SimpleTable(100)}).ok());
+  for (const uint8_t fill : {uint8_t{0xAA}, uint8_t{0x55}}) {
+    alignas(TxnRequest) uint8_t buf[sizeof(TxnRequest)];
+    std::memset(buf, fill, sizeof(buf));
+    TxnRequest* req = new (buf) TxnRequest;
+    req->type = 3;
+    req->partition_key = 5;
+    req->key_space = 100;
+    req->statements = 2;
+    const int64_t value = 9;
+    const Status s = engine->Execute(0, *req, [&](TxnContext& ctx) {
+      storage::RowId rid;
+      const Status st = ctx.Probe(0, index::Key::FromUint64(5), &rid);
+      if (!st.ok()) return st;
+      return ctx.Update(0, rid, 1, &value);
+    });
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    req->~TxnRequest();
+  }
+  std::vector<std::vector<uint8_t>> payloads;
+  for (const txn::LogRecord& rec : engine->StableLog()) {
+    if (rec.op == txn::LogOp::kCommand) payloads.push_back(rec.payload);
+  }
+  ASSERT_EQ(payloads.size(), 2u);
+  EXPECT_EQ(payloads[0].size(), sizeof(TxnRequest));
+  EXPECT_EQ(payloads[0], payloads[1]);
 }
 
 }  // namespace
