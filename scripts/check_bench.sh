@@ -6,6 +6,7 @@
 #     and the --json verdict names the failing cell metric;
 #   - a bench matrix against a run report is a usage error (exit 2);
 #   - --max-regress on two run reports is a usage error (exit 2);
+#   - a report with a repeated object key is a parse error (exit 2);
 #   - a tpcc-cluster cell reports the references its nodes simulated
 #     and its peak RSS.
 # Exercises the full trajectory loop — run, serialize, parse, tolerance
@@ -73,7 +74,13 @@ expect_exit 2 "bench matrix vs run report" "$base" "$golden"
 expect_exit 2 "--max-regress on run reports" --max-regress=0.5 \
             "$golden" "$golden"
 
-# 5. Cluster cells count the references of every node's machine and
+# 5. A report with a repeated object key is a parse error: member lookup
+# would pair the wrong entries.
+duplicated="$outdir/regression_duplicated.json"
+sed -E '0,/^\{/s//{"schema_version":8,/' "$golden" > "$duplicated"
+expect_exit 2 "duplicate object key" "$golden" "$duplicated"
+
+# 6. Cluster cells count the references of every node's machine and
 # report the process's peak RSS.
 cluster="$outdir/BENCH_smoke_cluster.json"
 "$imoltp_bench" --label=smoke-cluster --out="$cluster" \

@@ -229,17 +229,22 @@ void ExperimentRunner::RunPhase(Workload* workload, ParallelMode mode,
     // feeds no cycle math).
     if (!committed_txn) core->CountAbort();
     if (measure) {
-      const mcsim::CoreCounters delta = core->counters() - before;
-      sinks.lat->Add(mcsim::SimulatedCycles(delta, params));
+      const mcsim::CoreCounters& after = core->counters();
+      sinks.lat->Add(mcsim::SimulatedCycles(
+          mcsim::AggregateCounters(after) - mcsim::AggregateCounters(before),
+          params));
       // Module×txn-type attribution: the whole final-outcome delta
       // (every attempt plus backoff) lands on this transaction's type.
+      // Only registered modules count anything (a compiled engine may
+      // register one during the transaction); the rest would add +0.0.
       const int type = workload->LastTransactionType(w);
       if (sinks.matrix != nullptr && type >= 0 &&
           static_cast<size_t>(type) < sinks.matrix->counts.size()) {
         ++sinks.matrix->counts[type];
-        for (int m = 0; m < mcsim::kMaxModules; ++m) {
-          sinks.matrix->cycles[type][m] +=
-              mcsim::SimulatedCycles(delta.per_module[m], params);
+        const int modules = machine_->modules().size();
+        for (int m = 0; m < modules; ++m) {
+          sinks.matrix->cycles[type][m] += mcsim::SimulatedCycles(
+              after.per_module[m] - before.per_module[m], params);
         }
       }
     }

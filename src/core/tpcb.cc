@@ -11,9 +11,10 @@ using storage::Schema;
 
 // Branch/Teller/Account: [id, balance, filler]; History: [id, amount,
 // filler]. The 50-byte String filler approximates TPC-B's ~100-byte rows.
-Schema RowSchema() {
-  return Schema({ColumnType::kLong, ColumnType::kLong,
-                 ColumnType::kString});
+const Schema& RowSchema() {
+  static const Schema schema({ColumnType::kLong, ColumnType::kLong,
+                              ColumnType::kString});
+  return schema;
 }
 
 constexpr uint64_t kAccountFootprint = 110;  // bytes per populated account
@@ -88,7 +89,7 @@ Status TpcbBenchmark::RunTransaction(engine::Engine* engine, int worker,
 
   return engine->Execute(worker, req, [&](engine::TxnContext& ctx) {
     uint8_t row[128];
-    const Schema schema = RowSchema();
+    const Schema& schema = RowSchema();
 
     // Update the account balance.
     storage::RowId rid;

@@ -69,31 +69,81 @@ Schema StockSchema() {
                  ColumnType::kLong, ColumnType::kString});
 }
 
-void GenWarehouse(const Schema& s, RowId r, uint64_t seed, uint8_t* out) {
-  s.SetLong(out, 0, static_cast<int64_t>(r));
-  s.SetLong(out, 1, 0);  // ytd
-  FillString(s, out, 2, Mix64(seed ^ r));
+// Primary keys of the initial rows, in closed form: one helper per
+// table, shared by its row generator (column 0) and its key_of.
+uint64_t WarehousePk(RowId r) { return r; }
+
+uint64_t DistrictPk(RowId r) {
+  return TpccBenchmark::DistrictKey(
+      r / TpccBenchmark::kDistrictsPerWarehouse,
+      r % TpccBenchmark::kDistrictsPerWarehouse);
 }
 
-void GenDistrict(const Schema& s, RowId r, uint64_t seed, uint8_t* out) {
-  const uint64_t w = r / TpccBenchmark::kDistrictsPerWarehouse;
-  const uint64_t d = r % TpccBenchmark::kDistrictsPerWarehouse;
-  s.SetLong(out, 0,
-            static_cast<int64_t>(TpccBenchmark::DistrictKey(w, d)));
-  s.SetLong(out, 1, 0);  // ytd
-  s.SetLong(out, 2, static_cast<int64_t>(LayoutOrders(seed)));  // next o
-  FillString(s, out, 3, Mix64(seed ^ r));
-}
-
-void GenCustomer(const Schema& s, RowId r, uint64_t seed, uint8_t* out) {
+uint64_t CustomerPk(RowId r) {
   const uint64_t per_w = TpccBenchmark::kDistrictsPerWarehouse *
                          TpccBenchmark::kCustomersPerDistrict;
   const uint64_t w = r / per_w;
   const uint64_t d =
       (r % per_w) / TpccBenchmark::kCustomersPerDistrict;
   const uint64_t c = r % TpccBenchmark::kCustomersPerDistrict;
-  s.SetLong(out, 0,
-            static_cast<int64_t>(TpccBenchmark::CustomerKey(w, d, c)));
+  return TpccBenchmark::CustomerKey(w, d, c);
+}
+
+uint64_t OrderPk(RowId r, uint64_t seed) {
+  const uint64_t orders = LayoutOrders(seed);
+  const uint64_t per_w = TpccBenchmark::kDistrictsPerWarehouse * orders;
+  const uint64_t w = r / per_w;
+  const uint64_t d = (r % per_w) / orders;
+  const uint64_t o = r % orders;
+  return TpccBenchmark::OrderKey(w, d, o);
+}
+
+uint64_t NewOrderPk(RowId r, uint64_t seed) {
+  // The newest third of each district's initial orders are undelivered.
+  const uint64_t orders = LayoutOrders(seed);
+  const uint64_t pending = orders / 3;
+  const uint64_t per_w = TpccBenchmark::kDistrictsPerWarehouse * pending;
+  const uint64_t w = r / per_w;
+  const uint64_t d = (r % per_w) / pending;
+  const uint64_t o = orders - pending + (r % pending);
+  return TpccBenchmark::OrderKey(w, d, o);
+}
+
+constexpr uint64_t kLinesPerInitialOrder = 10;
+
+uint64_t OrderLinePk(RowId r, uint64_t seed) {
+  const uint64_t orders = LayoutOrders(seed);
+  const uint64_t order_r = r / kLinesPerInitialOrder;
+  const uint64_t l = r % kLinesPerInitialOrder;
+  const uint64_t per_w = TpccBenchmark::kDistrictsPerWarehouse * orders;
+  const uint64_t w = order_r / per_w;
+  const uint64_t d = (order_r % per_w) / orders;
+  const uint64_t o = order_r % orders;
+  return TpccBenchmark::OrderLineKey(w, d, o, l);
+}
+
+uint64_t ItemPk(RowId r) { return r; }
+
+uint64_t StockPk(RowId r) {
+  return TpccBenchmark::StockKey(r / TpccBenchmark::kStockPerWarehouse,
+                                 r % TpccBenchmark::kStockPerWarehouse);
+}
+
+void GenWarehouse(const Schema& s, RowId r, uint64_t seed, uint8_t* out) {
+  s.SetLong(out, 0, static_cast<int64_t>(WarehousePk(r)));
+  s.SetLong(out, 1, 0);  // ytd
+  FillString(s, out, 2, Mix64(seed ^ r));
+}
+
+void GenDistrict(const Schema& s, RowId r, uint64_t seed, uint8_t* out) {
+  s.SetLong(out, 0, static_cast<int64_t>(DistrictPk(r)));
+  s.SetLong(out, 1, 0);  // ytd
+  s.SetLong(out, 2, static_cast<int64_t>(LayoutOrders(seed)));  // next o
+  FillString(s, out, 3, Mix64(seed ^ r));
+}
+
+void GenCustomer(const Schema& s, RowId r, uint64_t seed, uint8_t* out) {
+  s.SetLong(out, 0, static_cast<int64_t>(CustomerPk(r)));
   s.SetLong(out, 1, -10);  // balance
   s.SetLong(out, 2, 10);   // ytd payment
   s.SetLong(out, 3, 1);    // payment count
@@ -101,13 +151,7 @@ void GenCustomer(const Schema& s, RowId r, uint64_t seed, uint8_t* out) {
 }
 
 void GenOrder(const Schema& s, RowId r, uint64_t seed, uint8_t* out) {
-  const uint64_t orders = LayoutOrders(seed);
-  const uint64_t per_w = TpccBenchmark::kDistrictsPerWarehouse * orders;
-  const uint64_t w = r / per_w;
-  const uint64_t d = (r % per_w) / orders;
-  const uint64_t o = r % orders;
-  s.SetLong(out, 0,
-            static_cast<int64_t>(TpccBenchmark::OrderKey(w, d, o)));
+  s.SetLong(out, 0, static_cast<int64_t>(OrderPk(r, seed)));
   s.SetLong(out, 1,
             static_cast<int64_t>(Mix64(seed ^ r) %
                                  TpccBenchmark::kCustomersPerDistrict));
@@ -116,29 +160,11 @@ void GenOrder(const Schema& s, RowId r, uint64_t seed, uint8_t* out) {
 }
 
 void GenNewOrder(const Schema& s, RowId r, uint64_t seed, uint8_t* out) {
-  // The newest third of each district's initial orders are undelivered.
-  const uint64_t orders = LayoutOrders(seed);
-  const uint64_t pending = orders / 3;
-  const uint64_t per_w = TpccBenchmark::kDistrictsPerWarehouse * pending;
-  const uint64_t w = r / per_w;
-  const uint64_t d = (r % per_w) / pending;
-  const uint64_t o = orders - pending + (r % pending);
-  s.SetLong(out, 0,
-            static_cast<int64_t>(TpccBenchmark::OrderKey(w, d, o)));
+  s.SetLong(out, 0, static_cast<int64_t>(NewOrderPk(r, seed)));
 }
 
 void GenOrderLine(const Schema& s, RowId r, uint64_t seed, uint8_t* out) {
-  const uint64_t orders = LayoutOrders(seed);
-  const uint64_t lines_per_order = 10;
-  const uint64_t order_r = r / lines_per_order;
-  const uint64_t l = r % lines_per_order;
-  const uint64_t per_w = TpccBenchmark::kDistrictsPerWarehouse * orders;
-  const uint64_t w = order_r / per_w;
-  const uint64_t d = (order_r % per_w) / orders;
-  const uint64_t o = order_r % orders;
-  s.SetLong(out, 0,
-            static_cast<int64_t>(
-                TpccBenchmark::OrderLineKey(w, d, o, l)));
+  s.SetLong(out, 0, static_cast<int64_t>(OrderLinePk(r, seed)));
   s.SetLong(out, 1,
             static_cast<int64_t>(Mix64(seed ^ r) % TpccBenchmark::kItems));
   s.SetLong(out, 2, 5);                                    // quantity
@@ -147,54 +173,42 @@ void GenOrderLine(const Schema& s, RowId r, uint64_t seed, uint8_t* out) {
 }
 
 void GenItem(const Schema& s, RowId r, uint64_t seed, uint8_t* out) {
-  s.SetLong(out, 0, static_cast<int64_t>(r));
+  s.SetLong(out, 0, static_cast<int64_t>(ItemPk(r)));
   s.SetLong(out, 1, static_cast<int64_t>(100 + Mix64(seed ^ r) % 9900));
   FillString(s, out, 2, Mix64(seed ^ r));
 }
 
 void GenStock(const Schema& s, RowId r, uint64_t seed, uint8_t* out) {
-  const uint64_t w = r / TpccBenchmark::kStockPerWarehouse;
-  const uint64_t i = r % TpccBenchmark::kStockPerWarehouse;
-  s.SetLong(out, 0,
-            static_cast<int64_t>(TpccBenchmark::StockKey(w, i)));
+  s.SetLong(out, 0, static_cast<int64_t>(StockPk(r)));
   s.SetLong(out, 1, static_cast<int64_t>(10 + Mix64(seed ^ r) % 91));
   s.SetLong(out, 2, 0);  // ytd
   s.SetLong(out, 3, 0);  // order count
   FillString(s, out, 4, Mix64(seed ^ (r * 5)));
 }
 
-index::Key KeyFromCol0(const Schema& schema, RowId r, uint64_t seed,
-                       void (*gen)(const Schema&, RowId, uint64_t,
-                                   uint8_t*)) {
-  uint8_t buf[256];
-  gen(schema, r, seed, buf);
-  return index::Key::FromUint64(
-      static_cast<uint64_t>(schema.GetLong(buf, 0)));
+index::Key KeyWarehouse(const Schema&, RowId r, uint64_t) {
+  return index::Key::FromUint64(WarehousePk(r));
 }
-
-index::Key KeyWarehouse(const Schema& s, RowId r, uint64_t seed) {
-  return KeyFromCol0(s, r, seed, GenWarehouse);
+index::Key KeyDistrict(const Schema&, RowId r, uint64_t) {
+  return index::Key::FromUint64(DistrictPk(r));
 }
-index::Key KeyDistrict(const Schema& s, RowId r, uint64_t seed) {
-  return KeyFromCol0(s, r, seed, GenDistrict);
+index::Key KeyCustomer(const Schema&, RowId r, uint64_t) {
+  return index::Key::FromUint64(CustomerPk(r));
 }
-index::Key KeyCustomer(const Schema& s, RowId r, uint64_t seed) {
-  return KeyFromCol0(s, r, seed, GenCustomer);
+index::Key KeyOrder(const Schema&, RowId r, uint64_t seed) {
+  return index::Key::FromUint64(OrderPk(r, seed));
 }
-index::Key KeyOrder(const Schema& s, RowId r, uint64_t seed) {
-  return KeyFromCol0(s, r, seed, GenOrder);
+index::Key KeyNewOrder(const Schema&, RowId r, uint64_t seed) {
+  return index::Key::FromUint64(NewOrderPk(r, seed));
 }
-index::Key KeyNewOrder(const Schema& s, RowId r, uint64_t seed) {
-  return KeyFromCol0(s, r, seed, GenNewOrder);
+index::Key KeyOrderLine(const Schema&, RowId r, uint64_t seed) {
+  return index::Key::FromUint64(OrderLinePk(r, seed));
 }
-index::Key KeyOrderLine(const Schema& s, RowId r, uint64_t seed) {
-  return KeyFromCol0(s, r, seed, GenOrderLine);
+index::Key KeyItem(const Schema&, RowId r, uint64_t) {
+  return index::Key::FromUint64(ItemPk(r));
 }
-index::Key KeyItem(const Schema& s, RowId r, uint64_t seed) {
-  return KeyFromCol0(s, r, seed, GenItem);
-}
-index::Key KeyStock(const Schema& s, RowId r, uint64_t seed) {
-  return KeyFromCol0(s, r, seed, GenStock);
+index::Key KeyStock(const Schema&, RowId r, uint64_t) {
+  return index::Key::FromUint64(StockPk(r));
 }
 
 // Secondary keys derived from row images (maintained on insert/delete).

@@ -135,12 +135,12 @@ class DiskEngine::Ctx final : public EngineBase::CtxBase {
                 const index::Key& key) override {
     Status s = Lock(table, row, txn::LockMode::kExclusive);
     if (!s.ok()) return s;
-    std::vector<uint8_t> before(schema(table).row_bytes());
+    uint8_t* before = RowScratch(table);
     {
       obs::ScopedSpan span(&e_->spans_, core_,
                            obs::SpanKind::kStorageAccess);
       mcsim::ScopedModule mod(core_, HeapRegion().module);
-      s = ReadRow(table, row, before.data());
+      s = ReadRow(table, row, before);
       if (!s.ok()) return s;
     }
     {
@@ -148,7 +148,7 @@ class DiskEngine::Ctx final : public EngineBase::CtxBase {
                            obs::SpanKind::kIndexProbe);
       mcsim::ScopedModule mod(core_, e_->btree_.module);
       e_->Exec(core_, e_->btree_);
-      s = RemoveKeys(table, key, before.data());
+      s = RemoveKeys(table, key, before);
       if (!s.ok()) return s;
     }
     {
@@ -163,8 +163,8 @@ class DiskEngine::Ctx final : public EngineBase::CtxBase {
                          obs::SpanKind::kLogAppend);
     mcsim::ScopedModule mod(core_, e_->log_.module);
     e_->Exec(core_, e_->log_);
-    LogDelete(table, row, key, before.data());
-    Deleted(table, row, key, std::move(before));
+    LogDelete(table, row, key, before);
+    Deleted(table, row, key, before);
     return Status::Ok();
   }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <unordered_map>
+#include <utility>
 
 namespace imoltp::engine {
 
@@ -17,6 +18,7 @@ EngineBase::EngineBase(mcsim::MachineSim* machine,
         std::make_unique<txn::LogManager>(options_.log_buffer_bytes));
     logs_.back()->set_fault_injector(options_.fault_injector);
   }
+  undo_logs_.resize(machine_->num_cores());
   if (options_.checkpoint.enabled) {
     ckpt_ = std::make_unique<txn::CheckpointManager>(options_.checkpoint);
   }
@@ -286,47 +288,45 @@ void EngineBase::CtxBase::Rollback() {
   // may have captured the transaction's in-place writes. Recovery
   // replays them unconditionally, repeating this rollback.
   const bool clr = engine_->ckpt_logging() && engine_->logs_physical();
-  for (auto it = undo.rbegin(); it != undo.rend(); ++it) {
-    UndoEntry& u = *it;
+  for (auto it = undo.entries.rbegin(); it != undo.entries.rend(); ++it) {
+    const UndoLog::Entry& u = *it;
     TableRt& rt = engine_->tables_[u.table];
     Slice& s = rt.slices[u.slice];
-    const uint32_t bytes = static_cast<uint32_t>(u.image.size());
+    const uint8_t* image = undo.image(u);
     switch (u.kind) {
-      case UndoEntry::Kind::kColumnImage:
-        engine_->SliceWriteColumn(core_, s, u.row, u.column,
-                                  u.image.data());
+      case UndoLog::Kind::kColumnImage:
+        engine_->SliceWriteColumn(core_, s, u.row, u.column, image);
         if (clr) {
           Log(txn::LogOp::kUpdate, u.table, u.row,
-              static_cast<int>(u.column), u.image.data(), bytes, nullptr,
+              static_cast<int>(u.column), image, u.image_bytes, nullptr,
               nullptr, 0, /*clr=*/true);
         }
         break;
-      case UndoEntry::Kind::kInsertedRow:
+      case UndoLog::Kind::kInsertedRow:
         if (s.primary != nullptr) s.primary->Remove(core_, u.key);
-        if (!u.image.empty()) {
-          engine_->RemoveSecondaries(core_, rt, s, u.image.data());
+        if (u.image_bytes != 0) {
+          engine_->RemoveSecondaries(core_, rt, s, image);
         }
         engine_->SliceDelete(core_, s, u.row);
         if (clr) {
           Log(txn::LogOp::kDelete, u.table, u.row, -1, nullptr, 0, &u.key,
-              u.image.data(), bytes, /*clr=*/true);
+              image, u.image_bytes, /*clr=*/true);
         }
         break;
-      case UndoEntry::Kind::kDeletedRow: {
+      case UndoLog::Kind::kDeletedRow: {
         // Resurrect the row (possibly at a fresh slot) and re-index it.
-        const storage::RowId rid =
-            engine_->SliceAppend(core_, s, u.image.data());
+        const storage::RowId rid = engine_->SliceAppend(core_, s, image);
         if (s.primary != nullptr) s.primary->Insert(core_, u.key, rid);
-        engine_->InsertSecondaries(core_, rt, s, u.image.data(), rid);
+        engine_->InsertSecondaries(core_, rt, s, image, rid);
         if (clr) {
-          Log(txn::LogOp::kInsert, u.table, rid, -1, u.image.data(), bytes,
+          Log(txn::LogOp::kInsert, u.table, rid, -1, image, u.image_bytes,
               &u.key, nullptr, 0, /*clr=*/true);
         }
         break;
       }
     }
   }
-  undo.clear();
+  undo.Clear();
 }
 
 Status EngineBase::CtxBase::Lookup(int table, const index::Key& key,
@@ -358,13 +358,12 @@ Status EngineBase::CtxBase::UpdateInPlace(int table, storage::RowId row,
                                           const void* value) {
   // Before-image for undo: in-place writes must be reversible on abort.
   const storage::Schema& sch = schema(table);
-  std::vector<uint8_t> before(sch.row_bytes());
-  const Status s = ReadRow(table, row, before.data());
+  uint8_t* before = RowScratch(table);
+  const Status s = ReadRow(table, row, before);
   if (!s.ok()) return s;
-  const uint8_t* old = sch.ColumnPtr(before.data(), column);
-  undo.push_back({UndoEntry::Kind::kColumnImage, table, slice_, row, column,
-                  std::vector<uint8_t>(old, old + sch.column_width(column)),
-                  index::Key()});
+  undo.Push(UndoLog::Kind::kColumnImage, table, slice_, row, column,
+            sch.ColumnPtr(before, column), sch.column_width(column),
+            index::Key());
   if (!engine_->SliceWriteColumn(core_, slice(table), row, column,
                                  value)) {
     return Status::NotFound();
@@ -394,10 +393,8 @@ Status EngineBase::CtxBase::Inserted(int table, storage::RowId rid,
                                      const index::Key& key,
                                      const uint8_t* row,
                                      storage::RowId* out_row) {
-  undo.push_back({UndoEntry::Kind::kInsertedRow, table, slice_, rid,
-                  /*column=*/0,
-                  std::vector<uint8_t>(row, row + schema(table).row_bytes()),
-                  key});
+  undo.Push(UndoLog::Kind::kInsertedRow, table, slice_, rid, /*column=*/0,
+            row, schema(table).row_bytes(), key);
   dirty = true;
   if (out_row != nullptr) *out_row = rid;
   return Status::Ok();
@@ -414,10 +411,10 @@ Status EngineBase::CtxBase::RemoveKeys(int table, const index::Key& key,
 void EngineBase::CtxBase::LogColumnUpdate(int table, storage::RowId row,
                                           uint32_t column,
                                           const void* value) {
-  const std::vector<uint8_t>& before = undo.back().image;
+  const UndoLog::Entry& u = undo.entries.back();
   Log(txn::LogOp::kUpdate, table, row, static_cast<int>(column), value,
-      schema(table).column_width(column), nullptr, before.data(),
-      static_cast<uint32_t>(before.size()));
+      schema(table).column_width(column), nullptr, undo.image(u),
+      u.image_bytes);
 }
 
 void EngineBase::CtxBase::LogRowUpdate(int table, storage::RowId row,
@@ -475,30 +472,37 @@ uint64_t EngineBase::AppendedLogRecords() const {
 }
 
 std::vector<txn::LogRecord> EngineBase::StableLog() const {
-  std::vector<txn::LogRecord> merged;
-  for (const auto& log : logs_) {
-    const auto& records = log->stable_log();
-    merged.insert(merged.end(), records.begin(), records.end());
-  }
-  std::sort(merged.begin(), merged.end(),
-            [](const txn::LogRecord& a, const txn::LogRecord& b) {
-              return a.lsn < b.lsn;
-            });
-  return merged;
+  return MergedLog(/*flushed_only=*/false);
 }
 
 std::vector<txn::LogRecord> EngineBase::FlushedLog() const {
-  std::vector<txn::LogRecord> merged;
+  return MergedLog(/*flushed_only=*/true);
+}
+
+std::vector<txn::LogRecord> EngineBase::MergedLog(bool flushed_only) const {
+  // Per worker log: the index of its next record and its record count.
+  std::vector<std::pair<uint64_t, uint64_t>> cursors;
+  uint64_t total = 0;
   for (const auto& log : logs_) {
-    const auto& records = log->stable_log();
-    merged.insert(merged.end(), records.begin(),
-                  records.begin() +
-                      static_cast<std::ptrdiff_t>(log->flushed_records()));
+    const uint64_t n = flushed_only ? log->flushed_records() : log->records();
+    cursors.emplace_back(0, n);
+    total += n;
   }
-  std::sort(merged.begin(), merged.end(),
-            [](const txn::LogRecord& a, const txn::LogRecord& b) {
-              return a.lsn < b.lsn;
-            });
+  std::vector<txn::LogRecord> merged;
+  merged.reserve(total);
+  while (true) {
+    size_t next = logs_.size();
+    for (size_t w = 0; w < logs_.size(); ++w) {
+      if (cursors[w].first == cursors[w].second) continue;
+      if (next == logs_.size() ||
+          logs_[w]->record(cursors[w].first).lsn <
+              logs_[next]->record(cursors[next].first).lsn) {
+        next = w;
+      }
+    }
+    if (next == logs_.size()) break;
+    merged.push_back(logs_[next]->record(cursors[next].first++));
+  }
   return merged;
 }
 

@@ -132,17 +132,51 @@ class EngineBase : public Engine {
                     storage::RowId row, const uint8_t* image,
                     bool present);
 
-  /// Per-transaction undo record (before-images / structural inverses)
-  /// for engines that modify state in place before commit.
-  struct UndoEntry {
+  /// A worker's undo log for engines that modify state in place before
+  /// commit: the running transaction's before-images and structural
+  /// inverses. Images are packed into one byte arena and addressed by
+  /// offset (the arena moves when it grows). Each worker owns one log
+  /// and reuses it across transactions, so once its buffers have grown
+  /// to the largest transaction, undo allocates nothing.
+  struct UndoLog {
     enum class Kind { kColumnImage, kInsertedRow, kDeletedRow };
-    Kind kind;
-    int table;
-    int slice;
-    storage::RowId row;
-    uint32_t column = 0;
-    std::vector<uint8_t> image;  // before-image (column or full row)
-    index::Key key;
+    struct Entry {
+      Kind kind;
+      int table;
+      int slice;
+      storage::RowId row;
+      uint32_t column;
+      uint32_t image_offset;  // before-image (column or full row)
+      uint32_t image_bytes;
+      index::Key key;
+    };
+
+    bool empty() const { return entries.empty(); }
+    void Clear() {
+      entries.clear();
+      arena.clear();
+    }
+    void Push(Kind kind, int table, int slice, storage::RowId row,
+              uint32_t column, const uint8_t* image, uint32_t bytes,
+              const index::Key& key) {
+      const uint32_t offset = static_cast<uint32_t>(arena.size());
+      arena.insert(arena.end(), image, image + bytes);
+      entries.push_back(
+          {kind, table, slice, row, column, offset, bytes, key});
+    }
+    const uint8_t* image(const Entry& e) const {
+      return arena.data() + e.image_offset;
+    }
+    /// Worker scratch for one row image (the before-row of an update or
+    /// delete), valid until the next call.
+    uint8_t* Scratch(uint32_t bytes) {
+      if (scratch.size() < bytes) scratch.resize(bytes);
+      return scratch.data();
+    }
+
+    std::vector<Entry> entries;
+    std::vector<uint8_t> arena;
+    std::vector<uint8_t> scratch;
   };
 
   /// The engine-neutral half of a stored-procedure context: the
@@ -157,19 +191,26 @@ class EngineBase : public Engine {
     mcsim::CoreSim* core() override { return core_; }
 
     /// Rolls a failed transaction back: applies `undo` in reverse
-    /// order. When fuzzy checkpointing is on and the engine logs
-    /// physically, every undo action also emits a redo-only
+    /// order, then empties it. When fuzzy checkpointing is on and the
+    /// engine logs physically, every undo action also emits a redo-only
     /// compensation record (CLR), so recovery can repair checkpoint
     /// pages that captured the aborted transaction's writes.
     void Rollback();
 
     bool dirty = false;  // an update, insert or delete ran
-    std::vector<UndoEntry> undo;
+    /// The worker's undo log; a new context starts it empty.
+    UndoLog& undo;
 
    protected:
     CtxBase(EngineBase* engine, mcsim::CoreSim* core, uint64_t txn_id,
             int slice)
-        : engine_(engine), core_(core), txn_id_(txn_id), slice_(slice) {}
+        : undo(engine->undo_logs_[core->core_id()]),
+          engine_(engine),
+          core_(core),
+          txn_id_(txn_id),
+          slice_(slice) {
+      undo.Clear();
+    }
 
     Slice& slice(int table) const {
       return engine_->tables_[table].slices[slice_];
@@ -189,6 +230,11 @@ class EngineBase : public Engine {
     }
     Status ScanIndex(int table, int secondary, const index::Key& from,
                      uint64_t limit, std::vector<storage::RowId>* rows);
+
+    /// Worker scratch sized for one row of `table`.
+    uint8_t* RowScratch(int table) {
+      return undo.Scratch(schema(table).row_bytes());
+    }
 
     /// Full-row read; kNotFound for a deleted or absent row.
     Status ReadRow(int table, storage::RowId row, uint8_t* out) {
@@ -225,8 +271,8 @@ class EngineBase : public Engine {
                     const uint8_t* row, storage::RowId* out_row);
 
     /// Delete, step by step: the caller reads the before-image
-    /// (ReadRow), removes the keys, deletes the row, and records the
-    /// undo entry.
+    /// (ReadRow into RowScratch), removes the keys, deletes the row, and
+    /// records the undo entry.
     Status RemoveKeys(int table, const index::Key& key,
                       const uint8_t* before);
     Status DeleteRow(int table, storage::RowId row) {
@@ -235,9 +281,9 @@ class EngineBase : public Engine {
                  : Status::NotFound();
     }
     void Deleted(int table, storage::RowId row, const index::Key& key,
-                 std::vector<uint8_t> before) {
-      undo.push_back({UndoEntry::Kind::kDeletedRow, table, slice_, row,
-                      /*column=*/0, std::move(before), key});
+                 const uint8_t* before) {
+      undo.Push(UndoLog::Kind::kDeletedRow, table, slice_, row,
+                /*column=*/0, before, schema(table).row_bytes(), key);
       dirty = true;
     }
 
@@ -307,6 +353,7 @@ class EngineBase : public Engine {
   std::vector<TableRt> tables_;
   std::unique_ptr<storage::BufferPool> bufferpool_;  // disk engines
   std::vector<std::unique_ptr<txn::LogManager>> logs_;  // per worker
+  std::vector<UndoLog> undo_logs_;                       // per worker
   uint32_t next_file_id_ = 1;
 
   /// Checkpoint state (null when options_.checkpoint.enabled is false).
@@ -334,6 +381,11 @@ class EngineBase : public Engine {
   void RestoreIndex(mcsim::CoreSim* core, Slice& slice,
                     const txn::CheckpointIndexImage& image,
                     txn::RecoveryStats* stats);
+
+  /// Every worker's first `flushed_only ? flushed_records() : records()`
+  /// stable-log records, copied and merged into LSN order (each
+  /// worker's log is already in LSN order, so no sort is needed).
+  std::vector<txn::LogRecord> MergedLog(bool flushed_only) const;
 
   /// ARIES REDO: applies committed transactions' records plus all CLRs
   /// whose effect landed at or after `from_lsn`, in LSN order. Shared by

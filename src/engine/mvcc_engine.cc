@@ -129,21 +129,21 @@ class MvccEngine::Ctx final : public EngineBase::CtxBase {
   Status Delete(int table, storage::RowId row,
                 const index::Key& key) override {
     mcsim::ScopedModule mod(core_, e_->mvcc_op_.module);
-    std::vector<uint8_t> before(schema(table).row_bytes());
+    uint8_t* before = RowScratch(table);
     Status s;
     {
       obs::ScopedSpan span(&e_->spans_, core_,
                            obs::SpanKind::kStorageAccess);
       e_->Exec(core_, e_->storage_op_);
       e_->Exec(core_, e_->mvcc_op_);
-      s = ReadRow(table, row, before.data());
+      s = ReadRow(table, row, before);
       if (!s.ok()) return s;
     }
     {
       obs::ScopedSpan span(&e_->spans_, core_,
                            obs::SpanKind::kIndexProbe);
       e_->Exec(core_, e_->index_op_);
-      s = RemoveKeys(table, key, before.data());
+      s = RemoveKeys(table, key, before);
       if (!s.ok()) return s;
     }
     {
@@ -155,8 +155,8 @@ class MvccEngine::Ctx final : public EngineBase::CtxBase {
     obs::ScopedSpan span(&e_->spans_, core_,
                          obs::SpanKind::kLogAppend);
     e_->Exec(core_, e_->log_);
-    LogDelete(table, row, key, before.data());
-    Deleted(table, row, key, std::move(before));
+    LogDelete(table, row, key, before);
+    Deleted(table, row, key, before);
     return Status::Ok();
   }
 

@@ -153,20 +153,20 @@ class PartitionedEngine::Ctx final : public EngineBase::CtxBase {
   Status Delete(int table, storage::RowId row,
                 const index::Key& key) override {
     mcsim::ScopedModule mod(core_, op_module_);
-    std::vector<uint8_t> before(schema(table).row_bytes());
+    uint8_t* before = RowScratch(table);
     Status s;
     {
       obs::ScopedSpan span(&e_->spans_, core_,
                            obs::SpanKind::kStorageAccess);
       OpCode(table);
-      s = ReadRow(table, row, before.data());
+      s = ReadRow(table, row, before);
       if (!s.ok()) return s;
     }
     {
       obs::ScopedSpan span(&e_->spans_, core_,
                            obs::SpanKind::kIndexProbe);
       if (!e_->compiled_) e_->Exec(core_, e_->index_op_);
-      s = RemoveKeys(table, key, before.data());
+      s = RemoveKeys(table, key, before);
       if (!s.ok()) return s;
     }
     {
@@ -179,9 +179,9 @@ class PartitionedEngine::Ctx final : public EngineBase::CtxBase {
       obs::ScopedSpan span(&e_->spans_, core_,
                            obs::SpanKind::kLogAppend);
       e_->Exec(core_, e_->log_);
-      LogDelete(table, row, key, before.data());
+      LogDelete(table, row, key, before);
     }
-    Deleted(table, row, key, std::move(before));
+    Deleted(table, row, key, before);
     return Status::Ok();
   }
 

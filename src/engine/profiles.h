@@ -38,8 +38,10 @@ struct RegionSpec {
 // decades-old SM codebase: B-tree, buffer pool, lock manager, logging.
 // ---------------------------------------------------------------------------
 struct ShoreMtProfile {
-  RegionSpec xct_begin{"sm-xct", true, 20 << 10, 11 << 10, 5200, 7.0, 0.9};
-  RegionSpec xct_commit{"sm-xct", true, 20 << 10, 10 << 10, 5600, 7.0, 0.9};
+  RegionSpec xct_begin{"sm-xct-begin", true, 20 << 10, 11 << 10, 5200, 7.0,
+                       0.9};
+  RegionSpec xct_commit{"sm-xct-commit", true, 20 << 10, 10 << 10, 5600,
+                        7.0, 0.9};
   RegionSpec btree{"sm-btree", true, 15 << 10, 10 << 10, 5200, 7.5, 0.9};
   RegionSpec heap_bp{"sm-bufferpool", true, 13 << 10, 9 << 10, 4200, 7.0,
                      0.9};
@@ -60,8 +62,10 @@ struct DbmsDProfile {
                        1.0};
   RegionSpec plan_exec{"plan-exec", false, 12 << 10, 8 << 10, 3400, 9.0,
                        1.0};
-  RegionSpec xct_begin{"sm-xct", true, 16 << 10, 8 << 10, 3600, 7.0, 0.95};
-  RegionSpec xct_commit{"sm-xct", true, 16 << 10, 8 << 10, 3800, 7.0, 0.95};
+  RegionSpec xct_begin{"sm-xct-begin", true, 16 << 10, 8 << 10, 3600, 7.0,
+                       0.95};
+  RegionSpec xct_commit{"sm-xct-commit", true, 16 << 10, 8 << 10, 3800,
+                        7.0, 0.95};
   RegionSpec btree{"sm-btree", true, 11 << 10, 8 << 10, 4400, 7.0, 0.95};
   RegionSpec heap_bp{"sm-bufferpool", true, 10 << 10, 7 << 10, 3600, 7.0,
                      0.95};

@@ -223,6 +223,11 @@ class Parser {
       }
       Status s = ParseString(&key);
       if (!s.ok()) return s;
+      // A repeated key makes member lookup ambiguous (Find returns the
+      // first): reject the document instead of comparing wrong entries.
+      if (out->Find(key) != nullptr) {
+        return Error("duplicate object key \"" + key + "\"");
+      }
       SkipWs();
       if (!Consume(':')) return Error("expected ':'");
       JsonValue value;

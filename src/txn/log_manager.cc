@@ -38,7 +38,7 @@ uint64_t LogManager::Append(mcsim::CoreSim* core, LogOp op,
   bytes_logged_ += record_bytes;
 
   // Durable side (the simulated log device).
-  LogRecord rec;
+  LogRecord& rec = NextSlot();
   if (fault_ != nullptr && fault_->Fires(fault::kLogTornRecord)) {
     rec.torn = true;
   }
@@ -63,9 +63,32 @@ uint64_t LogManager::Append(mcsim::CoreSim* core, LogOp op,
     rec.before.assign(static_cast<const uint8_t*>(before),
                       static_cast<const uint8_t*>(before) + before_bytes);
   }
-  stable_.push_back(std::move(rec));
-  if (force_) flushed_records_ = stable_.size();
-  return stable_.back().lsn;
+  ++records_;
+  if (force_) flushed_records_ = records_;
+  return rec.lsn;
+}
+
+void LogManager::Truncate(uint64_t upto_lsn) {
+  uint64_t drop = 0;
+  while (drop < records_ && record(drop).lsn < upto_lsn) ++drop;
+  while (drop > 0 && drop < records_ && record(drop).txn_id != 0 &&
+         record(drop - 1).txn_id == record(drop).txn_id) {
+    --drop;
+  }
+  if (drop > 0) {
+    // The dropped records' bytes are freed now; a block goes once every
+    // slot in it has been dropped.
+    for (uint64_t i = 0; i < drop; ++i) mutable_record(i) = LogRecord{};
+    head_ += drop;
+    records_ -= drop;
+    const uint64_t emptied = head_ / kBlockRecords;
+    blocks_.erase(blocks_.begin(),
+                  blocks_.begin() + static_cast<ptrdiff_t>(emptied));
+    head_ -= emptied * kBlockRecords;
+    truncated_records_ += drop;
+    flushed_records_ = flushed_records_ > drop ? flushed_records_ - drop : 0;
+  }
+  if (upto_lsn > truncation_lsn_) truncation_lsn_ = upto_lsn;
 }
 
 }  // namespace imoltp::txn

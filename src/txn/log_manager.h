@@ -59,7 +59,13 @@ struct LogRecord {
 ///
 /// Records are also retained in a "stable log" (the simulated durable
 /// medium) so Engine::Replay can REDO committed work onto a fresh
-/// database (see engine/engine.h).
+/// database (see engine/engine.h). The stable log is a list of
+/// fixed-size blocks of records: a block is allocated whole and never
+/// moves, so growing the log copies no record, and truncation frees the
+/// blocks it empties. A record still keeps its payload, key and
+/// before-image as heap vectors: the cache simulator sees host
+/// addresses, and those allocations decide where the index nodes a run
+/// allocates land (docs/engines.md).
 class LogManager {
  public:
   explicit LogManager(uint32_t buffer_bytes = 1 << 20)
@@ -96,10 +102,15 @@ class LogManager {
     return Append(core, LogOp::kAbort, txn_id, -1, 0, -1, nullptr, 0);
   }
 
-  const std::vector<LogRecord>& stable_log() const { return stable_; }
+  /// Retained record `i`, oldest first (`i < records()`).
+  const LogRecord& record(uint64_t i) const {
+    const uint64_t at = head_ + i;
+    return blocks_[at / kBlockRecords][at % kBlockRecords];
+  }
 
   uint64_t bytes_logged() const { return bytes_logged_; }
-  uint64_t records() const { return stable_.size(); }
+  /// Records currently retained (appended and not truncated).
+  uint64_t records() const { return records_; }
   uint64_t flushes() const { return flushes_; }
   uint32_t capacity() const { return capacity_; }
 
@@ -114,8 +125,8 @@ class LogManager {
   /// a captured page may hold effects of records still in the ring, and
   /// those records must reach the device before the page does.
   void FlushAll() {
-    if (flushed_records_ == stable_.size()) return;
-    flushed_records_ = stable_.size();
+    if (flushed_records_ == records_) return;
+    flushed_records_ = records_;
     ++flushes_;
   }
 
@@ -142,26 +153,7 @@ class LogManager {
   /// only one is allowed to start replay at an LSN other than 0.
   /// Per-worker logs append in LSN order, one transaction at a time,
   /// so this is a prefix erase.
-  void Truncate(uint64_t upto_lsn) {
-    size_t drop = 0;
-    while (drop < stable_.size() && stable_[drop].lsn < upto_lsn) {
-      ++drop;
-    }
-    while (drop > 0 && drop < stable_.size() &&
-           stable_[drop].txn_id != 0 &&
-           stable_[drop - 1].txn_id == stable_[drop].txn_id) {
-      --drop;
-    }
-    if (drop > 0) {
-      stable_.erase(stable_.begin(),
-                    stable_.begin() + static_cast<ptrdiff_t>(drop));
-      truncated_records_ += drop;
-      flushed_records_ = flushed_records_ > drop
-                             ? flushed_records_ - drop
-                             : 0;
-    }
-    if (upto_lsn > truncation_lsn_) truncation_lsn_ = upto_lsn;
-  }
+  void Truncate(uint64_t upto_lsn);
 
   /// First LSN recovery may see: records below this were truncated away
   /// behind a durable checkpoint. 0 = never truncated.
@@ -174,8 +166,11 @@ class LogManager {
   /// ones — the "untruncated log length" a full-replay recovery would
   /// have had to process.
   uint64_t appended_records() const {
-    return stable_.size() + truncated_records_;
+    return records_ + truncated_records_;
   }
+
+  /// Records per stable-log block (about 1 MB of LogRecords).
+  static constexpr uint64_t kBlockRecords = 8192;
 
  private:
   static constexpr uint32_t kHeaderBytes = 32;
@@ -199,8 +194,22 @@ class LogManager {
       // far is now on the durable device.
       offset_ = 0;
       ++flushes_;
-      flushed_records_ = stable_.size();
+      flushed_records_ = records_;
     }
+  }
+
+  LogRecord& mutable_record(uint64_t i) {
+    const uint64_t at = head_ + i;
+    return blocks_[at / kBlockRecords][at % kBlockRecords];
+  }
+
+  /// The slot after the last retained record, in a new block if the
+  /// last one is full.
+  LogRecord& NextSlot() {
+    if (head_ + records_ == blocks_.size() * kBlockRecords) {
+      blocks_.push_back(std::make_unique<LogRecord[]>(kBlockRecords));
+    }
+    return mutable_record(records_);
   }
 
   /// Globally ordered LSNs. Atomic so per-worker logs can append from
@@ -221,7 +230,11 @@ class LogManager {
   bool force_ = false;
   fault::FaultInjector* fault_ = nullptr;
   std::unique_ptr<uint8_t[]> buffer_;
-  std::vector<LogRecord> stable_;
+  /// The stable log: the oldest retained record is slot `head_` of the
+  /// first block.
+  std::vector<std::unique_ptr<LogRecord[]>> blocks_;
+  uint64_t head_ = 0;
+  uint64_t records_ = 0;
 };
 
 }  // namespace imoltp::txn

@@ -274,6 +274,139 @@ TEST_P(FailedInsertTest, DuplicateKeyLeavesNoLiveRow) {
 INSTANTIATE_TEST_SUITE_P(AllEngines, FailedInsertTest,
                          ::testing::ValuesIn(kAllEngines), EngineTestName);
 
+// ---------------------------------------------------------------------------
+// Rollback from the worker's undo log
+// ---------------------------------------------------------------------------
+
+// Undo images live in a per-worker arena that is reused across
+// transactions. With checkpointing on, every undo action also logs a
+// compensation record built from those images.
+class UndoLogTest : public ::testing::TestWithParam<EngineKind> {
+ protected:
+  UndoLogTest() : machine_(NoTlb()) {
+    EngineOptions opts;
+    opts.checkpoint.enabled = true;
+    opts.checkpoint.every_n_ticks = 1u << 30;
+    engine_ = CreateEngine(GetParam(), &machine_, opts);
+    EXPECT_TRUE(engine_->CreateDatabase({SimpleTable(100)}).ok());
+  }
+
+  Status RunTxn(const std::function<Status(TxnContext&)>& body) {
+    TxnRequest req;
+    req.type = 1;
+    return engine_->Execute(0, req, body);
+  }
+
+  /// The row stored under `id`, or an empty vector when it is absent.
+  std::vector<uint8_t> RowOf(int64_t id) {
+    std::vector<uint8_t> row(16);
+    const Status s = RunTxn([&](TxnContext& ctx) {
+      storage::RowId rid;
+      const Status st = ctx.Probe(0, index::Key::FromUint64(id), &rid);
+      return st.ok() ? ctx.Read(0, rid, row.data()) : st;
+    });
+    if (!s.ok()) row.clear();
+    return row;
+  }
+
+  static Status Update(TxnContext& ctx, int64_t id, int64_t value) {
+    storage::RowId rid;
+    const Status s = ctx.Probe(0, index::Key::FromUint64(id), &rid);
+    return s.ok() ? ctx.Update(0, rid, 1, &value) : s;
+  }
+  static Status Insert(TxnContext& ctx, int64_t id) {
+    uint8_t row[16];
+    storage::TwoLongColumns().SetLong(row, 0, id);
+    storage::TwoLongColumns().SetLong(row, 1, -id);
+    return ctx.Insert(0, row, index::Key::FromUint64(id));
+  }
+  static Status Delete(TxnContext& ctx, int64_t id) {
+    storage::RowId rid;
+    const Status s = ctx.Probe(0, index::Key::FromUint64(id), &rid);
+    return s.ok() ? ctx.Delete(0, rid, index::Key::FromUint64(id)) : s;
+  }
+
+  std::vector<txn::LogRecord> Clrs() {
+    std::vector<txn::LogRecord> clrs;
+    for (txn::LogRecord& rec : engine_->StableLog()) {
+      if (rec.clr) clrs.push_back(std::move(rec));
+    }
+    return clrs;
+  }
+
+  mcsim::MachineSim machine_;
+  std::unique_ptr<Engine> engine_;
+};
+
+TEST_P(UndoLogTest, AbortRestoresUpdateInsertAndDelete) {
+  const std::vector<uint8_t> updated = RowOf(10);
+  const std::vector<uint8_t> deleted = RowOf(20);
+  ASSERT_EQ(updated.size(), 16u);
+  ASSERT_EQ(deleted.size(), 16u);
+  const Status s = RunTxn([](TxnContext& ctx) {
+    Status st = Update(ctx, 10, 4242);
+    if (st.ok()) st = Insert(ctx, 500);
+    if (st.ok()) st = Delete(ctx, 20);
+    return st.ok() ? Status::Aborted("test rollback") : st;
+  });
+  ASSERT_TRUE(s.IsAborted()) << s.ToString();
+  EXPECT_EQ(RowOf(10), updated);
+  EXPECT_EQ(RowOf(20), deleted);
+  EXPECT_TRUE(RowOf(500).empty());
+
+  const std::vector<txn::LogRecord> clrs = Clrs();
+  if (GetParam() == EngineKind::kVoltDb) {  // command log: no CLRs
+    EXPECT_TRUE(clrs.empty());
+    return;
+  }
+  // Undo runs newest first: re-insert the deleted row, delete the
+  // inserted one, then (in-place engines) restore the updated column.
+  const bool in_place_update = GetParam() != EngineKind::kDbmsM;
+  ASSERT_EQ(clrs.size(), in_place_update ? 3u : 2u);
+  EXPECT_EQ(clrs[0].op, txn::LogOp::kInsert);
+  EXPECT_EQ(clrs[0].payload, deleted);
+  EXPECT_EQ(clrs[1].op, txn::LogOp::kDelete);
+  EXPECT_EQ(clrs[1].key.size(), 8u);
+  EXPECT_EQ(storage::TwoLongColumns().GetLong(clrs[1].before.data(), 0),
+            500);
+  if (in_place_update) {
+    EXPECT_EQ(clrs[2].op, txn::LogOp::kUpdate);
+    EXPECT_EQ(clrs[2].column, 1);
+    EXPECT_EQ(clrs[2].payload,
+              std::vector<uint8_t>(updated.begin() + 8, updated.end()));
+  }
+}
+
+TEST_P(UndoLogTest, NextTransactionStartsWithAnEmptyUndoLog) {
+  // A committed transaction leaves its entries in the worker's undo
+  // log; if the next transaction on that worker inherited them, its
+  // rollback would also revert the committed writes.
+  ASSERT_TRUE(RunTxn([](TxnContext& ctx) {
+                Status st = Update(ctx, 30, 777);
+                return st.ok() ? Insert(ctx, 600) : st;
+              }).ok());
+  const std::vector<uint8_t> committed = RowOf(30);
+  const std::vector<uint8_t> untouched = RowOf(40);
+  const size_t clrs_before = Clrs().size();
+  const Status s = RunTxn([](TxnContext& ctx) {
+    const Status st = Update(ctx, 40, 888);
+    return st.ok() ? Status::Aborted("test rollback") : st;
+  });
+  ASSERT_TRUE(s.IsAborted()) << s.ToString();
+  EXPECT_EQ(RowOf(30), committed);
+  EXPECT_EQ(storage::TwoLongColumns().GetLong(committed.data(), 1), 777);
+  EXPECT_EQ(RowOf(40), untouched);
+  EXPECT_FALSE(RowOf(600).empty());
+  const size_t want = GetParam() == EngineKind::kVoltDb ||
+                              GetParam() == EngineKind::kDbmsM
+                          ? 0u
+                          : 1u;
+  EXPECT_EQ(Clrs().size() - clrs_before, want);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllEngines, UndoLogTest,
+                         ::testing::ValuesIn(kAllEngines), EngineTestName);
+
 TEST(DiskEngineTest, RefusedInsertLockLeavesNoLiveRow) {
   for (EngineKind kind : {EngineKind::kShoreMt, EngineKind::kDbmsD}) {
     SCOPED_TRACE(EngineKindName(kind));
@@ -472,8 +605,8 @@ TEST_P(PinnedSignatureTest, SerialTpccSignatureIsPinned) {
       {EngineKind::kShoreMt,
        {305065174ull, 350, 50, {11131, 20711, 7302, 20477},
         0x4848dbbeb699d5f3ull,
-        {{"<none>", 79608400ull}, {"sm-xct", 2288000ull},
-         {"sm-xct", 2464000ull}, {"sm-btree", 63503876ull},
+        {{"<none>", 79608400ull}, {"sm-xct-begin", 2288000ull},
+         {"sm-xct-commit", 2464000ull}, {"sm-btree", 63503876ull},
          {"sm-bufferpool", 91132790ull}, {"sm-lock", 52895071ull},
          {"sm-log", 13173037ull}}}},
       {EngineKind::kDbmsD,
@@ -481,8 +614,8 @@ TEST_P(PinnedSignatureTest, SerialTpccSignatureIsPinned) {
         0x4848dbbeb699d5f3ull,
         {{"<none>", 79608400ull}, {"network", 3469200ull},
          {"parser", 3344000ull}, {"optimizer", 3080000ull},
-         {"plan-exec", 40072400ull}, {"sm-xct", 1584000ull},
-         {"sm-xct", 1672000ull}, {"sm-btree", 54101476ull},
+         {"plan-exec", 40072400ull}, {"sm-xct-begin", 1584000ull},
+         {"sm-xct-commit", 1672000ull}, {"sm-btree", 54101476ull},
          {"sm-bufferpool", 78119390ull}, {"sm-lock", 48387414ull},
          {"sm-log", 11546637ull}}}},
       {EngineKind::kVoltDb,

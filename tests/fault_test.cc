@@ -137,6 +137,13 @@ TEST(FaultInjectorTest, KnownFaultPointRegistry) {
 // Injector hooks in the transaction layer
 // ---------------------------------------------------------------------------
 
+/// A copy of every record the log retains, oldest first.
+std::vector<txn::LogRecord> Retained(const txn::LogManager& log) {
+  std::vector<txn::LogRecord> out;
+  for (uint64_t i = 0; i < log.records(); ++i) out.push_back(log.record(i));
+  return out;
+}
+
 class FaultHookTest : public ::testing::Test {
  protected:
   FaultHookTest() : machine_(NoTlb()), core_(&machine_.core(0)) {}
@@ -153,7 +160,7 @@ TEST_F(FaultHookTest, TornRecordMarksExactlyTheFiredAppend) {
   for (int i = 0; i < 4; ++i) {
     log.LogUpdate(core_, 1, 0, i, 1, payload, 16);
   }
-  const auto& records = log.stable_log();
+  const std::vector<txn::LogRecord> records = Retained(log);
   ASSERT_EQ(records.size(), 4u);
   EXPECT_FALSE(records[0].torn);
   EXPECT_TRUE(records[1].torn);  // the second append fired
@@ -188,7 +195,7 @@ TEST_F(FaultHookTest, OversizedRecordGrowsRingInsteadOfOverflowing) {
   log.LogUpdate(core_, 1, 0, 7, -1, payload.data(),
                 static_cast<uint32_t>(payload.size()));
   EXPECT_GE(log.capacity(), 256u + 32u);  // payload + header fit now
-  const auto& records = log.stable_log();
+  const std::vector<txn::LogRecord> records = Retained(log);
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].payload.size(), 256u);
   EXPECT_EQ(records[0].payload[0], 0xAB);
@@ -207,7 +214,7 @@ TEST_F(FaultHookTest, OversizedKeyAlsoGrowsRing) {
   std::vector<uint8_t> key(300, 0x11);
   log.Append(core_, txn::LogOp::kInsert, 1, 0, 7, -1, nullptr, 0,
              key.data(), static_cast<uint32_t>(key.size()));
-  const auto& records = log.stable_log();
+  const std::vector<txn::LogRecord> records = Retained(log);
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].key.size(), 300u);
 }

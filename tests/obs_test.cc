@@ -72,6 +72,16 @@ TEST(JsonParseTest, RejectsMalformedDocuments) {
   EXPECT_TRUE(obs::ParseJson("{}  \n ").ok());
 }
 
+TEST(JsonParseTest, RejectsDuplicateObjectKeys) {
+  const auto dup = obs::ParseJson("{\"a\":1,\"b\":{},\"a\":2}");
+  ASSERT_FALSE(dup.ok());
+  EXPECT_NE(dup.status().message().find("duplicate object key \"a\""),
+            std::string::npos);
+  EXPECT_FALSE(obs::ParseJson("{\"m\":{\"x\":1,\"x\":1}}").ok());
+  // The same key in different objects is fine.
+  EXPECT_TRUE(obs::ParseJson("{\"a\":{\"x\":1},\"b\":{\"x\":1}}").ok());
+}
+
 TEST(JsonParseTest, RejectsPathologicalNesting) {
   std::string deep;
   for (int i = 0; i < 100; ++i) deep += '[';

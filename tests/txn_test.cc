@@ -3,6 +3,7 @@
 #include <cstring>
 #include <vector>
 
+#include "fault/fault_injector.h"
 #include "mcsim/machine.h"
 #include "txn/lock_manager.h"
 #include "txn/log_manager.h"
@@ -243,6 +244,13 @@ TEST_F(MvccTest, TimestampsAdvanceOnCommitOnly) {
 
 using LogTest = TxnTest;
 
+/// A copy of every record the log retains, oldest first.
+std::vector<LogRecord> Retained(const LogManager& log) {
+  std::vector<LogRecord> out;
+  for (uint64_t i = 0; i < log.records(); ++i) out.push_back(log.record(i));
+  return out;
+}
+
 TEST_F(LogTest, CountsRecordsAndBytes) {
   LogManager log;
   const uint8_t payload[32] = {0};
@@ -280,7 +288,7 @@ TEST_F(LogTest, StableLogRetainsRecordsInLsnOrder) {
   log.Append(core_, LogOp::kInsert, 42, 3, 17, -1, payload, 8, key, 8,
              1);
   log.LogCommit(core_, 42);
-  const auto& records = log.stable_log();
+  const std::vector<LogRecord> records = Retained(log);
   ASSERT_EQ(records.size(), 2u);
   EXPECT_LT(records[0].lsn, records[1].lsn);
   EXPECT_EQ(records[0].op, LogOp::kInsert);
@@ -299,8 +307,8 @@ TEST_F(LogTest, TruncateDropsRetainedRecords) {
   const uint64_t anchor = log.LogCommit(core_, 2);
   log.LogCommit(core_, 3);
   log.Truncate(anchor);
-  ASSERT_EQ(log.stable_log().size(), 2u);
-  EXPECT_EQ(log.stable_log()[0].lsn, anchor);
+  ASSERT_EQ(Retained(log).size(), 2u);
+  EXPECT_EQ(Retained(log)[0].lsn, anchor);
   EXPECT_EQ(log.truncated_records(), 1u);
   EXPECT_EQ(log.appended_records(), 3u);
 }
@@ -316,8 +324,8 @@ TEST_F(LogTest, TruncateKeepsATransactionThatStraddlesTheAnchor) {
       log.LogUpdate(core_, 2, 0, 5, -1, payload, sizeof(payload), 0);
   const uint64_t commit = log.LogCommit(core_, 2);
   log.Truncate(commit);
-  ASSERT_EQ(log.stable_log().size(), 2u);
-  EXPECT_EQ(log.stable_log()[0].lsn, update);
+  ASSERT_EQ(Retained(log).size(), 2u);
+  EXPECT_EQ(Retained(log)[0].lsn, update);
   EXPECT_EQ(log.truncated_records(), 1u);
   EXPECT_EQ(log.truncation_lsn(), commit);
 }
@@ -330,7 +338,7 @@ TEST_F(LogTest, TruncateRecordsPositionEvenWhenLogDrainsEmpty) {
   log.LogCommit(core_, 1);
   const uint64_t last = log.LogCommit(core_, 2);
   log.Truncate(last + 1);
-  EXPECT_TRUE(log.stable_log().empty());
+  EXPECT_TRUE(Retained(log).empty());
   EXPECT_EQ(log.truncation_lsn(), last + 1);
   EXPECT_EQ(log.truncated_records(), 2u);
   // Double truncation to an older anchor is a no-op and must not move
@@ -373,6 +381,115 @@ TEST_F(PartitionTest, FailedClaimReleasesPartialAcquisitions) {
   // Worker 1 claims {1, 2}: 2 is taken, so 1 must not stay claimed.
   ASSERT_TRUE(pm.EnterMultiPartition(core_, 1, {1, 2}).IsAborted());
   EXPECT_TRUE(pm.EnterMultiPartition(core_, 3, {1}).ok());
+}
+
+TEST_F(LogTest, StableLogRetainsEveryField) {
+  fault::FaultInjector inj(5);
+  inj.Arm(fault::kLogTornRecord, {0.0, 3});  // the third append is torn
+  LogManager log(256);
+  const std::vector<uint8_t> payload = {1, 2, 3, 4, 5};
+  const std::vector<uint8_t> key = {9, 8, 7};
+  const std::vector<uint8_t> before = {6, 6, 6, 6, 6, 6, 6};
+  std::vector<uint8_t> huge(1000);  // larger than the ring
+  for (size_t i = 0; i < huge.size(); ++i) {
+    huge[i] = static_cast<uint8_t>(i * 31);
+  }
+  log.set_fault_injector(&inj);
+  log.Append(core_, LogOp::kUpdate, 11, 2, 300, 1, payload.data(), 5,
+             nullptr, 0, 3, before.data(), 7);  // full before-image
+  log.Append(core_, LogOp::kInsert, 11, 4, 301, -1, payload.data(), 5,
+             key.data(), 3, 1);  // empty before-image, column -1
+  log.Append(core_, LogOp::kDelete, 12, 5, 302, -1, nullptr, 0,
+             key.data(), 3, 2, before.data(), 7, /*clr=*/true);
+  log.Append(core_, LogOp::kUpdate, 13, 6, 303, -1, huge.data(),
+             static_cast<uint32_t>(huge.size()));
+  log.LogCommit(core_, 13);
+
+  const std::vector<LogRecord> r = Retained(log);
+  ASSERT_EQ(r.size(), 5u);
+  for (size_t i = 1; i < r.size(); ++i) EXPECT_LT(r[i - 1].lsn, r[i].lsn);
+
+  EXPECT_EQ(r[0].op, LogOp::kUpdate);
+  EXPECT_EQ(r[0].txn_id, 11u);
+  EXPECT_EQ(r[0].table, 2);
+  EXPECT_EQ(r[0].row, 300u);
+  EXPECT_EQ(r[0].column, 1);
+  EXPECT_EQ(r[0].slice, 3);
+  EXPECT_EQ(r[0].payload, payload);
+  EXPECT_TRUE(r[0].key.empty());
+  EXPECT_EQ(r[0].before, before);
+  EXPECT_FALSE(r[0].torn);
+  EXPECT_FALSE(r[0].clr);
+
+  EXPECT_EQ(r[1].op, LogOp::kInsert);
+  EXPECT_EQ(r[1].column, -1);
+  EXPECT_EQ(r[1].slice, 1);
+  EXPECT_EQ(r[1].payload, payload);
+  EXPECT_EQ(r[1].key, key);
+  EXPECT_TRUE(r[1].before.empty());
+
+  EXPECT_EQ(r[2].op, LogOp::kDelete);
+  EXPECT_EQ(r[2].txn_id, 12u);
+  EXPECT_TRUE(r[2].payload.empty());
+  EXPECT_EQ(r[2].key, key);
+  EXPECT_EQ(r[2].before, before);
+  EXPECT_TRUE(r[2].torn);
+  EXPECT_TRUE(r[2].clr);
+
+  EXPECT_EQ(r[3].row, 303u);
+  EXPECT_EQ(r[3].payload, huge);
+  EXPECT_FALSE(r[3].torn);
+
+  EXPECT_EQ(r[4].op, LogOp::kCommit);
+  EXPECT_EQ(r[4].table, -1);
+  EXPECT_TRUE(r[4].payload.empty());
+}
+
+TEST_F(LogTest, TruncateAcrossBlocksKeepsAStraddlingTransaction) {
+  // Transaction 2's records run from the end of the first stable-log
+  // block into the second, past the anchor.
+  LogManager log;
+  const uint64_t block = LogManager::kBlockRecords;
+  const uint8_t payload[16] = {0};
+  for (uint64_t i = 0; i + 2 < block; ++i) {
+    log.LogUpdate(core_, 1, 0, i, -1, payload, sizeof(payload));
+  }
+  log.LogCommit(core_, 1);
+  log.LogUpdate(core_, 2, 0, 1, -1, payload, sizeof(payload));
+  const uint64_t anchor =
+      log.LogUpdate(core_, 2, 0, 2, -1, payload, sizeof(payload));
+  log.LogUpdate(core_, 2, 0, 3, -1, payload, sizeof(payload));
+  const uint64_t commit2 = log.LogCommit(core_, 2);
+  log.FlushAll();
+  log.LogCommit(core_, 3);  // not flushed
+  ASSERT_EQ(log.records(), block + 4);
+  ASSERT_EQ(log.flushed_records(), block + 3);
+
+  // Only transaction 1 goes.
+  log.Truncate(anchor);
+  EXPECT_EQ(log.truncated_records(), block - 1);
+  ASSERT_EQ(log.records(), 5u);
+  EXPECT_EQ(log.flushed_records(), 4u);
+  EXPECT_EQ(log.record(0).txn_id, 2u);
+  EXPECT_EQ(log.record(0).row, 1u);
+  EXPECT_EQ(log.record(0).payload.size(), sizeof(payload));
+  EXPECT_EQ(log.record(1).lsn, anchor);
+
+  // Past transaction 2's commit: only the unflushed record remains, and
+  // the first block is freed.
+  log.Truncate(commit2 + 1);
+  EXPECT_EQ(log.truncated_records(), block + 3);
+  EXPECT_EQ(log.flushed_records(), 0u);
+  ASSERT_EQ(log.records(), 1u);
+  EXPECT_EQ(log.record(0).txn_id, 3u);
+  EXPECT_EQ(log.record(0).op, LogOp::kCommit);
+  EXPECT_EQ(log.appended_records(), block + 4);
+
+  // The log keeps appending after the truncations.
+  log.LogCommit(core_, 4);
+  ASSERT_EQ(log.records(), 2u);
+  EXPECT_EQ(log.record(1).txn_id, 4u);
+  EXPECT_LT(log.record(0).lsn, log.record(1).lsn);
 }
 
 }  // namespace
