@@ -4,6 +4,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "common/rng.h"
 #include "mcsim/machine.h"
 
@@ -69,6 +71,33 @@ void BM_RegionExecution(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RegionExecution)->Arg(2 << 10)->Arg(16 << 10)->Arg(64 << 10);
+
+// Shore-MT-sized regions (10-11 KB fetch windows at varying offsets in
+// 13-20 KB regions): two hot ones that fit the L1I together, and a cold
+// one, run one execution in twelve, that evicts part of them. The L1I
+// hits about 86% of lines, the mix the disk engines' code fetch makes.
+// Items are fetched lines, so 1e9 / items_per_second is the host cost
+// of one simulated line.
+void BM_RegionExecutionMix(benchmark::State& state) {
+  MachineSim machine;
+  std::vector<CodeRegion> regions;
+  for (uint32_t kb : {13, 17, 20}) {
+    regions.push_back(machine.code_space().Define(
+        kNoModule, kb << 10, (10 + kb % 2) << 10, 1000, 5.0));
+  }
+  Rng rng(1);
+  CoreSim& core = machine.core(0);
+  for (auto _ : state) {
+    const uint64_t pick = rng.Uniform(12);
+    core.ExecuteRegion(regions[pick == 0 ? 2 : pick % 2]);
+  }
+  const CoreCounters& c = core.counters();
+  state.SetItemsProcessed(static_cast<int64_t>(c.code_line_fetches));
+  state.counters["l1i_hit_rate"] =
+      1.0 - static_cast<double>(c.misses.l1i) /
+                static_cast<double>(c.code_line_fetches);
+}
+BENCHMARK(BM_RegionExecutionMix);
 
 }  // namespace
 }  // namespace imoltp::mcsim

@@ -71,62 +71,70 @@ Status TpcbBenchmark::RunTransaction(engine::Engine* engine, int worker,
   const uint64_t branch_lo = branches_ * worker / parts;
   const uint64_t branch_hi = branches_ * (worker + 1) / parts;
 
-  const uint64_t branch = rng->Range(branch_lo, branch_hi - 1);
-  const uint64_t teller =
-      branch * kTellersPerBranch + rng->Uniform(kTellersPerBranch);
-  const uint64_t account = branch * accounts_per_branch_ +
-                           rng->Uniform(accounts_per_branch_);
-  const int64_t delta =
-      static_cast<int64_t>(rng->Uniform(1999999)) - 999999;
-  const uint64_t history_id =
+  // The body captures one pointer to these, so it fits std::function's
+  // small buffer and a transaction allocates no closure on the heap.
+  struct Params {
+    uint64_t branch;
+    uint64_t teller;
+    uint64_t account;
+    int64_t delta;
+    uint64_t history_id;
+  };
+  Params p;
+  p.branch = rng->Range(branch_lo, branch_hi - 1);
+  p.teller = p.branch * kTellersPerBranch + rng->Uniform(kTellersPerBranch);
+  p.account = p.branch * accounts_per_branch_ +
+              rng->Uniform(accounts_per_branch_);
+  p.delta = static_cast<int64_t>(rng->Uniform(1999999)) - 999999;
+  p.history_id =
       (static_cast<uint64_t>(worker) << 40) | history_counter_++;
 
   engine::TxnRequest req;
   req.type = kTxnAccountUpdate;
-  req.partition_key = branch;
+  req.partition_key = p.branch;
   req.key_space = branches_;
   req.statements = 4;  // three updates + one insert
 
-  return engine->Execute(worker, req, [&](engine::TxnContext& ctx) {
+  return engine->Execute(worker, req, [&p](engine::TxnContext& ctx) {
     uint8_t row[128];
     const Schema& schema = RowSchema();
 
     // Update the account balance.
     storage::RowId rid;
-    Status s = ctx.Probe(kTableAccount, index::Key::FromUint64(account),
+    Status s = ctx.Probe(kTableAccount, index::Key::FromUint64(p.account),
                          &rid);
     if (!s.ok()) return s;
     s = ctx.Read(kTableAccount, rid, row);
     if (!s.ok()) return s;
-    int64_t balance = schema.GetLong(row, 1) + delta;
+    int64_t balance = schema.GetLong(row, 1) + p.delta;
     s = ctx.Update(kTableAccount, rid, 1, &balance);
     if (!s.ok()) return s;
 
     // Update the teller balance.
-    s = ctx.Probe(kTableTeller, index::Key::FromUint64(teller), &rid);
+    s = ctx.Probe(kTableTeller, index::Key::FromUint64(p.teller), &rid);
     if (!s.ok()) return s;
     s = ctx.Read(kTableTeller, rid, row);
     if (!s.ok()) return s;
-    balance = schema.GetLong(row, 1) + delta;
+    balance = schema.GetLong(row, 1) + p.delta;
     s = ctx.Update(kTableTeller, rid, 1, &balance);
     if (!s.ok()) return s;
 
     // Update the branch balance.
-    s = ctx.Probe(kTableBranch, index::Key::FromUint64(branch), &rid);
+    s = ctx.Probe(kTableBranch, index::Key::FromUint64(p.branch), &rid);
     if (!s.ok()) return s;
     s = ctx.Read(kTableBranch, rid, row);
     if (!s.ok()) return s;
-    balance = schema.GetLong(row, 1) + delta;
+    balance = schema.GetLong(row, 1) + p.delta;
     s = ctx.Update(kTableBranch, rid, 1, &balance);
     if (!s.ok()) return s;
 
     // Append to History.
     uint8_t hist[128];
-    schema.SetLong(hist, 0, static_cast<int64_t>(history_id));
-    schema.SetLong(hist, 1, delta);
+    schema.SetLong(hist, 0, static_cast<int64_t>(p.history_id));
+    schema.SetLong(hist, 1, p.delta);
     std::memset(schema.ColumnPtr(hist, 2), 'h', storage::kStringBytes);
     return ctx.Insert(kTableHistory, hist,
-                      index::Key::FromUint64(history_id));
+                      index::Key::FromUint64(p.history_id));
   });
 }
 

@@ -5,6 +5,7 @@
 #include <mutex>
 #include <vector>
 
+#include "mcsim/code_region.h"
 #include "mcsim/config.h"
 
 namespace imoltp::mcsim {
@@ -20,8 +21,9 @@ namespace imoltp::mcsim {
 ///
 /// Threading: a Cache is thread-confined. Its clock and hit/miss
 /// counters are plain integers and it holds no locks. The private
-/// L1I/L1D/L2/TLBs of a core are Caches; the machine-shared LLC is a
-/// SharedCache, one Cache behind a mutex taken only in free-running mode.
+/// L1D/L2/TLBs of a core are Caches, its L1I a CodeCache; the
+/// machine-shared LLC is a SharedCache, one Cache behind a mutex taken
+/// only in free-running mode.
 class Cache {
  public:
   /// The MRU way index is stored in one byte per set.
@@ -117,6 +119,87 @@ class Cache {
   uint64_t misses_ = 0;
   std::vector<uint64_t> sets_;
   std::vector<uint8_t> mru_;
+};
+
+/// A core's L1 instruction cache. Only instruction fetch fills it, and
+/// fetch only names CodeSpace lines: one dense range of at most
+/// kMaxCodeLines lines from kCodeBaseLine. So next to Cache's per-set
+/// LRU stamps it keeps a way map indexed by `line - kCodeBaseLine`, and
+/// a lookup is an array index, not a tag scan: a hit is one map load
+/// and one stamp store. Geometry (bit_ceil sets, `line & set_mask`), LRU
+/// stamps and the victim rule (the first empty way, else the oldest
+/// stamp) are Cache's, so the same stream gives the same hits, misses
+/// and victims. A line outside the code range (a data line probed by
+/// cross-core invalidation or HoldsLine) is never present; filling one
+/// is a checked error. Thread-confined, like Cache.
+class CodeCache {
+ public:
+  explicit CodeCache(const CacheConfig& config);
+
+  CodeCache(const CodeCache&) = delete;
+  CodeCache& operator=(const CodeCache&) = delete;
+
+  /// Looks up a code line; inserts it (evicting LRU) on miss.
+  /// Returns true on hit.
+  bool Access(uint64_t line_addr) {
+    const uint64_t offset = line_addr - kCodeBaseLine;
+    if (offset < way_of_.size() && way_of_[offset] != kAbsent) {
+      stamps_[SetIndex(offset) * assoc_ + way_of_[offset]] = ++tick_;
+      ++hits_;
+      return true;
+    }
+    Fill(offset);
+    return false;
+  }
+
+  /// Returns true if the line is present (no replacement state change).
+  bool Contains(uint64_t line_addr) const {
+    const uint64_t offset = line_addr - kCodeBaseLine;
+    return offset < way_of_.size() && way_of_[offset] != kAbsent;
+  }
+
+  /// Removes a line if present (cross-core write invalidation).
+  void Invalidate(uint64_t line_addr) {
+    const uint64_t offset = line_addr - kCodeBaseLine;
+    if (offset >= way_of_.size() || way_of_[offset] == kAbsent) return;
+    stamps_[SetIndex(offset) * assoc_ + way_of_[offset]] = 0;
+    way_of_[offset] = kAbsent;
+  }
+
+  /// Drops all lines and zeroes hit/miss counters.
+  void Reset();
+
+  uint64_t hits() const { return hits_; }
+  uint64_t misses() const { return misses_; }
+  uint64_t num_sets() const { return num_sets_; }
+
+ private:
+  /// Way-map value of a line that is not cached; every way index of a
+  /// Cache::kMaxAssociativity-way set lies below it.
+  static constexpr uint16_t kAbsent = UINT16_MAX;
+  static_assert(Cache::kMaxAssociativity <= kAbsent);
+
+  /// kCodeBaseLine is a multiple of every set count, so a line's offset
+  /// and the line itself have the same set.
+  uint64_t SetIndex(uint64_t offset) const { return offset & set_mask_; }
+
+  /// Miss path: picks the victim way of the offset's set, drops the
+  /// victim's map entry and installs the line, growing the map on
+  /// demand (regions are defined lazily).
+  void Fill(uint64_t offset);
+
+  uint32_t assoc_;
+  uint64_t num_sets_;
+  uint64_t set_mask_;
+  uint64_t tick_ = 0;
+  uint64_t hits_ = 0;
+  uint64_t misses_ = 0;
+  /// Per way, set by set: the LRU stamp (0 = empty) and the offset of
+  /// the line held.
+  std::vector<uint64_t> stamps_;
+  std::vector<uint32_t> offsets_;
+  /// Per code line offset: its way, or kAbsent.
+  std::vector<uint16_t> way_of_;
 };
 
 /// The machine-shared last-level cache: one Cache of this geometry, its

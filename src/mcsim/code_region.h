@@ -11,6 +11,19 @@
 
 namespace imoltp::mcsim {
 
+/// First line address of the synthetic code space: byte address 2^46,
+/// 0x4000'0000'0000. Heap pointers of a 48-bit user address space shift
+/// down to lines of about 1.3-2 x 2^40, *above* this base; code and data
+/// lines are disjoint only because no host mapping lands within
+/// kMaxCodeLines lines of 0x4000'0000'0000.
+inline constexpr uint64_t kCodeBaseLine = 1ULL << 40;
+
+/// Cap on the code lines one machine may fetch from (64 MiB of code; the
+/// engines define a few thousand lines). It bounds the L1I's per-line
+/// way map (CodeCache), so a trace reader rejects any region definition
+/// that reaches past it.
+inline constexpr uint64_t kMaxCodeLines = 1ULL << 20;
+
 /// Descriptive metadata for one code module. `inside_engine` marks the
 /// storage-manager/OLTP-engine side of the split the paper draws in its
 /// Figure 7 breakdown (engine vs everything around it).
@@ -83,9 +96,10 @@ struct CodeRegion {
   double cpi = 0.0;
 };
 
-/// Allocates non-overlapping synthetic code address ranges. Code lives at
-/// line addresses far above anything a real heap pointer shifts down to,
-/// so code and data never alias in the simulated caches.
+/// Allocates non-overlapping synthetic code address ranges, one dense
+/// range of lines from kCodeBaseLine up. Code lines sit below the lines
+/// real heap pointers shift down to (see kCodeBaseLine), so code and data
+/// do not alias in the simulated caches.
 class CodeSpace {
  public:
   /// Defines a region of `total_bytes` of code, of which `touched_bytes`
@@ -112,7 +126,6 @@ class CodeSpace {
   uint64_t lines_allocated() const { return next_line_ - kCodeBaseLine; }
 
  private:
-  static constexpr uint64_t kCodeBaseLine = 1ULL << 40;
   static uint32_t LinesFor(uint32_t bytes) {
     return (bytes + 63) / 64;
   }

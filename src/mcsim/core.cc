@@ -33,9 +33,7 @@ CoreSim::CoreSim(const MachineConfig& config, MachineSim* machine,
       cpi_floor_(config.cycle.cpi_floor),
       window_state_(0x9E3779B97F4A7C15ULL ^ (core_id + 1)) {}
 
-void CoreSim::FetchCodeLine(uint64_t line) {
-  ++counters_.code_line_fetches;
-  if (l1i_.Access(line)) return;
+void CoreSim::FetchCodeMiss(uint64_t line) {
   ++counters_.misses.l1i;
   ++counters_.per_module[module_].misses.l1i;
   if (l2_.Access(line)) return;

@@ -78,8 +78,10 @@ class CoreSim {
     if (!enabled_) return;
     const ModuleId saved = module_;
     module_ = region.module;
-    for (uint32_t i = 0; i < region.touched_lines; ++i) {
-      FetchCodeLine(start + i);
+    counters_.code_line_fetches += region.touched_lines;
+    const uint64_t end = start + region.touched_lines;
+    for (uint64_t line = start; line < end; ++line) {
+      if (!l1i_.Access(line)) FetchCodeMiss(line);
     }
     double cpi = region.cpi > 0 ? region.cpi : default_cpi_;
     if (cpi < cpi_floor_) cpi = cpi_floor_;
@@ -212,7 +214,8 @@ class CoreSim {
   void Reset();
 
  private:
-  void FetchCodeLine(uint64_t line);
+  /// An L1I miss on `line`: counts it and fetches through L2 and LLC.
+  void FetchCodeMiss(uint64_t line);
   void AccessData(uint64_t addr, uint32_t size, bool is_write);
   void AccessDataLine(uint64_t line, bool is_write);
 
@@ -236,7 +239,7 @@ class CoreSim {
     return window_state_;
   }
 
-  Cache l1i_;
+  CodeCache l1i_;
   Cache l1d_;
   Cache l2_;
   Cache dtlb_;

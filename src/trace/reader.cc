@@ -180,6 +180,10 @@ Status TraceReader::Next(TraceEvent* event, bool* done) {
             instr > UINT32_MAX) {
           return Corrupt("implausible region geometry");
         }
+        if (base < mcsim::kCodeBaseLine || total > mcsim::kMaxCodeLines ||
+            base - mcsim::kCodeBaseLine > mcsim::kMaxCodeLines - total) {
+          return Corrupt("region outside the code space");
+        }
         r.module = static_cast<mcsim::ModuleId>(module);
         r.base_line = base;
         r.total_lines = static_cast<uint32_t>(total);

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <iterator>
 #include <list>
 #include <ostream>
 #include <string>
@@ -300,6 +301,83 @@ INSTANTIATE_TEST_SUITE_P(
                       OracleGeometry{"llc_20m", 20 * 1024 * 1024, 20},
                       // 12288 sets round up to 16384.
                       OracleGeometry{"llc_12m_16w", 12 * 1024 * 1024, 16}),
+    [](const ::testing::TestParamInfo<OracleGeometry>& info) {
+      return std::string(info.param.name);
+    });
+
+// The L1I: CodeCache against the same oracle, on the stream instruction
+// fetch makes: runs of consecutive lines (a region's fetch window) at
+// random offsets inside Shore-MT-sized regions (13-20 KB, 10-11 KB
+// windows) laid out as CodeSpace lays them out, plus one small region
+// fetched whole. Between runs: Contains, Invalidate of present code
+// lines and of data lines (never present), and a rare Reset.
+class CodeCacheOracleTest
+    : public ::testing::TestWithParam<OracleGeometry> {};
+
+TEST_P(CodeCacheOracleTest, MatchesNaiveLruOnRegionRuns) {
+  const OracleGeometry g = GetParam();
+  CodeCache c(CacheConfig{g.size_bytes, 64, g.assoc});
+  ASSERT_EQ(c.num_sets(), ExpectedSets(g));
+  LruModel model(c.num_sets(), g.assoc);
+  Rng rng(13);
+  struct Span {
+    uint64_t base;
+    uint64_t total;
+    uint64_t touched;
+  };
+  std::vector<Span> regions;
+  uint64_t next = kCodeBaseLine;
+  for (int i = 0; i < 6; ++i) {
+    const uint64_t total = rng.Range(13 * 16, 20 * 16);
+    regions.push_back({next, total, rng.Range(10 * 16, 11 * 16)});
+    next += total + 8;
+  }
+  regions.push_back({next, 32, 32});
+  const uint64_t data_lines[] = {0, kCodeBaseLine - 1,
+                                 kCodeBaseLine + kMaxCodeLines,
+                                 0x5555'0000'0000ULL >> 6,
+                                 0x7fff'f000'0000ULL >> 6};
+  uint64_t present_invalidations = 0;
+  for (int i = 0; i < 3000; ++i) {
+    const Span& r = regions[rng.Uniform(regions.size())];
+    const uint64_t op = rng.Uniform(1000);
+    if (op < 800) {
+      const uint64_t start = r.base + rng.Uniform(r.total - r.touched + 1);
+      for (uint64_t line = start; line < start + r.touched; ++line) {
+        ASSERT_EQ(c.Access(line), model.Access(line)) << "op " << i;
+      }
+    } else if (op < 880) {
+      const uint64_t line = r.base + rng.Uniform(r.total);
+      ASSERT_EQ(c.Contains(line), model.Contains(line)) << "op " << i;
+    } else if (op < 960) {
+      const uint64_t line = r.base + rng.Uniform(r.total);
+      if (model.Contains(line)) ++present_invalidations;
+      c.Invalidate(line);
+      model.Invalidate(line);
+      ASSERT_FALSE(c.Contains(line)) << "op " << i;
+    } else if (op < 998) {
+      const uint64_t line = data_lines[rng.Uniform(std::size(data_lines))];
+      ASSERT_FALSE(c.Contains(line)) << "op " << i;
+      c.Invalidate(line);
+    } else {
+      c.Reset();
+      model.Reset();
+    }
+    ASSERT_EQ(c.hits(), model.hits()) << "op " << i;
+    ASSERT_EQ(c.misses(), model.misses()) << "op " << i;
+  }
+  EXPECT_GT(present_invalidations, 10u);
+  EXPECT_GT(c.hits(), 0u);
+  EXPECT_GT(c.misses(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, CodeCacheOracleTest,
+    ::testing::Values(OracleGeometry{"l1i_32k", 32 * 1024, 8},
+                      OracleGeometry{"l1i_32k_direct", 32 * 1024, 1},
+                      OracleGeometry{"l1i_64k_16w", 64 * 1024, 16},
+                      // The most ways a trace header may ask for.
+                      OracleGeometry{"l1i_32k_256w", 32 * 1024, 256}),
     [](const ::testing::TestParamInfo<OracleGeometry>& info) {
       return std::string(info.param.name);
     });

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
 #include "mcsim/machine.h"
 
 namespace imoltp::mcsim {
@@ -53,6 +57,74 @@ TEST(CoreSimTest, WindowedRegionVariesStartAcrossExecutions) {
   // keep producing cold lines (the windows move around).
   for (int i = 0; i < 50; ++i) core.ExecuteRegion(r);
   EXPECT_GT(core.counters().misses.l1i, 200u);
+}
+
+// The L1I is a CodeCache. A fixed stream of fetch windows over several
+// modules' regions, with invalidations of present code lines and of
+// data lines between them, must give the instruction-side misses per
+// level and per module that the same windows give through plain Caches.
+TEST(CoreSimTest, CodeFetchMatchesPlainCacheHierarchy) {
+  const MachineConfig cfg = TestConfig();
+  MachineSim m(cfg);
+  CoreSim& core = m.core(0);
+  Cache l1i(cfg.l1i);
+  Cache l2(cfg.l2);
+  Cache llc(cfg.llc);
+  std::vector<CodeRegion> regions;
+  for (uint32_t i = 0; i < 8; ++i) {
+    const ModuleId mod =
+        m.modules().Register("mod" + std::to_string(i), i % 2 == 0);
+    regions.push_back(m.code_space().Define(
+        mod, (13 + i) << 10, (10 + i % 2) << 10, 1000, 0.0));
+  }
+  regions.push_back(
+      m.code_space().Define(kNoModule, 2 << 10, 2 << 10, 100, 0.0));
+
+  CoreCounters want;
+  Rng rng(5);
+  for (int i = 0; i < 4000; ++i) {
+    const CodeRegion& r = regions[rng.Uniform(regions.size())];
+    const uint64_t start =
+        r.base_line + rng.Uniform(r.total_lines - r.touched_lines + 1);
+    core.ExecuteRegionAt(r, start);
+    want.code_line_fetches += r.touched_lines;
+    for (uint64_t line = start; line < start + r.touched_lines; ++line) {
+      if (l1i.Access(line)) continue;
+      ++want.misses.l1i;
+      ++want.per_module[r.module].misses.l1i;
+      if (l2.Access(line)) continue;
+      ++want.misses.l2i;
+      ++want.per_module[r.module].misses.l2i;
+      if (llc.Access(line)) continue;
+      ++want.misses.llc_i;
+      ++want.per_module[r.module].misses.llc_i;
+    }
+    if (i % 16 == 0) {
+      const uint64_t line = start + rng.Uniform(r.touched_lines);
+      ASSERT_TRUE(core.HoldsLine(line));
+      core.InvalidateLine(line);
+      l1i.Invalidate(line);
+      l2.Invalidate(line);
+      ASSERT_FALSE(core.HoldsLine(line));
+      core.InvalidateLine(0x5555'0000'0000ULL >> 6);
+    }
+  }
+  const CoreCounters& got = core.counters();
+  EXPECT_EQ(got.code_line_fetches, want.code_line_fetches);
+  EXPECT_EQ(got.misses.l1i, want.misses.l1i);
+  EXPECT_EQ(got.misses.l2i, want.misses.l2i);
+  EXPECT_EQ(got.misses.llc_i, want.misses.llc_i);
+  EXPECT_GT(want.misses.l1i, 0u);
+  EXPECT_LT(want.misses.l1i, want.code_line_fetches);
+  for (int mod = 0; mod < m.modules().size(); ++mod) {
+    SCOPED_TRACE(mod);
+    EXPECT_EQ(got.per_module[mod].misses.l1i,
+              want.per_module[mod].misses.l1i);
+    EXPECT_EQ(got.per_module[mod].misses.l2i,
+              want.per_module[mod].misses.l2i);
+    EXPECT_EQ(got.per_module[mod].misses.llc_i,
+              want.per_module[mod].misses.llc_i);
+  }
 }
 
 TEST(CoreSimTest, DataReadWalksHierarchy) {

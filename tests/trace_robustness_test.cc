@@ -17,6 +17,7 @@
 #include "trace/reader.h"
 #include "trace/record.h"
 #include "trace/replay.h"
+#include "trace/writer.h"
 
 namespace imoltp::trace {
 namespace {
@@ -213,6 +214,54 @@ TEST_F(TraceRobustnessTest, InjectedDeviceReadErrorFailsCleanly) {
   while (!done) {
     ASSERT_TRUE(clean.Next(&ev, &done).ok());
   }
+}
+
+TEST_F(TraceRobustnessTest, RegionOutsideCodeSpaceRejected) {
+  // A well-formed file whose region definition lies outside the code
+  // space: below kCodeBaseLine, past the kMaxCodeLines cap, or
+  // straddling it. The L1I keeps a way map over the code space, so
+  // such a region must be rejected before replay fetches from it.
+  auto region = [](uint64_t base, uint32_t total) {
+    mcsim::CodeRegion r;
+    r.base_line = base;
+    r.total_lines = total;
+    r.touched_lines = total;
+    r.instructions = 10;
+    return r;
+  };
+  const uint64_t top = mcsim::kCodeBaseLine + mcsim::kMaxCodeLines;
+  const struct {
+    mcsim::CodeRegion region;
+    bool ok;
+  } cases[] = {{region(mcsim::kCodeBaseLine, 16), true},
+               {region(top - 16, 16), true},
+               {region(0x5555'0000'0000ULL >> 6, 16), false},
+               {region(mcsim::kCodeBaseLine - 8, 16), false},
+               {region(top - 8, 16), false},
+               {region(top, 1), false},
+               {region(UINT64_MAX - 4, 16), false}};
+  const std::string path = TmpPath("code_space");
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.region.base_line);
+    mcsim::MachineSim machine;
+    TraceWriter writer;
+    ASSERT_TRUE(writer.Open(path, machine, TraceWriter::Options()).ok());
+    writer.OnExecuteRegion(0, c.region, c.region.base_line);
+    ASSERT_TRUE(writer.Finish().ok());
+
+    TraceReader reader;
+    Status s = reader.Open(path);
+    TraceEvent ev;
+    bool done = false;
+    while (s.ok() && !done) s = reader.Next(&ev, &done);
+    EXPECT_EQ(s.ok(), c.ok) << s.ToString();
+    if (!c.ok) {
+      EXPECT_NE(s.message().find("outside the code space"),
+                std::string::npos)
+          << s.ToString();
+    }
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace
