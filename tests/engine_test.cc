@@ -531,7 +531,27 @@ std::string ToCpp(const Signature& sig) {
   return os.str();
 }
 
-Signature RunSignature(EngineKind kind) {
+// Each engine's ablation switch, as the ablation and figure benches set
+// it: the buffer-pool-less heap (disk engines), the multi-partition
+// coordination path (partitioned engines), interpreted storage code
+// (DBMS M).
+void Ablate(EngineKind kind, EngineOptions* options) {
+  switch (kind) {
+    case EngineKind::kShoreMt:
+    case EngineKind::kDbmsD:
+      options->use_bufferpool = false;
+      break;
+    case EngineKind::kVoltDb:
+    case EngineKind::kHyPer:
+      options->single_site = false;
+      break;
+    case EngineKind::kDbmsM:
+      options->compilation = false;
+      break;
+  }
+}
+
+Signature RunSignature(EngineKind kind, bool ablated) {
   core::TpccConfig tcfg;
   tcfg.warehouses = 2;
   tcfg.orders_per_district = 30;
@@ -550,6 +570,7 @@ Signature RunSignature(EngineKind kind) {
   // truncation shortens the pinned log.
   cfg.engine_options.checkpoint.enabled = true;
   cfg.engine_options.checkpoint.every_n_ticks = 1u << 30;
+  if (ablated) Ablate(kind, &cfg.engine_options);
   auto runner = core::ExperimentRunner::Create(cfg, &workload);
   EXPECT_TRUE(runner.ok()) << runner.status().ToString();
   if (!runner.ok()) return {};
@@ -592,7 +613,19 @@ Signature RunSignature(EngineKind kind) {
   return sig;
 }
 
-class PinnedSignatureTest : public ::testing::TestWithParam<EngineKind> {};
+class PinnedSignatureTest : public ::testing::TestWithParam<EngineKind> {
+ protected:
+  void ExpectPinned(const std::pair<EngineKind, Signature> (&pinned)[5],
+                    bool ablated) {
+    const Signature got = RunSignature(GetParam(), ablated);
+    const Signature* want = nullptr;
+    for (const auto& [kind, sig] : pinned) {
+      if (kind == GetParam()) want = &sig;
+    }
+    ASSERT_NE(want, nullptr) << "observed: " << ToCpp(got);
+    EXPECT_EQ(got, *want) << "observed: " << ToCpp(got);
+  }
+};
 
 // The engines' data-operation paths are shared plumbing: any change to
 // them must leave every simulated event where it was. These signatures
@@ -643,13 +676,56 @@ TEST_P(PinnedSignatureTest, SerialTpccSignatureIsPinned) {
          {"mm-index", 6763013ull}, {"mvcc-commit", 1137876ull},
          {"mm-log", 6058500ull}}}},
   };
-  const Signature got = RunSignature(GetParam());
-  const Signature* want = nullptr;
-  for (const auto& [kind, sig] : kPinned) {
-    if (kind == GetParam()) want = &sig;
-  }
-  ASSERT_NE(want, nullptr) << "observed: " << ToCpp(got);
-  EXPECT_EQ(got, *want) << "observed: " << ToCpp(got);
+  ExpectPinned(kPinned, /*ablated=*/false);
+}
+
+// The same run with each engine's ablation switch flipped (see Ablate):
+// the code paths the ablation benches measure.
+TEST_P(PinnedSignatureTest, AblationTpccSignatureIsPinned) {
+  static const std::pair<EngineKind, Signature> kPinned[] = {
+      {EngineKind::kShoreMt,
+       {253011694ull, 350, 50, {11131, 20711, 7302, 20477},
+        0xbbd43fd3e181de15ull,
+        {{"<none>", 79608400ull}, {"sm-xct-begin", 2288000ull},
+         {"sm-xct-commit", 2464000ull}, {"sm-btree", 63503876ull},
+         {"sm-bufferpool", 38990ull}, {"sm-lock", 52895191ull},
+         {"sm-log", 13173037ull}, {"sm-heap-direct", 39040200ull}}}},
+      {EngineKind::kDbmsD,
+       {286114694ull, 350, 50, {11131, 20711, 7302, 20477},
+        0xbbd43fd3e181de15ull,
+        {{"<none>", 79608400ull}, {"network", 3469200ull},
+         {"parser", 3344000ull}, {"optimizer", 3080000ull},
+         {"plan-exec", 40072400ull}, {"sm-xct-begin", 1584000ull},
+         {"sm-xct-commit", 1672000ull}, {"sm-btree", 54101476ull},
+         {"sm-bufferpool", 38990ull}, {"sm-lock", 48557391ull},
+         {"sm-log", 11546637ull}, {"sm-heap-direct", 39040200ull}}}},
+      {EngineKind::kVoltDb,
+       {169360544ull, 350, 50, {11074, 400, 316, 20477},
+        0x607ccb0130169b6ull,
+        {{"<none>", 104610680ull}, {"dispatch", 4048000ull},
+         {"exec-engine", 44698624ull}, {"ee-index", 13664440ull},
+         {"ee-commit", 694800ull}, {"cmd-log", 280000ull},
+         {"dtxn-coord", 1364000ull}}}},
+      {EngineKind::kHyPer,
+       {38775503ull, 350, 50, {11074, 400, 7302, 20477},
+        0x31e280dc6445195eull,
+        {{"<none>", 23372174ull}, {"dispatch", 132000ull},
+         {"txn-commit", 77200ull}, {"redo-log", 1391040ull},
+         {"compiled-txn#20", 7689731ull},
+         {"compiled-txn#21", 1735890ull},
+         {"compiled-txn#22", 117076ull},
+         {"compiled-txn#23", 875098ull},
+         {"compiled-txn#24", 3385294ull}}}},
+      {EngineKind::kDbmsM,
+       {149507214ull, 350, 50, {11074, 0, 7252, 20427},
+        0xbee1b4d655f6a0baull,
+        {{"<none>", 9547378ull}, {"legacy-session", 1848000ull},
+         {"legacy-query", 2200000ull}, {"legacy-txn", 1325280ull},
+         {"mvcc", 21801567ull}, {"interp-op", 98825600ull},
+         {"mm-index", 6763013ull}, {"mvcc-commit", 1137876ull},
+         {"mm-log", 6058500ull}}}},
+  };
+  ExpectPinned(kPinned, /*ablated=*/true);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllEngines, PinnedSignatureTest,
