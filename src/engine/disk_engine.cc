@@ -1,7 +1,5 @@
 #include "engine/disk_engine.h"
 
-#include "obs/span.h"
-
 namespace imoltp::engine {
 
 namespace {
@@ -18,26 +16,24 @@ DiskEngine::DiskEngine(EngineKind kind, mcsim::MachineSim* machine,
       kind_(kind),
       full_stack_(kind == EngineKind::kDbmsD),
       row_level_locks_(kind == EngineKind::kShoreMt) {
+  // The storage manager's regions (DBMS D's follow its frontend's).
+  auto define_sm = [this](const auto& p) {
+    xct_begin_ = DefineRegion(p.xct_begin);
+    xct_commit_ = DefineRegion(p.xct_commit);
+    btree_ = DefineRegion(p.btree);
+    heap_bp_ = DefineRegion(p.heap_bp);
+    lock_ = DefineRegion(p.lock);
+    log_ = DefineRegion(p.log);
+  };
   if (full_stack_) {
     DbmsDProfile p;
     network_ = DefineRegion(p.network);
     parser_ = DefineRegion(p.parser);
     optimizer_ = DefineRegion(p.optimizer);
     plan_exec_ = DefineRegion(p.plan_exec);
-    xct_begin_ = DefineRegion(p.xct_begin);
-    xct_commit_ = DefineRegion(p.xct_commit);
-    btree_ = DefineRegion(p.btree);
-    heap_bp_ = DefineRegion(p.heap_bp);
-    lock_ = DefineRegion(p.lock);
-    log_ = DefineRegion(p.log);
+    define_sm(p);
   } else {
-    ShoreMtProfile p;
-    xct_begin_ = DefineRegion(p.xct_begin);
-    xct_commit_ = DefineRegion(p.xct_commit);
-    btree_ = DefineRegion(p.btree);
-    heap_bp_ = DefineRegion(p.heap_bp);
-    lock_ = DefineRegion(p.lock);
-    log_ = DefineRegion(p.log);
+    define_sm(ShoreMtProfile());
   }
   // Direct heap path for the buffer-pool ablation: a much smaller code
   // region (no page table, no latching, no pin bookkeeping).
@@ -57,20 +53,14 @@ class DiskEngine::Ctx final : public EngineBase::CtxBase {
   Status Probe(int table, const index::Key& key,
                storage::RowId* row) override {
     PerOpFrontend();
-    obs::ScopedSpan span(&e_->spans_, core_,
-                         obs::SpanKind::kIndexProbe);
-    mcsim::ScopedModule mod(core_, e_->btree_.module);
-    e_->Exec(core_, e_->btree_);
+    const Step step(e_, core_, SpanKind::kIndexProbe, e_->btree_);
     return Lookup(table, key, row);
   }
 
   Status Read(int table, storage::RowId row, uint8_t* out) override {
     Status s = Lock(table, row, txn::LockMode::kShared);
     if (!s.ok()) return s;
-    obs::ScopedSpan span(&e_->spans_, core_,
-                         obs::SpanKind::kStorageAccess);
-    mcsim::ScopedModule mod(core_, HeapRegion().module);
-    e_->Exec(core_, HeapRegion());
+    const Step step(e_, core_, SpanKind::kStorageAccess, HeapRegion());
     return ReadRow(table, row, out);
   }
 
@@ -79,17 +69,11 @@ class DiskEngine::Ctx final : public EngineBase::CtxBase {
     Status s = Lock(table, row, txn::LockMode::kExclusive);
     if (!s.ok()) return s;
     {
-      obs::ScopedSpan span(&e_->spans_, core_,
-                           obs::SpanKind::kStorageAccess);
-      mcsim::ScopedModule mod(core_, HeapRegion().module);
-      e_->Exec(core_, HeapRegion());
+      const Step step(e_, core_, SpanKind::kStorageAccess, HeapRegion());
       s = UpdateInPlace(table, row, column, value);
       if (!s.ok()) return s;
     }
-    obs::ScopedSpan span(&e_->spans_, core_,
-                         obs::SpanKind::kLogAppend);
-    mcsim::ScopedModule mod(core_, e_->log_.module);
-    e_->Exec(core_, e_->log_);
+    const Step step(e_, core_, SpanKind::kLogAppend, e_->log_);
     LogColumnUpdate(table, row, column, value);
     return Status::Ok();
   }
@@ -100,33 +84,22 @@ class DiskEngine::Ctx final : public EngineBase::CtxBase {
     storage::RowId rid = storage::kInvalidRow;
     Status s;
     {
-      obs::ScopedSpan span(&e_->spans_, core_,
-                           obs::SpanKind::kStorageAccess);
-      mcsim::ScopedModule mod(core_, HeapRegion().module);
-      e_->Exec(core_, HeapRegion());
+      const Step step(e_, core_, SpanKind::kStorageAccess, HeapRegion());
       s = AppendRow(table, row, &rid);
       if (!s.ok()) return s;
     }
     s = Lock(table, rid, txn::LockMode::kExclusive);
     if (!s.ok()) return DropAppended(table, rid, s);
     if (slice(table).primary != nullptr) {
-      obs::ScopedSpan span(&e_->spans_, core_,
-                           obs::SpanKind::kIndexProbe);
-      mcsim::ScopedModule mod(core_, e_->btree_.module);
-      e_->Exec(core_, e_->btree_);
+      const Step step(e_, core_, SpanKind::kIndexProbe, e_->btree_);
       s = InsertPrimaryKey(table, key, rid);
       if (!s.ok()) return s;
     }
     if (!slice(table).secondaries.empty()) {
-      obs::ScopedSpan span(&e_->spans_, core_,
-                           obs::SpanKind::kIndexProbe);
-      mcsim::ScopedModule mod(core_, e_->btree_.module);
+      const Step step(e_, core_, SpanKind::kIndexProbe, e_->btree_.module);
       InsertSecondaryKeys(table, row, rid);
     }
-    obs::ScopedSpan span(&e_->spans_, core_,
-                         obs::SpanKind::kLogAppend);
-    mcsim::ScopedModule mod(core_, e_->log_.module);
-    e_->Exec(core_, e_->log_);
+    const Step step(e_, core_, SpanKind::kLogAppend, e_->log_);
     LogInsert(table, rid, row, key);
     return Inserted(table, rid, key, row, out_row);
   }
@@ -137,32 +110,22 @@ class DiskEngine::Ctx final : public EngineBase::CtxBase {
     if (!s.ok()) return s;
     uint8_t* before = RowScratch(table);
     {
-      obs::ScopedSpan span(&e_->spans_, core_,
-                           obs::SpanKind::kStorageAccess);
-      mcsim::ScopedModule mod(core_, HeapRegion().module);
+      const Step step(e_, core_, SpanKind::kStorageAccess,
+                      HeapRegion().module);
       s = ReadRow(table, row, before);
       if (!s.ok()) return s;
     }
     {
-      obs::ScopedSpan span(&e_->spans_, core_,
-                           obs::SpanKind::kIndexProbe);
-      mcsim::ScopedModule mod(core_, e_->btree_.module);
-      e_->Exec(core_, e_->btree_);
+      const Step step(e_, core_, SpanKind::kIndexProbe, e_->btree_);
       s = RemoveKeys(table, key, before);
       if (!s.ok()) return s;
     }
     {
-      obs::ScopedSpan span(&e_->spans_, core_,
-                           obs::SpanKind::kStorageAccess);
-      mcsim::ScopedModule mod(core_, HeapRegion().module);
-      e_->Exec(core_, HeapRegion());
+      const Step step(e_, core_, SpanKind::kStorageAccess, HeapRegion());
       s = DeleteRow(table, row);
       if (!s.ok()) return s;
     }
-    obs::ScopedSpan span(&e_->spans_, core_,
-                         obs::SpanKind::kLogAppend);
-    mcsim::ScopedModule mod(core_, e_->log_.module);
-    e_->Exec(core_, e_->log_);
+    const Step step(e_, core_, SpanKind::kLogAppend, e_->log_);
     LogDelete(table, row, key, before);
     Deleted(table, row, key, before);
     return Status::Ok();
@@ -171,10 +134,7 @@ class DiskEngine::Ctx final : public EngineBase::CtxBase {
   Status Scan(int table, const index::Key& from, uint64_t limit,
               std::vector<storage::RowId>* rows) override {
     PerOpFrontend();
-    obs::ScopedSpan span(&e_->spans_, core_,
-                         obs::SpanKind::kIndexProbe);
-    mcsim::ScopedModule mod(core_, e_->btree_.module);
-    e_->Exec(core_, e_->btree_);
+    const Step step(e_, core_, SpanKind::kIndexProbe, e_->btree_);
     return ScanPrimary(table, from, limit, rows);
   }
 
@@ -182,10 +142,7 @@ class DiskEngine::Ctx final : public EngineBase::CtxBase {
                        uint64_t limit,
                        std::vector<storage::RowId>* rows) override {
     PerOpFrontend();
-    obs::ScopedSpan span(&e_->spans_, core_,
-                         obs::SpanKind::kIndexProbe);
-    mcsim::ScopedModule mod(core_, e_->btree_.module);
-    e_->Exec(core_, e_->btree_);
+    const Step step(e_, core_, SpanKind::kIndexProbe, e_->btree_);
     return ScanIndex(table, secondary, from, limit, rows);
   }
 
@@ -197,9 +154,7 @@ class DiskEngine::Ctx final : public EngineBase::CtxBase {
 
   /// Two-phase locking: the lock-manager code path plus the request.
   Status Lock(int table, storage::RowId row, txn::LockMode mode) {
-    obs::ScopedSpan span(&e_->spans_, core_, obs::SpanKind::kLockAcquire);
-    mcsim::ScopedModule mod(core_, e_->lock_.module);
-    e_->Exec(core_, e_->lock_);
+    const Step step(e_, core_, SpanKind::kLockAcquire, e_->lock_);
     return e_->lock_manager_.Acquire(core_, txn_id_, LockId(table, row),
                                      mode);
   }
@@ -221,76 +176,50 @@ class DiskEngine::Ctx final : public EngineBase::CtxBase {
   DiskEngine* e_;
 };
 
-Status DiskEngine::Execute(int worker, const TxnRequest& request,
-                           const std::function<Status(TxnContext&)>& body) {
-  (void)request;
-  mcsim::CoreSim* core = &machine_->core(worker);
-  core->BeginTransaction();
-  const uint64_t txn_id = ++next_txn_;
-
+Status DiskEngine::Begin(Txn& txn) {
   if (full_stack_) {
-    Exec(core, network_);
-    Exec(core, parser_);
-    Exec(core, optimizer_);
+    Exec(txn.core, network_);
+    Exec(txn.core, parser_);
+    Exec(txn.core, optimizer_);
   }
-  Exec(core, xct_begin_);
+  Exec(txn.core, xct_begin_);
+  return Status::Ok();
+}
 
-  // Crash before any work: nothing held, nothing logged.
-  if (FaultCrash(fault::kCrashPreBody)) {
-    return Status::Aborted("injected crash: pre_body");
-  }
+EngineBase::CtxBase* DiskEngine::Open(CtxSlot* slot, const Txn& txn) {
+  return slot->Emplace<Ctx>(this, txn.core, txn.id);
+}
 
-  Ctx ctx(this, core, txn_id);
-  Status s = body(ctx);
-
-  // Crash mid-commit: in-place changes stay dirty, locks stay held —
-  // recovery must drop this transaction (no commit record was logged).
-  if (s.ok() && FaultCrash(fault::kCrashMidCommit)) {
-    return Status::Aborted("injected crash: mid_commit");
+void DiskEngine::Abort(CtxBase& ctx) {
+  // Undo in-place changes under the locks, release them, log the abort
+  // (charged outside the sm-log module, unlike the commit record).
+  mcsim::CoreSim* core = ctx.core();
+  if (!ctx.undo.empty()) {
+    const Step step(this, core, SpanKind::kStorageAccess, heap_bp_.module);
+    ctx.Rollback();
   }
-
-  if (!s.ok()) {
-    // Abort: undo in-place changes, release locks, log the abort.
-    if (!ctx.undo.empty()) {
-      obs::ScopedSpan span(&spans_, core,
-                           obs::SpanKind::kStorageAccess);
-      mcsim::ScopedModule mod(core, heap_bp_.module);
-      ctx.Rollback();
-    }
-    {
-      obs::ScopedSpan span(&spans_, core,
-                           obs::SpanKind::kLockAcquire);
-      mcsim::ScopedModule mod(core, lock_.module);
-      lock_manager_.ReleaseAll(core, txn_id);
-    }
-    {
-      obs::ScopedSpan span(&spans_, core, obs::SpanKind::kLogAppend);
-      Exec(core, log_);
-      logs_[core->core_id()]->LogAbort(core, txn_id);
-    }
-    Exec(core, xct_commit_);
-    return s;
-  }
-
-  if (ctx.dirty) {
-    obs::ScopedSpan span(&spans_, core, obs::SpanKind::kLogAppend);
-    mcsim::ScopedModule mod(core, log_.module);
-    Exec(core, log_);
-    logs_[core->core_id()]->LogCommit(core, txn_id);
-  }
-  // Crash after the commit record but before lock release / flush: the
-  // commit is durable only up to the flushed log prefix.
-  if (FaultCrash(fault::kCrashPostCommit)) {
-    return Status::Aborted("injected crash: post_commit");
-  }
+  Release(ctx);
   {
-    obs::ScopedSpan span(&spans_, core, obs::SpanKind::kLockAcquire);
-    mcsim::ScopedModule mod(core, lock_.module);
-    lock_manager_.ReleaseAll(core, txn_id);
+    obs::ScopedSpan span(&spans_, core, SpanKind::kLogAppend);
+    Exec(core, log_);
+    logs_[core->core_id()]->LogAbort(core, ctx.txn_id());
   }
   Exec(core, xct_commit_);
-  if (full_stack_) Exec(core, network_);
-  return Status::Ok();
+}
+
+void DiskEngine::LogCommit(CtxBase& ctx, const Txn& /*txn*/) {
+  const Step step(this, ctx.core(), SpanKind::kLogAppend, log_);
+  logs_[ctx.core()->core_id()]->LogCommit(ctx.core(), ctx.txn_id());
+}
+
+void DiskEngine::Release(CtxBase& ctx) {
+  const Step step(this, ctx.core(), SpanKind::kLockAcquire, lock_.module);
+  lock_manager_.ReleaseAll(ctx.core(), ctx.txn_id());
+}
+
+void DiskEngine::Epilogue(CtxBase& ctx) {
+  Exec(ctx.core(), xct_commit_);
+  if (full_stack_) Exec(ctx.core(), network_);
 }
 
 }  // namespace imoltp::engine

@@ -1,7 +1,6 @@
 #ifndef IMOLTP_ENGINE_DISK_ENGINE_H_
 #define IMOLTP_ENGINE_DISK_ENGINE_H_
 
-#include <atomic>
 #include <memory>
 #include <vector>
 
@@ -28,8 +27,6 @@ class DiskEngine final : public EngineBase {
              const EngineOptions& options);
 
   EngineKind kind() const override { return kind_; }
-  Status Execute(int worker, const TxnRequest& request,
-                 const std::function<Status(TxnContext&)>& body) override;
 
  protected:
   // The buffer-pool ablation (EngineOptions::use_bufferpool = false)
@@ -44,6 +41,13 @@ class DiskEngine final : public EngineBase {
   class Ctx;
   friend class Ctx;
 
+  Status Begin(Txn& txn) override;
+  CtxBase* Open(CtxSlot* slot, const Txn& txn) override;
+  void Abort(CtxBase& ctx) override;
+  void LogCommit(CtxBase& ctx, const Txn& txn) override;
+  void Release(CtxBase& ctx) override;
+  void Epilogue(CtxBase& ctx) override;
+
   EngineKind kind_;
   bool full_stack_;       // DBMS D: frontend layers per transaction
   bool row_level_locks_;  // Shore-MT: row locks; DBMS D: page locks
@@ -55,7 +59,6 @@ class DiskEngine final : public EngineBase {
   mcsim::CodeRegion heap_direct_;  // buffer-pool ablation
 
   txn::LockManager lock_manager_;
-  std::atomic<uint64_t> next_txn_{0};
 };
 
 }  // namespace imoltp::engine

@@ -34,7 +34,6 @@ mcsim::CodeRegion EngineBase::DefineRegion(const RegionSpec& spec) {
 
 index::Key EngineBase::DefaultKeyOf(const storage::Schema& schema,
                                     storage::RowId r, uint64_t seed) {
-  (void)seed;
   if (schema.num_columns() > 0 &&
       schema.column_type(0) == storage::ColumnType::kString) {
     // String tables key on the generated column-0 contents.
@@ -173,7 +172,6 @@ Status EngineBase::CreateDatabase(const std::vector<TableDef>& defs) {
 
   machine_->SetEnabled(true);
   WarmCaches();
-  OnDatabaseReady();
   return Status::Ok();
 }
 
@@ -277,6 +275,62 @@ void EngineBase::RemoveSecondaries(mcsim::CoreSim* core, TableRt& rt,
         rt.def.secondaries[i].key_of(rt.def.schema, row);
     slice.secondaries[i]->Remove(core, key);
   }
+}
+
+// ---------------------------------------------------------------------------
+// The transaction lifecycle.
+// ---------------------------------------------------------------------------
+
+Status EngineBase::Execute(int worker, const TxnRequest& request,
+                           const std::function<Status(TxnContext&)>& body) {
+  mcsim::CoreSim* core = &machine_->core(worker);
+  core->BeginTransaction();
+  // A hook may leave the core in its own module; the caller's returns
+  // with the transaction.
+  mcsim::ScopedModule module(core, core->module());
+  Txn txn{core, request, ++next_txn_};
+  const Status s = Begin(txn);
+  if (!s.ok()) return s;
+
+  // Crash before any work: nothing is logged, and whatever Begin took
+  // (locks, partitions, a snapshot) dies with the process.
+  if (FaultCrash(fault::kCrashPreBody)) {
+    return Status::Aborted("injected crash: pre_body");
+  }
+
+  CtxSlot slot;
+  CtxBase* ctx = Open(&slot, txn);
+  const Status result = Run(*ctx, txn, body);
+  ctx->~CtxBase();
+  return result;
+}
+
+Status EngineBase::Run(CtxBase& ctx, const Txn& txn,
+                       const std::function<Status(TxnContext&)>& body) {
+  Status s = body(ctx);
+
+  // Crash mid-commit: in-place changes stay dirty, locks stay held and
+  // no commit (or command) record exists, so recovery drops the
+  // transaction.
+  if (s.ok() && FaultCrash(fault::kCrashMidCommit)) {
+    return Status::Aborted("injected crash: mid_commit");
+  }
+  if (!s.ok()) {
+    Abort(ctx);
+    return s;
+  }
+  s = Commit(ctx);
+  if (!s.ok()) return s;
+  if (ctx.dirty) LogCommit(ctx, txn);
+
+  // Crash after the commit record reached the log ring, before release:
+  // the commit is durable only up to the flushed prefix of the log.
+  if (FaultCrash(fault::kCrashPostCommit)) {
+    return Status::Aborted("injected crash: post_commit");
+  }
+  Release(ctx);
+  Epilogue(ctx);
+  return Status::Ok();
 }
 
 // ---------------------------------------------------------------------------

@@ -2,12 +2,16 @@
 #define IMOLTP_ENGINE_ENGINE_BASE_H_
 
 #include <atomic>
+#include <cstddef>
 #include <memory>
 #include <mutex>
+#include <new>
+#include <utility>
 #include <vector>
 
 #include "engine/engine.h"
 #include "engine/profiles.h"
+#include "obs/span.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_heap_file.h"
 #include "txn/checkpoint.h"
@@ -15,8 +19,8 @@
 
 namespace imoltp::engine {
 
-/// Shared machinery for the engine archetypes: table slices (one per
-/// partition for the partitioned engines, one total otherwise), bulk
+/// Shared machinery for the engine archetypes: the transaction lifecycle,
+/// table slices (one per partition when partitioned, else one), bulk
 /// population, code-region instantiation, and per-worker logging.
 class EngineBase : public Engine {
  public:
@@ -27,6 +31,11 @@ class EngineBase : public Engine {
   obs::SpanCollector* span_collector() override { return &spans_; }
 
   Status CreateDatabase(const std::vector<TableDef>& defs) override;
+  /// The transaction lifecycle, the same for every archetype: begin,
+  /// body, abort or commit, the commit-record rule and the three crash
+  /// points. The archetype fills in the hooks below.
+  Status Execute(int worker, const TxnRequest& request,
+                 const std::function<Status(TxnContext&)>& body) final;
   std::vector<txn::LogRecord> StableLog() const override;
   std::vector<txn::LogRecord> FlushedLog() const override;
   Status Replay(const std::vector<txn::LogRecord>& log) override;
@@ -83,12 +92,28 @@ class EngineBase : public Engine {
   /// the buffer pool).
   virtual bool disk_based() const { return false; }
 
-  /// Hook: engines may pre-create code regions after the database is
-  /// loaded (compiled engines create per-transaction-type regions lazily
-  /// in Execute instead).
-  virtual void OnDatabaseReady() {}
-
   mcsim::CodeRegion DefineRegion(const RegionSpec& spec);
+
+  using SpanKind = obs::SpanKind;
+
+  /// One step of a transaction's work: a span charged to `kind`, with
+  /// the core in `module` until the step ends. The region form runs the
+  /// region's code as the step begins, in the region's module.
+  class Step {
+   public:
+    Step(EngineBase* engine, mcsim::CoreSim* core, SpanKind kind,
+         mcsim::ModuleId module)
+        : span_(&engine->spans_, core, kind), module_(core, module) {}
+    Step(EngineBase* engine, mcsim::CoreSim* core, SpanKind kind,
+         const mcsim::CodeRegion& region)
+        : Step(engine, core, kind, region.module) {
+      core->ExecuteRegion(region);
+    }
+
+   private:
+    obs::ScopedSpan span_;
+    mcsim::ScopedModule module_;
+  };
 
   /// Streams all index paths and rows once after population (steady-state
   /// cache warm-up; see CreateDatabase).
@@ -189,6 +214,7 @@ class EngineBase : public Engine {
   class CtxBase : public TxnContext {
    public:
     mcsim::CoreSim* core() override { return core_; }
+    uint64_t txn_id() const { return txn_id_; }
 
     /// Rolls a failed transaction back: applies `undo` in reverse
     /// order, then empties it. When fuzzy checkpointing is on and the
@@ -313,6 +339,49 @@ class EngineBase : public Engine {
              uint32_t before_bytes, bool clr = false);
   };
 
+  /// Stack storage for one transaction's context: Execute keeps it in
+  /// its frame and the archetype's Open hook builds its context in it,
+  /// so no transaction allocates a context.
+  struct CtxSlot {
+    template <class Ctx, class... Args>
+    Ctx* Emplace(Args&&... args) {
+      static_assert(sizeof(Ctx) <= sizeof(bytes) &&
+                    alignof(Ctx) <= alignof(std::max_align_t));
+      return new (bytes) Ctx(std::forward<Args>(args)...);
+    }
+    alignas(std::max_align_t) unsigned char bytes[128];
+  };
+
+  /// A transaction as Execute begins it.
+  struct Txn {
+    mcsim::CoreSim* core;  // the worker's core
+    const TxnRequest& request;
+    uint64_t id;
+  };
+
+  /// The archetype's steps of the lifecycle Execute runs. Each hook
+  /// opens its own spans and module scopes and runs its own code regions.
+  ///
+  /// Begin runs the frontend and enters concurrency control; a failure
+  /// ends the transaction before any work. It may replace `txn.id`
+  /// (DBMS M takes its ids from its MVCC manager).
+  virtual Status Begin(Txn& txn) = 0;
+  /// Builds the archetype's context in `slot`, after crash.pre_body.
+  virtual CtxBase* Open(CtxSlot* slot, const Txn& txn) = 0;
+  /// A failed body: rolls back, releases, logs the abort.
+  virtual void Abort(CtxBase& ctx) = 0;
+  /// A successful body, before the commit record. Validation may still
+  /// fail the transaction; the hook has then rolled it back and logged
+  /// the abort. The hook may switch the core's module for the rest of
+  /// the transaction (Execute restores the caller's).
+  virtual Status Commit(CtxBase& /*ctx*/) { return Status::Ok(); }
+  /// The commit (or command) record of a transaction that changed data.
+  virtual void LogCommit(CtxBase& ctx, const Txn& txn) = 0;
+  /// After crash.post_commit: releases what the transaction holds, then
+  /// runs the archetype's closing code.
+  virtual void Release(CtxBase& /*ctx*/) {}
+  virtual void Epilogue(CtxBase& /*ctx*/) {}
+
   /// Secondary-index maintenance from a row image.
   void InsertSecondaries(mcsim::CoreSim* core, TableRt& rt, Slice& slice,
                          const uint8_t* row, storage::RowId rid);
@@ -334,11 +403,6 @@ class EngineBase : public Engine {
   /// values).
   virtual bool updates_in_place() const { return true; }
 
-  /// Fault-point helpers over options_.fault_injector (null ⇒ never).
-  bool FaultFires(const char* point) {
-    return options_.fault_injector != nullptr &&
-           options_.fault_injector->Fires(point);
-  }
   /// Crash-class point: latches crash_pending on the injector so the
   /// experiment loop halts. The engine returns Aborted — a crashed
   /// process does no further work in this transaction.
@@ -360,6 +424,12 @@ class EngineBase : public Engine {
   std::unique_ptr<txn::CheckpointManager> ckpt_;
 
  private:
+  /// Execute after Open: the body and its abort or commit.
+  Status Run(CtxBase& ctx, const Txn& txn,
+             const std::function<Status(TxnContext&)>& body);
+
+  std::atomic<uint64_t> next_txn_{0};
+
   /// Capture worker `w`'s share of the pending checkpoint
   /// (partitioned engines: every table's slice w, atomically at a
   /// transaction boundary).

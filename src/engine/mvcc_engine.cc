@@ -2,8 +2,6 @@
 
 #include <cstring>
 
-#include "obs/span.h"
-
 namespace imoltp::engine {
 
 MvccEngine::MvccEngine(mcsim::MachineSim* machine,
@@ -29,18 +27,14 @@ class MvccEngine::Ctx final : public EngineBase::CtxBase {
 
   Status Probe(int table, const index::Key& key,
                storage::RowId* row) override {
-    obs::ScopedSpan span(&e_->spans_, core_,
-                         obs::SpanKind::kIndexProbe);
-    mcsim::ScopedModule mod(core_, e_->index_op_.module);
+    const Step step(e_, core_, SpanKind::kIndexProbe, e_->index_op_.module);
     e_->Exec(core_, e_->storage_op_);
     e_->Exec(core_, e_->index_op_);
     return Lookup(table, key, row);
   }
 
   Status Read(int table, storage::RowId row, uint8_t* out) override {
-    obs::ScopedSpan span(&e_->spans_, core_,
-                         obs::SpanKind::kStorageAccess);
-    mcsim::ScopedModule mod(core_, e_->mvcc_op_.module);
+    const Step step(e_, core_, SpanKind::kStorageAccess, e_->mvcc_op_.module);
     e_->Exec(core_, e_->storage_op_);
     core_->Retire(schema(table).row_bytes() * 4);
     e_->Exec(core_, e_->mvcc_op_);
@@ -65,8 +59,7 @@ class MvccEngine::Ctx final : public EngineBase::CtxBase {
     std::vector<uint8_t> prior(sch.row_bytes());
     std::vector<uint8_t> next;
     {
-      obs::ScopedSpan span(&e_->spans_, core_,
-                           obs::SpanKind::kStorageAccess);
+      obs::ScopedSpan span(&e_->spans_, core_, SpanKind::kStorageAccess);
       e_->Exec(core_, e_->storage_op_);
       core_->Retire(sch.row_bytes() * 4);
       e_->Exec(core_, e_->mvcc_op_);
@@ -93,8 +86,7 @@ class MvccEngine::Ctx final : public EngineBase::CtxBase {
           static_cast<uint32_t>(next.size()), prior.data());
       if (!s.ok()) return s;
     }
-    obs::ScopedSpan span(&e_->spans_, core_,
-                         obs::SpanKind::kLogAppend);
+    obs::ScopedSpan span(&e_->spans_, core_, SpanKind::kLogAppend);
     e_->Exec(core_, e_->log_);
     LogRowUpdate(table, row, next.data(), prior.data());
     return Status::Ok();
@@ -105,22 +97,19 @@ class MvccEngine::Ctx final : public EngineBase::CtxBase {
     mcsim::ScopedModule mod(core_, e_->index_op_.module);
     storage::RowId rid = storage::kInvalidRow;
     {
-      obs::ScopedSpan span(&e_->spans_, core_,
-                           obs::SpanKind::kStorageAccess);
+      obs::ScopedSpan span(&e_->spans_, core_, SpanKind::kStorageAccess);
       e_->Exec(core_, e_->storage_op_);
       const Status s = AppendRow(table, row, &rid);
       if (!s.ok()) return s;
     }
     {
-      obs::ScopedSpan span(&e_->spans_, core_,
-                           obs::SpanKind::kIndexProbe);
+      obs::ScopedSpan span(&e_->spans_, core_, SpanKind::kIndexProbe);
       e_->Exec(core_, e_->index_op_);
       const Status s = InsertPrimaryKey(table, key, rid);
       if (!s.ok()) return s;
       InsertSecondaryKeys(table, row, rid);
     }
-    obs::ScopedSpan span(&e_->spans_, core_,
-                         obs::SpanKind::kLogAppend);
+    obs::ScopedSpan span(&e_->spans_, core_, SpanKind::kLogAppend);
     e_->Exec(core_, e_->log_);
     LogInsert(table, rid, row, key);
     return Inserted(table, rid, key, row, out_row);
@@ -132,28 +121,24 @@ class MvccEngine::Ctx final : public EngineBase::CtxBase {
     uint8_t* before = RowScratch(table);
     Status s;
     {
-      obs::ScopedSpan span(&e_->spans_, core_,
-                           obs::SpanKind::kStorageAccess);
+      obs::ScopedSpan span(&e_->spans_, core_, SpanKind::kStorageAccess);
       e_->Exec(core_, e_->storage_op_);
       e_->Exec(core_, e_->mvcc_op_);
       s = ReadRow(table, row, before);
       if (!s.ok()) return s;
     }
     {
-      obs::ScopedSpan span(&e_->spans_, core_,
-                           obs::SpanKind::kIndexProbe);
+      obs::ScopedSpan span(&e_->spans_, core_, SpanKind::kIndexProbe);
       e_->Exec(core_, e_->index_op_);
       s = RemoveKeys(table, key, before);
       if (!s.ok()) return s;
     }
     {
-      obs::ScopedSpan span(&e_->spans_, core_,
-                           obs::SpanKind::kStorageAccess);
+      obs::ScopedSpan span(&e_->spans_, core_, SpanKind::kStorageAccess);
       s = DeleteRow(table, row);
       if (!s.ok()) return s;
     }
-    obs::ScopedSpan span(&e_->spans_, core_,
-                         obs::SpanKind::kLogAppend);
+    obs::ScopedSpan span(&e_->spans_, core_, SpanKind::kLogAppend);
     e_->Exec(core_, e_->log_);
     LogDelete(table, row, key, before);
     Deleted(table, row, key, before);
@@ -162,9 +147,7 @@ class MvccEngine::Ctx final : public EngineBase::CtxBase {
 
   Status Scan(int table, const index::Key& from, uint64_t limit,
               std::vector<storage::RowId>* rows) override {
-    obs::ScopedSpan span(&e_->spans_, core_,
-                         obs::SpanKind::kIndexProbe);
-    mcsim::ScopedModule mod(core_, e_->index_op_.module);
+    const Step step(e_, core_, SpanKind::kIndexProbe, e_->index_op_.module);
     e_->Exec(core_, e_->storage_op_);
     e_->Exec(core_, e_->index_op_);
     return ScanPrimary(table, from, limit, rows);
@@ -173,9 +156,7 @@ class MvccEngine::Ctx final : public EngineBase::CtxBase {
   Status ScanSecondary(int table, int secondary, const index::Key& from,
                        uint64_t limit,
                        std::vector<storage::RowId>* rows) override {
-    obs::ScopedSpan span(&e_->spans_, core_,
-                         obs::SpanKind::kIndexProbe);
-    mcsim::ScopedModule mod(core_, e_->index_op_.module);
+    const Step step(e_, core_, SpanKind::kIndexProbe, e_->index_op_.module);
     e_->Exec(core_, e_->storage_op_);
     e_->Exec(core_, e_->index_op_);
     return ScanIndex(table, secondary, from, limit, rows);
@@ -185,55 +166,42 @@ class MvccEngine::Ctx final : public EngineBase::CtxBase {
   MvccEngine* e_;
 };
 
-Status MvccEngine::Execute(int worker, const TxnRequest& request,
-                           const std::function<Status(TxnContext&)>& body) {
-  (void)request;
-  mcsim::CoreSim* core = &machine_->core(worker);
-  core->BeginTransaction();
-
+Status MvccEngine::Begin(Txn& txn) {
   // Legacy frontend inherited from the parent disk-based system.
-  Exec(core, session_);
-  Exec(core, query_layer_);
-  Exec(core, txn_mgmt_);
+  Exec(txn.core, session_);
+  Exec(txn.core, query_layer_);
+  Exec(txn.core, txn_mgmt_);
+  mcsim::ScopedModule mod(txn.core, txn_mgmt_.module);
+  txn.id = mvcc_.Begin(txn.core);
+  return Status::Ok();
+}
 
-  uint64_t txn_id;
-  {
-    mcsim::ScopedModule mod(core, txn_mgmt_.module);
-    txn_id = mvcc_.Begin(core);
-  }
-  // Crash before any work: the open snapshot just vanishes.
-  if (FaultCrash(fault::kCrashPreBody)) {
-    return Status::Aborted("injected crash: pre_body");
-  }
+EngineBase::CtxBase* MvccEngine::Open(CtxSlot* slot, const Txn& txn) {
+  return slot->Emplace<Ctx>(this, txn.core, txn.id);
+}
 
-  Ctx ctx(this, core, txn_id);
-  Status s = body(ctx);
+void MvccEngine::Abort(CtxBase& ctx) {
+  // Staged versions are dropped; inserts and deletes were applied in
+  // place, and their undo emits CLRs under checkpointing.
+  mcsim::CoreSim* core = ctx.core();
+  mvcc_.Abort(core, ctx.txn_id());
+  ctx.Rollback();
+  logs_[core->core_id()]->LogAbort(core, ctx.txn_id());
+}
 
-  // Crash mid-commit: staged versions die with the process; in-place
-  // inserts/deletes stay dirty and no commit record exists, so recovery
-  // drops the transaction.
-  if (s.ok() && FaultCrash(fault::kCrashMidCommit)) {
-    return Status::Aborted("injected crash: mid_commit");
-  }
-
-  if (!s.ok()) {
-    mvcc_.Abort(core, txn_id);
-    // Inserts/deletes were applied in place; their undo emits CLRs
-    // under checkpointing.
-    ctx.Rollback();
-    logs_[core->core_id()]->LogAbort(core, txn_id);
-    return s;
-  }
-
-  mcsim::ScopedModule mod(core, validate_commit_.module);
+Status MvccEngine::Commit(CtxBase& ctx) {
+  // Validation, installs and the commit record are charged to the
+  // commit module.
+  mcsim::CoreSim* core = ctx.core();
+  core->SetModule(validate_commit_.module);
   Exec(core, validate_commit_);
   std::vector<txn::MvccManager::StagedWrite> installs;
-  s = mvcc_.Commit(core, txn_id, &installs);
+  const Status s = mvcc_.Commit(core, ctx.txn_id(), &installs);
   if (!s.ok()) {
     // Validation failure: staged updates vanish with the transaction,
     // but in-place inserts/deletes need explicit rollback.
     ctx.Rollback();
-    logs_[core->core_id()]->LogAbort(core, txn_id);
+    logs_[core->core_id()]->LogAbort(core, ctx.txn_id());
     return s;
   }
   for (const auto& w : installs) {
@@ -241,19 +209,17 @@ Status MvccEngine::Execute(int worker, const TxnRequest& request,
     TableRt& rt = tables_[w.table_id];
     SliceWriteRow(core, rt.slices[0], w.row, w.data.data(), rt.def.schema);
   }
-  if (!installs.empty() || !ctx.undo.empty()) {
-    // Staged updates or in-place inserts/deletes: a commit record makes
-    // the transaction's log records replayable.
-    obs::ScopedSpan span(&spans_, core, obs::SpanKind::kLogAppend);
-    Exec(core, log_);
-    logs_[core->core_id()]->LogCommit(core, txn_id);
-  }
-  // Crash after the commit record: durable only up to the flushed
-  // prefix of the log.
-  if (FaultCrash(fault::kCrashPostCommit)) {
-    return Status::Aborted("injected crash: post_commit");
-  }
+  // Installed versions make the transaction's log records replayable
+  // only with a commit record, as in-place inserts and deletes do.
+  if (!installs.empty()) ctx.dirty = true;
   return Status::Ok();
+}
+
+void MvccEngine::LogCommit(CtxBase& ctx, const Txn& /*txn*/) {
+  mcsim::CoreSim* core = ctx.core();
+  obs::ScopedSpan span(&spans_, core, SpanKind::kLogAppend);
+  Exec(core, log_);
+  logs_[core->core_id()]->LogCommit(core, ctx.txn_id());
 }
 
 }  // namespace imoltp::engine

@@ -18,8 +18,6 @@ class MvccEngine final : public EngineBase {
   MvccEngine(mcsim::MachineSim* machine, const EngineOptions& options);
 
   EngineKind kind() const override { return EngineKind::kDbmsM; }
-  Status Execute(int worker, const TxnRequest& request,
-                 const std::function<Status(TxnContext&)>& body) override;
 
  protected:
   index::IndexKind default_index_kind(const TableDef&) const override {
@@ -32,6 +30,12 @@ class MvccEngine final : public EngineBase {
  private:
   class Ctx;
   friend class Ctx;
+
+  Status Begin(Txn& txn) override;
+  CtxBase* Open(CtxSlot* slot, const Txn& txn) override;
+  void Abort(CtxBase& ctx) override;
+  Status Commit(CtxBase& ctx) override;
+  void LogCommit(CtxBase& ctx, const Txn& txn) override;
 
   DbmsMProfile profile_;
   mcsim::CodeRegion session_, query_layer_, txn_mgmt_, mvcc_op_,

@@ -4,8 +4,6 @@
 #include <cstddef>
 #include <cstring>
 
-#include "obs/span.h"
-
 namespace imoltp::engine {
 
 namespace {
@@ -85,18 +83,14 @@ class PartitionedEngine::Ctx final : public EngineBase::CtxBase {
 
   Status Probe(int table, const index::Key& key,
                storage::RowId* row) override {
-    obs::ScopedSpan span(&e_->spans_, core_,
-                         obs::SpanKind::kIndexProbe);
-    mcsim::ScopedModule mod(
-        core_, e_->compiled_ ? op_module_ : e_->index_op_.module);
+    const Step step(e_, core_, SpanKind::kIndexProbe,
+                    e_->compiled_ ? op_module_ : e_->index_op_.module);
     IndexOpCode(table);
     return Lookup(table, key, row);
   }
 
   Status Read(int table, storage::RowId row, uint8_t* out) override {
-    obs::ScopedSpan span(&e_->spans_, core_,
-                         obs::SpanKind::kStorageAccess);
-    mcsim::ScopedModule mod(core_, op_module_);
+    const Step step(e_, core_, SpanKind::kStorageAccess, op_module_);
     OpCode(table);
     return ReadRow(table, row, out);
   }
@@ -105,8 +99,7 @@ class PartitionedEngine::Ctx final : public EngineBase::CtxBase {
                 const void* value) override {
     mcsim::ScopedModule mod(core_, op_module_);
     {
-      obs::ScopedSpan span(&e_->spans_, core_,
-                           obs::SpanKind::kStorageAccess);
+      obs::ScopedSpan span(&e_->spans_, core_, SpanKind::kStorageAccess);
       OpCode(table);
       const Status s = UpdateInPlace(table, row, column, value);
       if (!s.ok()) return s;
@@ -114,8 +107,7 @@ class PartitionedEngine::Ctx final : public EngineBase::CtxBase {
     // VoltDB command logging logs per transaction, not per update;
     // HyPer writes a redo record per update.
     if (e_->compiled_) {
-      obs::ScopedSpan span(&e_->spans_, core_,
-                           obs::SpanKind::kLogAppend);
+      obs::ScopedSpan span(&e_->spans_, core_, SpanKind::kLogAppend);
       e_->Exec(core_, e_->log_);
       LogColumnUpdate(table, row, column, value);
     }
@@ -127,23 +119,20 @@ class PartitionedEngine::Ctx final : public EngineBase::CtxBase {
     mcsim::ScopedModule mod(core_, op_module_);
     storage::RowId rid = storage::kInvalidRow;
     {
-      obs::ScopedSpan span(&e_->spans_, core_,
-                           obs::SpanKind::kStorageAccess);
+      obs::ScopedSpan span(&e_->spans_, core_, SpanKind::kStorageAccess);
       OpCode(table);
       const Status s = AppendRow(table, row, &rid);
       if (!s.ok()) return s;
     }
     {
-      obs::ScopedSpan span(&e_->spans_, core_,
-                           obs::SpanKind::kIndexProbe);
+      obs::ScopedSpan span(&e_->spans_, core_, SpanKind::kIndexProbe);
       if (!e_->compiled_) e_->Exec(core_, e_->index_op_);
       const Status s = InsertPrimaryKey(table, key, rid);
       if (!s.ok()) return s;
       InsertSecondaryKeys(table, row, rid);
     }
     if (e_->compiled_) {
-      obs::ScopedSpan span(&e_->spans_, core_,
-                           obs::SpanKind::kLogAppend);
+      obs::ScopedSpan span(&e_->spans_, core_, SpanKind::kLogAppend);
       e_->Exec(core_, e_->log_);
       LogInsert(table, rid, row, key);
     }
@@ -156,28 +145,24 @@ class PartitionedEngine::Ctx final : public EngineBase::CtxBase {
     uint8_t* before = RowScratch(table);
     Status s;
     {
-      obs::ScopedSpan span(&e_->spans_, core_,
-                           obs::SpanKind::kStorageAccess);
+      obs::ScopedSpan span(&e_->spans_, core_, SpanKind::kStorageAccess);
       OpCode(table);
       s = ReadRow(table, row, before);
       if (!s.ok()) return s;
     }
     {
-      obs::ScopedSpan span(&e_->spans_, core_,
-                           obs::SpanKind::kIndexProbe);
+      obs::ScopedSpan span(&e_->spans_, core_, SpanKind::kIndexProbe);
       if (!e_->compiled_) e_->Exec(core_, e_->index_op_);
       s = RemoveKeys(table, key, before);
       if (!s.ok()) return s;
     }
     {
-      obs::ScopedSpan span(&e_->spans_, core_,
-                           obs::SpanKind::kStorageAccess);
+      obs::ScopedSpan span(&e_->spans_, core_, SpanKind::kStorageAccess);
       s = DeleteRow(table, row);
       if (!s.ok()) return s;
     }
     if (e_->compiled_) {
-      obs::ScopedSpan span(&e_->spans_, core_,
-                           obs::SpanKind::kLogAppend);
+      obs::ScopedSpan span(&e_->spans_, core_, SpanKind::kLogAppend);
       e_->Exec(core_, e_->log_);
       LogDelete(table, row, key, before);
     }
@@ -187,9 +172,7 @@ class PartitionedEngine::Ctx final : public EngineBase::CtxBase {
 
   Status Scan(int table, const index::Key& from, uint64_t limit,
               std::vector<storage::RowId>* rows) override {
-    obs::ScopedSpan span(&e_->spans_, core_,
-                         obs::SpanKind::kIndexProbe);
-    mcsim::ScopedModule mod(core_, op_module_);
+    const Step step(e_, core_, SpanKind::kIndexProbe, op_module_);
     IndexOpCode(table);
     return ScanPrimary(table, from, limit, rows);
   }
@@ -197,9 +180,7 @@ class PartitionedEngine::Ctx final : public EngineBase::CtxBase {
   Status ScanSecondary(int table, int secondary, const index::Key& from,
                        uint64_t limit,
                        std::vector<storage::RowId>* rows) override {
-    obs::ScopedSpan span(&e_->spans_, core_,
-                         obs::SpanKind::kIndexProbe);
-    mcsim::ScopedModule mod(core_, op_module_);
+    const Step step(e_, core_, SpanKind::kIndexProbe, op_module_);
     IndexOpCode(table);
     return ScanIndex(table, secondary, from, limit, rows);
   }
@@ -231,87 +212,64 @@ class PartitionedEngine::Ctx final : public EngineBase::CtxBase {
   mcsim::ModuleId op_module_;
 };
 
-Status PartitionedEngine::Execute(
-    int worker, const TxnRequest& request,
-    const std::function<Status(TxnContext&)>& body) {
-  mcsim::CoreSim* core = &machine_->core(worker);
-  core->BeginTransaction();
-  const uint64_t txn_id = ++next_txn_;
-
-  const int home = partitions_.PartitionOf(request.partition_key,
-                                           request.key_space);
-  Exec(core, dispatch_);
-
+Status PartitionedEngine::Begin(Txn& txn) {
+  const int worker = txn.core->core_id();
+  const int home = HomeOf(txn.request);
+  Exec(txn.core, dispatch_);
+  obs::ScopedSpan span(&spans_, txn.core, SpanKind::kLockAcquire);
   if (options_.single_site) {
-    obs::ScopedSpan span(&spans_, core, obs::SpanKind::kLockAcquire);
-    const Status s = partitions_.EnterSinglePartition(core, worker, home);
-    if (!s.ok()) return s;
-  } else {
-    // Multi-partition coordination path (Section 7 ablation).
-    obs::ScopedSpan span(&spans_, core, obs::SpanKind::kLockAcquire);
-    Exec(core, multi_site_);
-    const Status s =
-        partitions_.EnterMultiPartition(core, worker, {home});
-    if (!s.ok()) return s;
+    return partitions_.EnterSinglePartition(txn.core, worker, home);
   }
+  // Multi-partition coordination path (Section 7 ablation).
+  Exec(txn.core, multi_site_);
+  return partitions_.EnterMultiPartition(txn.core, worker, {home});
+}
 
-  // Crash before any work: the partition executor dies idle.
-  if (FaultCrash(fault::kCrashPreBody)) {
-    return Status::Aborted("injected crash: pre_body");
-  }
+EngineBase::CtxBase* PartitionedEngine::Open(CtxSlot* slot, const Txn& txn) {
+  // HyPer compiles a transaction type on its first dispatch.
+  const mcsim::CodeRegion region =
+      compiled_ ? CompiledRegion(txn.request.type, txn.request.statements)
+                : ee_op_;
+  Ctx* ctx = slot->Emplace<Ctx>(this, txn.core, txn.id, HomeOf(txn.request),
+                                region.module);
+  if (compiled_) Exec(txn.core, region);
+  return ctx;
+}
 
-  mcsim::CodeRegion compiled_region;
-  if (compiled_) {
-    compiled_region = CompiledRegion(request.type, request.statements);
+void PartitionedEngine::Abort(CtxBase& ctx) {
+  // Failed procedure: roll back its in-place changes. VoltDB's command
+  // log has no abort record.
+  mcsim::CoreSim* core = ctx.core();
+  LeaveMultiPartition(core);
+  {
+    obs::ScopedSpan span(&spans_, core, SpanKind::kStorageAccess);
+    ctx.Rollback();
   }
-  const mcsim::ModuleId op_module =
-      compiled_ ? compiled_region.module : ee_op_.module;
-  Ctx ctx(this, core, txn_id, home, op_module);
-  if (compiled_) Exec(core, compiled_region);
-  Status s = body(ctx);
+  if (compiled_ && ctx.dirty) {
+    obs::ScopedSpan span(&spans_, core, SpanKind::kLogAppend);
+    logs_[core->core_id()]->LogAbort(core, ctx.txn_id());
+  }
+}
 
-  // Crash mid-commit: in-place changes stay dirty with no commit (or
-  // command) record, so recovery drops the transaction.
-  if (s.ok() && FaultCrash(fault::kCrashMidCommit)) {
-    return Status::Aborted("injected crash: mid_commit");
-  }
-
-  if (!options_.single_site) {
-    partitions_.ReleaseMultiPartition(core, worker);
-  }
-  if (!s.ok()) {
-    // Failed procedure: roll back its in-place changes.
-    {
-      obs::ScopedSpan span(&spans_, core,
-                           obs::SpanKind::kStorageAccess);
-      ctx.Rollback();
-    }
-    if (compiled_ && ctx.dirty) {
-      obs::ScopedSpan span(&spans_, core, obs::SpanKind::kLogAppend);
-      logs_[core->core_id()]->LogAbort(core, txn_id);
-    }
-    return s;
-  }
-
-  Exec(core, commit_);
-  if (ctx.dirty) {
-    obs::ScopedSpan span(&spans_, core, obs::SpanKind::kLogAppend);
-    if (!compiled_) {
-      // Command logging: one record per transaction invocation.
-      Exec(core, log_);
-      const auto command = CommandImage(request);
-      logs_[core->core_id()]->Append(core, txn::LogOp::kCommand, txn_id,
-                                     -1, 0, -1, command.data(),
-                                     static_cast<uint32_t>(command.size()));
-    } else {
-      logs_[core->core_id()]->LogCommit(core, txn_id);
-    }
-  }
-  // Crash after the commit/command record hit the log ring.
-  if (FaultCrash(fault::kCrashPostCommit)) {
-    return Status::Aborted("injected crash: post_commit");
-  }
+Status PartitionedEngine::Commit(CtxBase& ctx) {
+  LeaveMultiPartition(ctx.core());
+  Exec(ctx.core(), commit_);
   return Status::Ok();
+}
+
+void PartitionedEngine::LogCommit(CtxBase& ctx, const Txn& txn) {
+  mcsim::CoreSim* core = ctx.core();
+  obs::ScopedSpan span(&spans_, core, SpanKind::kLogAppend);
+  if (compiled_) {
+    logs_[core->core_id()]->LogCommit(core, ctx.txn_id());
+    return;
+  }
+  // Command logging: one record per transaction invocation.
+  Exec(core, log_);
+  const auto command = CommandImage(txn.request);
+  logs_[core->core_id()]->Append(core, txn::LogOp::kCommand, ctx.txn_id(),
+                                 -1, 0, -1, command.data(),
+                                 static_cast<uint32_t>(command.size()));
 }
 
 }  // namespace imoltp::engine

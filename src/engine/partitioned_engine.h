@@ -1,7 +1,6 @@
 #ifndef IMOLTP_ENGINE_PARTITIONED_ENGINE_H_
 #define IMOLTP_ENGINE_PARTITIONED_ENGINE_H_
 
-#include <atomic>
 #include <mutex>
 #include <unordered_map>
 
@@ -27,8 +26,6 @@ class PartitionedEngine final : public EngineBase {
                     const EngineOptions& options);
 
   EngineKind kind() const override { return kind_; }
-  Status Execute(int worker, const TxnRequest& request,
-                 const std::function<Status(TxnContext&)>& body) override;
 
  protected:
   int num_slices() const override { return options_.num_partitions; }
@@ -44,6 +41,23 @@ class PartitionedEngine final : public EngineBase {
   class Ctx;
   friend class Ctx;
 
+  Status Begin(Txn& txn) override;
+  CtxBase* Open(CtxSlot* slot, const Txn& txn) override;
+  void Abort(CtxBase& ctx) override;
+  Status Commit(CtxBase& ctx) override;
+  void LogCommit(CtxBase& ctx, const Txn& txn) override;
+
+  int HomeOf(const TxnRequest& request) const {
+    return partitions_.PartitionOf(request.partition_key,
+                                   request.key_space);
+  }
+  /// The multi-partition path releases its claims as the body ends,
+  /// before the transaction commits or aborts.
+  void LeaveMultiPartition(mcsim::CoreSim* core) {
+    if (!options_.single_site) {
+      partitions_.ReleaseMultiPartition(core, core->core_id());
+    }
+  }
   mcsim::CodeRegion CompiledRegion(int txn_type, int statements);
 
   EngineKind kind_;
@@ -59,7 +73,6 @@ class PartitionedEngine final : public EngineBase {
   std::unordered_map<int, mcsim::CodeRegion> compiled_txns_;
 
   txn::PartitionManager partitions_;
-  std::atomic<uint64_t> next_txn_{0};
 };
 
 }  // namespace imoltp::engine

@@ -732,6 +732,105 @@ INSTANTIATE_TEST_SUITE_P(AllEngines, PinnedSignatureTest,
                          ::testing::ValuesIn(kAllEngines), EngineTestName);
 
 // ---------------------------------------------------------------------------
+// The three crash points of the transaction lifecycle
+// ---------------------------------------------------------------------------
+
+struct CrashCase {
+  EngineKind kind;
+  const char* point;
+};
+
+// Test names and listings print the case, not the point's address.
+void PrintTo(const CrashCase& c, std::ostream* os) {
+  *os << EngineKindName(c.kind) << " " << c.point;
+}
+
+std::string CrashCaseName(const ::testing::TestParamInfo<CrashCase>& i) {
+  std::string n = std::string(EngineKindName(i.param.kind)) + "_" +
+                  (std::strchr(i.param.point, '.') + 1);
+  for (char& c : n) {
+    if (c == '-' || c == ' ') c = '_';
+  }
+  return n;
+}
+
+std::vector<CrashCase> AllCrashCases() {
+  std::vector<CrashCase> cases;
+  for (EngineKind kind : kAllEngines) {
+    for (const char* point : {fault::kCrashPreBody, fault::kCrashMidCommit,
+                              fault::kCrashPostCommit}) {
+      cases.push_back({kind, point});
+    }
+  }
+  return cases;
+}
+
+class CrashPointTest : public ::testing::TestWithParam<CrashCase> {};
+
+// Arms one crash point at the third transaction of a run of row updates
+// and checks what the crashed transaction left in the stable log: at
+// pre_body nothing, at mid_commit its data records but no commit (or
+// command) record, at post_commit its commit (or command) record.
+TEST_P(CrashPointTest, LogShowsWhereTheTransactionCrashed) {
+  const auto [kind, point] = GetParam();
+  constexpr uint64_t kCrashingTxn = 3;
+  fault::FaultInjector injector(/*seed=*/5);
+  injector.Arm(point, {0.0, kCrashingTxn});
+  mcsim::MachineSim machine(NoTlb());
+  EngineOptions options;
+  options.fault_injector = &injector;
+  auto engine = CreateEngine(kind, &machine, options);
+  ASSERT_TRUE(engine->CreateDatabase({SimpleTable(5000)}).ok());
+
+  size_t logged_before = 0;
+  Status last;
+  for (uint64_t t = 1; t <= kCrashingTxn; ++t) {
+    logged_before = engine->StableLog().size();
+    TxnRequest req;
+    req.type = 1;
+    req.key_space = 5000;
+    last = engine->Execute(0, req, [&](TxnContext& ctx) {
+      storage::RowId rid;
+      Status st = ctx.Probe(0, index::Key::FromUint64(100 + t), &rid);
+      if (!st.ok()) return st;
+      const int64_t value = 7000 + static_cast<int64_t>(t);
+      return ctx.Update(0, rid, 1, &value);
+    });
+    if (t < kCrashingTxn) {
+      ASSERT_TRUE(last.ok()) << last.ToString();
+      EXPECT_FALSE(injector.crash_pending());
+    }
+  }
+  EXPECT_TRUE(last.IsAborted()) << last.ToString();
+  EXPECT_TRUE(injector.crash_pending());
+  EXPECT_EQ(injector.crash_point(), point);
+
+  const std::vector<txn::LogRecord> log = engine->StableLog();
+  ASSERT_GE(log.size(), logged_before);
+  uint64_t data = 0, commits = 0;
+  for (size_t i = logged_before; i < log.size(); ++i) {
+    const txn::LogOp op = log[i].op;
+    commits += op == txn::LogOp::kCommit || op == txn::LogOp::kCommand;
+    data += op == txn::LogOp::kUpdate;
+  }
+  // VoltDB's command log holds no data records.
+  const bool physical = kind != EngineKind::kVoltDb;
+  if (point == std::string(fault::kCrashPreBody)) {
+    EXPECT_EQ(log.size(), logged_before);
+  } else if (point == std::string(fault::kCrashMidCommit)) {
+    EXPECT_EQ(commits, 0u);
+    EXPECT_EQ(data > 0, physical);
+  } else {
+    EXPECT_EQ(commits, 1u);
+    EXPECT_EQ(data > 0, physical);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllEngines, CrashPointTest,
+                         ::testing::ValuesIn(AllCrashCases()),
+                         CrashCaseName);
+
+// ---------------------------------------------------------------------------
 // Engine-specific behavior
 // ---------------------------------------------------------------------------
 
@@ -826,6 +925,67 @@ TEST(MvccEngineTest, CompilationtogglesStorageCodePath) {
     instr[compiled] = m.core(0).counters().instructions - before;
   }
   EXPECT_LT(instr[1], instr[0]);
+}
+
+// Worker 1 commits a write to a row that worker 0 read, inside worker
+// 0's body: worker 0's commit-time validation fails. The engine returns
+// the abort, rolls back the in-place insert and logs an abort record.
+TEST(MvccEngineTest, ValidationFailureRollsBackAndLogsAbort) {
+  mcsim::MachineSim m(NoTlb(/*cores=*/2));
+  auto engine = CreateEngine(EngineKind::kDbmsM, &m, EngineOptions());
+  ASSERT_TRUE(engine->CreateDatabase({SimpleTable(1000)}).ok());
+  const storage::Schema schema = storage::TwoLongColumns();
+  const index::Key contested = index::Key::FromUint64(42);
+  const index::Key inserted = index::Key::FromUint64(5000);
+  auto write_contested = [&](TxnContext& ctx) {
+    storage::RowId rid;
+    Status st = ctx.Probe(0, contested, &rid);
+    if (!st.ok()) return st;
+    const int64_t value = -1;
+    return ctx.Update(0, rid, 1, &value);
+  };
+
+  TxnRequest req;
+  Status inner;
+  const Status s = engine->Execute(0, req, [&](TxnContext& ctx) {
+    storage::RowId rid;
+    Status st = ctx.Probe(0, contested, &rid);
+    if (!st.ok()) return st;
+    uint8_t row[16];
+    st = ctx.Read(0, rid, row);
+    if (!st.ok()) return st;
+    schema.SetLong(row, 0, 5000);
+    st = ctx.Insert(0, row, inserted);
+    if (!st.ok()) return st;
+    inner = engine->Execute(1, req, write_contested);
+    return Status::Ok();
+  });
+  ASSERT_TRUE(inner.ok()) << inner.ToString();
+  EXPECT_TRUE(s.IsAborted()) << s.ToString();
+  EXPECT_EQ(s.message(), "validation failure");
+
+  const Status probe = engine->Execute(0, req, [&](TxnContext& ctx) {
+    storage::RowId rid;
+    return ctx.Probe(0, inserted, &rid);
+  });
+  EXPECT_TRUE(probe.IsNotFound()) << probe.ToString();
+
+  // The failed transaction is the one that logged the insert: it has an
+  // abort record and no commit record.
+  const std::vector<txn::LogRecord> log = engine->StableLog();
+  uint64_t loser = 0;
+  for (const txn::LogRecord& rec : log) {
+    if (rec.op == txn::LogOp::kInsert && !rec.clr) loser = rec.txn_id;
+  }
+  ASSERT_NE(loser, 0u);
+  uint64_t aborts = 0, commits = 0;
+  for (const txn::LogRecord& rec : log) {
+    if (rec.txn_id != loser) continue;
+    aborts += rec.op == txn::LogOp::kAbort;
+    commits += rec.op == txn::LogOp::kCommit;
+  }
+  EXPECT_EQ(aborts, 1u);
+  EXPECT_EQ(commits, 0u);
 }
 
 TEST(MvccEngineTest, DbmsMIndexOptionSelectsStructure) {
