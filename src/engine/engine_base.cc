@@ -285,8 +285,8 @@ Status EngineBase::Execute(int worker, const TxnRequest& request,
                            const std::function<Status(TxnContext&)>& body) {
   mcsim::CoreSim* core = &machine_->core(worker);
   core->BeginTransaction();
-  // A hook may leave the core in its own module; the caller's returns
-  // with the transaction.
+  // Commit may leave the core in its own module (DBMS M); the caller's
+  // module comes back when the transaction ends.
   mcsim::ScopedModule module(core, core->module());
   Txn txn{core, request, ++next_txn_};
   const Status s = Begin(txn);
@@ -309,9 +309,9 @@ Status EngineBase::Run(CtxBase& ctx, const Txn& txn,
                        const std::function<Status(TxnContext&)>& body) {
   Status s = body(ctx);
 
-  // Crash mid-commit: in-place changes stay dirty, locks stay held and
-  // no commit (or command) record exists, so recovery drops the
-  // transaction.
+  // Crash mid-commit: in-place changes stay dirty, locks stay held,
+  // staged versions die with the process, and no commit (or command)
+  // record exists, so recovery drops the transaction.
   if (s.ok() && FaultCrash(fault::kCrashMidCommit)) {
     return Status::Aborted("injected crash: mid_commit");
   }

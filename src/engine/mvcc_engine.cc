@@ -191,7 +191,7 @@ void MvccEngine::Abort(CtxBase& ctx) {
 
 Status MvccEngine::Commit(CtxBase& ctx) {
   // Validation, installs and the commit record are charged to the
-  // commit module.
+  // commit module, which stays set until Execute returns.
   mcsim::CoreSim* core = ctx.core();
   core->SetModule(validate_commit_.module);
   Exec(core, validate_commit_);
