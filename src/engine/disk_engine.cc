@@ -1,5 +1,7 @@
 #include "engine/disk_engine.h"
 
+#include "storage/disk_heap_file.h"
+
 namespace imoltp::engine {
 
 namespace {

@@ -5,6 +5,8 @@
 #include <unordered_map>
 #include <utility>
 
+#include "storage/disk_heap_file.h"
+
 namespace imoltp::engine {
 
 EngineBase::EngineBase(mcsim::MachineSim* machine,
@@ -63,7 +65,8 @@ Status EngineBase::CreateDatabase(const std::vector<TableDef>& defs) {
   machine_->SetEnabled(false);
   mcsim::CoreSim* core = &machine_->core(0);
 
-  if (disk_based() && bufferpool_ == nullptr) {
+  const bool disk = disk_based();
+  if (disk && bufferpool_ == nullptr) {
     bufferpool_ = std::make_unique<storage::BufferPool>(
         options_.bufferpool_frames, 8192);
   }
@@ -99,27 +102,11 @@ Status EngineBase::CreateDatabase(const std::vector<TableDef>& defs) {
         slice.secondaries.push_back(index::CreateIndex(sec_kind, 8));
       }
 
-      if (disk_based()) {
-        slice.disk = std::make_unique<storage::DiskHeapFile>(
-            bufferpool_.get(), next_file_id_++, def.schema);
-        slice.rowid_of.reserve(slice.num_initial_rows);
-        std::vector<uint8_t> buf(def.schema.row_bytes());
-        const storage::RowGenerator gen =
-            def.generator ? def.generator : storage::DefaultRowGenerator;
-        for (uint64_t r = lo; r < hi; ++r) {
-          gen(def.schema, r, def.seed, buf.data());
-          const storage::RowId rid = slice.disk->Append(core, buf.data());
-          if (rid == storage::kInvalidRow) {
-            return Status::ResourceExhausted("buffer pool full");
-          }
-          slice.rowid_of.push_back(rid);
-          if (slice.primary != nullptr) {
-            const Status s =
-                slice.primary->Insert(core, KeyForRow(def, r), rid);
-            if (!s.ok()) return s;
-          }
-          InsertSecondaries(core, rt, slice, buf.data(), rid);
-        }
+      // A heap file starts empty and fills as population appends; an
+      // in-memory table holds its initial rows from construction.
+      if (disk) {
+        slice.rows = std::make_unique<storage::DiskHeapFile>(
+            def.name, bufferpool_.get(), next_file_id_++, def.schema);
       } else {
         storage::TableOptions topts;
         topts.generator = def.generator;
@@ -129,21 +116,29 @@ Status EngineBase::CreateDatabase(const std::vector<TableDef>& defs) {
           topts.row_stride = static_cast<uint32_t>(
               def.nominal_bytes / def.initial_rows);
         }
-        slice.mem = storage::CreateTable(def.name, def.schema,
-                                         slice.num_initial_rows, topts);
-        std::vector<uint8_t> buf(def.schema.row_bytes());
-        const storage::RowGenerator gen =
-            def.generator ? def.generator : storage::DefaultRowGenerator;
-        for (uint64_t r = lo; r < hi; ++r) {
-          if (slice.primary != nullptr) {
-            const Status s =
-                slice.primary->Insert(core, KeyForRow(def, r), r - lo);
-            if (!s.ok()) return s;
+        slice.rows = storage::CreateTable(def.name, def.schema,
+                                          slice.num_initial_rows, topts);
+      }
+      std::vector<uint8_t> buf(def.schema.row_bytes());
+      const storage::RowGenerator gen =
+          def.generator ? def.generator : storage::DefaultRowGenerator;
+      for (uint64_t r = lo; r < hi; ++r) {
+        storage::RowId rid = r - lo;
+        if (disk) {
+          gen(def.schema, r, def.seed, buf.data());
+          rid = slice.rows->Append(core, buf.data());
+          if (rid == storage::kInvalidRow) {
+            return Status::ResourceExhausted("buffer pool full");
           }
-          if (!slice.secondaries.empty()) {
-            gen(def.schema, r, def.seed, buf.data());
-            InsertSecondaries(core, rt, slice, buf.data(), r - lo);
-          }
+        }
+        if (slice.primary != nullptr) {
+          const Status s =
+              slice.primary->Insert(core, KeyForRow(def, r), rid);
+          if (!s.ok()) return s;
+        }
+        if (!slice.secondaries.empty()) {
+          if (!disk) gen(def.schema, r, def.seed, buf.data());
+          InsertSecondaries(core, rt, slice, buf.data(), rid);
         }
       }
     }
@@ -156,7 +151,7 @@ Status EngineBase::CreateDatabase(const std::vector<TableDef>& defs) {
         // Initial population is regenerable (CreateDatabase rebuilds
         // it deterministically): checkpoints only carry the pages and
         // indexes that diverged from it.
-        if (slice.disk != nullptr) slice.disk->MarkClean();
+        slice.rows->MarkClean();
         if (slice.primary != nullptr) slice.primary->MarkClean();
         for (auto& sec : slice.secondaries) sec->MarkClean();
       }
@@ -194,68 +189,10 @@ void EngineBase::WarmCaches() {
         if (!slice.primary->Lookup(core, KeyForRow(rt.def, r), &value)) {
           continue;
         }
-        SliceRead(core, slice, value, buf.data());
+        slice.rows->ReadRow(core, value, buf.data());
       }
     }
   }
-}
-
-}  // namespace imoltp::engine
-
-// ---------------------------------------------------------------------------
-// Storage-agnostic row helpers (disk heap file vs in-memory table).
-// ---------------------------------------------------------------------------
-
-namespace imoltp::engine {
-
-bool EngineBase::SliceRead(mcsim::CoreSim* core, Slice& slice,
-                           storage::RowId row, uint8_t* out) {
-  return slice.disk ? slice.disk->Read(core, row, out)
-                    : slice.mem->ReadRow(core, row, out);
-}
-
-bool EngineBase::SliceWriteColumn(mcsim::CoreSim* core, Slice& slice,
-                                  storage::RowId row, uint32_t column,
-                                  const void* value) {
-  if (slice.disk) {
-    return slice.disk->WriteColumn(core, row, column, value);
-  }
-  slice.mem->WriteColumn(core, row, column, value);
-  return true;
-}
-
-void EngineBase::SliceWriteRow(mcsim::CoreSim* core, Slice& slice,
-                               storage::RowId row, const uint8_t* image,
-                               const storage::Schema& schema) {
-  for (uint32_t c = 0; c < schema.num_columns(); ++c) {
-    SliceWriteColumn(core, slice, row, c, schema.ColumnPtr(image, c));
-  }
-}
-
-storage::RowId EngineBase::SliceAppend(mcsim::CoreSim* core, Slice& slice,
-                                       const uint8_t* row) {
-  return slice.disk ? slice.disk->Append(core, row)
-                    : slice.mem->Append(core, row);
-}
-
-bool EngineBase::SliceDelete(mcsim::CoreSim* core, Slice& slice,
-                             storage::RowId row) {
-  return slice.disk ? slice.disk->Delete(core, row)
-                    : slice.mem->Delete(core, row);
-}
-
-void EngineBase::SliceRestore(mcsim::CoreSim* core, Slice& slice,
-                              storage::RowId row, const uint8_t* image,
-                              bool present) {
-  if (slice.disk != nullptr) {
-    if (present) {
-      slice.disk->Restore(core, row, image);
-    } else {
-      slice.disk->Delete(core, row);
-    }
-    return;
-  }
-  slice.mem->RestoreRow(core, row, image, present);
 }
 
 void EngineBase::InsertSecondaries(mcsim::CoreSim* core, TableRt& rt,
@@ -349,7 +286,7 @@ void EngineBase::CtxBase::Rollback() {
     const uint8_t* image = undo.image(u);
     switch (u.kind) {
       case UndoLog::Kind::kColumnImage:
-        engine_->SliceWriteColumn(core_, s, u.row, u.column, image);
+        s.rows->WriteColumn(core_, u.row, u.column, image);
         if (clr) {
           Log(txn::LogOp::kUpdate, u.table, u.row,
               static_cast<int>(u.column), image, u.image_bytes, nullptr,
@@ -361,7 +298,7 @@ void EngineBase::CtxBase::Rollback() {
         if (u.image_bytes != 0) {
           engine_->RemoveSecondaries(core_, rt, s, image);
         }
-        engine_->SliceDelete(core_, s, u.row);
+        s.rows->Delete(core_, u.row);
         if (clr) {
           Log(txn::LogOp::kDelete, u.table, u.row, -1, nullptr, 0, &u.key,
               image, u.image_bytes, /*clr=*/true);
@@ -369,7 +306,7 @@ void EngineBase::CtxBase::Rollback() {
         break;
       case UndoLog::Kind::kDeletedRow: {
         // Resurrect the row (possibly at a fresh slot) and re-index it.
-        const storage::RowId rid = engine_->SliceAppend(core_, s, image);
+        const storage::RowId rid = s.rows->Append(core_, image);
         if (s.primary != nullptr) s.primary->Insert(core_, u.key, rid);
         engine_->InsertSecondaries(core_, rt, s, image, rid);
         if (clr) {
@@ -418,8 +355,7 @@ Status EngineBase::CtxBase::UpdateInPlace(int table, storage::RowId row,
   undo.Push(UndoLog::Kind::kColumnImage, table, slice_, row, column,
             sch.ColumnPtr(before, column), sch.column_width(column),
             index::Key());
-  if (!engine_->SliceWriteColumn(core_, slice(table), row, column,
-                                 value)) {
+  if (!slice(table).rows->WriteColumn(core_, row, column, value)) {
     return Status::NotFound();
   }
   dirty = true;
@@ -428,7 +364,7 @@ Status EngineBase::CtxBase::UpdateInPlace(int table, storage::RowId row,
 
 Status EngineBase::CtxBase::AppendRow(int table, const uint8_t* row,
                                       storage::RowId* rid) {
-  *rid = engine_->SliceAppend(core_, slice(table), row);
+  *rid = slice(table).rows->Append(core_, row);
   return *rid == storage::kInvalidRow
              ? Status::ResourceExhausted("buffer pool full")
              : Status::Ok();
@@ -616,19 +552,18 @@ Status EngineBase::RedoPass(const std::vector<txn::LogRecord>& log,
     switch (rec.op) {
       case txn::LogOp::kUpdate:
         if (rec.column >= 0) {
-          SliceWriteColumn(core, slice, rec.row, rec.column,
-                           rec.payload.data());
+          slice.rows->WriteColumn(core, rec.row, rec.column,
+                                  rec.payload.data());
         } else {
-          SliceWriteRow(core, slice, rec.row, rec.payload.data(),
-                        rt.def.schema);
+          slice.rows->WriteRow(core, rec.row, rec.payload.data());
         }
         break;
       case txn::LogOp::kInsert: {
         // Placement replay: the record's RowId is the physical position
         // the live run assigned; later records reference it, so the
         // replayed row must land exactly there.
-        SliceRestore(core, slice, rec.row, rec.payload.data(),
-                     /*present=*/true);
+        slice.rows->RestoreRow(core, rec.row, rec.payload.data(),
+                               /*present=*/true);
         if (slice.primary != nullptr && !rec.key.empty()) {
           slice.primary->Remove(core, RecordKey(rec));  // idempotent
           result = slice.primary->Insert(core, RecordKey(rec), rec.row);
@@ -644,7 +579,7 @@ Status EngineBase::RedoPass(const std::vector<txn::LogRecord>& log,
             RemoveSecondaries(core, rt, slice, rec.before.data());
           } else {
             std::vector<uint8_t> image(rt.def.schema.row_bytes());
-            if (SliceRead(core, slice, rec.row, image.data())) {
+            if (slice.rows->ReadRow(core, rec.row, image.data())) {
               RemoveSecondaries(core, rt, slice, image.data());
             }
           }
@@ -652,7 +587,7 @@ Status EngineBase::RedoPass(const std::vector<txn::LogRecord>& log,
         if (slice.primary != nullptr && !rec.key.empty()) {
           slice.primary->Remove(core, RecordKey(rec));
         }
-        SliceDelete(core, slice, rec.row);
+        slice.rows->Delete(core, rec.row);
         break;
       }
       default:

@@ -13,7 +13,7 @@
 #include "engine/profiles.h"
 #include "obs/span.h"
 #include "storage/buffer_pool.h"
-#include "storage/disk_heap_file.h"
+#include "storage/table.h"
 #include "txn/checkpoint.h"
 #include "txn/log_manager.h"
 
@@ -51,17 +51,15 @@ class EngineBase : public Engine {
   uint64_t AppendedLogRecords() const override;
 
  protected:
-  /// One partition's share of one table. In-memory engines fill `mem`;
-  /// disk engines fill `disk` (always a single slice).
+  /// One partition's share of one table: its rows (a heap file behind
+  /// the buffer pool on the disk engines, an in-memory table otherwise)
+  /// and its indexes.
   struct Slice {
-    std::unique_ptr<storage::Table> mem;
-    std::unique_ptr<storage::DiskHeapFile> disk;
+    std::unique_ptr<storage::Table> rows;
     std::unique_ptr<index::Index> primary;
     std::vector<std::unique_ptr<index::Index>> secondaries;
     uint64_t first_global_row = 0;
     uint64_t num_initial_rows = 0;
-    /// Disk engines: initial global row r → heap RowId.
-    std::vector<storage::RowId> rowid_of;
   };
 
   struct TableRt {
@@ -88,8 +86,8 @@ class EngineBase : public Engine {
   /// engines: one per worker; others: 1).
   virtual int num_slices() const { return 1; }
 
-  /// True for the disk-based archetypes (rows in slotted pages behind
-  /// the buffer pool).
+  /// True for the disk-based archetypes: CreateDatabase builds each
+  /// slice's rows as a heap file in slotted pages behind the buffer pool.
   virtual bool disk_based() const { return false; }
 
   mcsim::CodeRegion DefineRegion(const RegionSpec& spec);
@@ -134,28 +132,6 @@ class EngineBase : public Engine {
   /// Per-engine default index kind.
   virtual index::IndexKind default_index_kind(
       const TableDef& def) const = 0;
-
-  /// Storage-agnostic row operations on a slice (disk heap or memory
-  /// table), shared by the transaction contexts, undo and recovery.
-  bool SliceRead(mcsim::CoreSim* core, Slice& slice, storage::RowId row,
-                 uint8_t* out);
-  bool SliceWriteColumn(mcsim::CoreSim* core, Slice& slice,
-                        storage::RowId row, uint32_t column,
-                        const void* value);
-  void SliceWriteRow(mcsim::CoreSim* core, Slice& slice,
-                     storage::RowId row, const uint8_t* image,
-                     const storage::Schema& schema);
-  storage::RowId SliceAppend(mcsim::CoreSim* core, Slice& slice,
-                             const uint8_t* row);
-  bool SliceDelete(mcsim::CoreSim* core, Slice& slice,
-                   storage::RowId row);
-  /// Recovery placement: puts `image` at exactly `row` (RowIds in log
-  /// records and checkpoint pages are physical positions; replayed rows
-  /// must land where the live run put them). `present == false`
-  /// restores the row as deleted/absent.
-  void SliceRestore(mcsim::CoreSim* core, Slice& slice,
-                    storage::RowId row, const uint8_t* image,
-                    bool present);
 
   /// A worker's undo log for engines that modify state in place before
   /// commit: the running transaction's before-images and structural
@@ -264,7 +240,7 @@ class EngineBase : public Engine {
 
     /// Full-row read; kNotFound for a deleted or absent row.
     Status ReadRow(int table, storage::RowId row, uint8_t* out) {
-      return engine_->SliceRead(core_, slice(table), row, out)
+      return slice(table).rows->ReadRow(core_, row, out)
                  ? Status::Ok()
                  : Status::NotFound();
     }
@@ -280,7 +256,7 @@ class EngineBase : public Engine {
     /// delete the index entry of the row that refused the key).
     Status AppendRow(int table, const uint8_t* row, storage::RowId* rid);
     Status DropAppended(int table, storage::RowId rid, Status why) {
-      engine_->SliceDelete(core_, slice(table), rid);
+      slice(table).rows->Delete(core_, rid);
       return why;
     }
     /// The primary key (if the table has a primary index); a refused
@@ -302,9 +278,8 @@ class EngineBase : public Engine {
     Status RemoveKeys(int table, const index::Key& key,
                       const uint8_t* before);
     Status DeleteRow(int table, storage::RowId row) {
-      return engine_->SliceDelete(core_, slice(table), row)
-                 ? Status::Ok()
-                 : Status::NotFound();
+      return slice(table).rows->Delete(core_, row) ? Status::Ok()
+                                                   : Status::NotFound();
     }
     void Deleted(int table, storage::RowId row, const index::Key& key,
                  const uint8_t* before) {

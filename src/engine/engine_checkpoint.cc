@@ -35,8 +35,7 @@ void EngineBase::CaptureSliceMeta(mcsim::CoreSim* core, int table,
   Slice& slice = tables_[table].slices[slice_idx];
   out->table = static_cast<int16_t>(table);
   out->slice = static_cast<int16_t>(slice_idx);
-  out->num_rows =
-      slice.disk != nullptr ? slice.disk->num_rows() : slice.mem->num_rows();
+  out->num_rows = slice.rows->num_rows();
   // Image every index that diverged from the population. Engines log a
   // mutation after applying it, so a mutation missing from the image
   // has its record at or after the checkpoint's begin LSN and is redone.
@@ -65,24 +64,12 @@ txn::CheckpointPage EngineBase::CapturePage(mcsim::CoreSim* core,
   pg.slice = static_cast<int16_t>(slice_idx);
   pg.page_no = page_no;
   pg.row_bytes = rt.def.schema.row_bytes();
-  if (slice.disk != nullptr) {
-    const uint16_t slots = slice.disk->SlotsOnPage(core, page_no);
-    pg.rids.reserve(slots);
-    for (uint16_t s = 0; s < slots; ++s) {
-      pg.rids.push_back((page_no << 16) | s);
-    }
-  } else {
-    const uint64_t lo = page_no * storage::Table::kRowsPerCheckpointPage;
-    const uint64_t hi =
-        std::min(lo + storage::Table::kRowsPerCheckpointPage,
-                 slice.mem->num_rows());
-    for (uint64_t r = lo; r < hi; ++r) pg.rids.push_back(r);
-  }
+  pg.rids = slice.rows->PageRows(core, page_no);
   pg.present.assign(pg.rids.size(), 0);
   pg.images.assign(pg.rids.size() * pg.row_bytes, 0);
   std::vector<uint8_t> buf(pg.row_bytes);
   for (size_t i = 0; i < pg.rids.size(); ++i) {
-    if (SliceRead(core, slice, pg.rids[i], buf.data())) {
+    if (slice.rows->ReadRow(core, pg.rids[i], buf.data())) {
       pg.present[i] = 1;
       std::memcpy(pg.images.data() + i * pg.row_bytes, buf.data(),
                   pg.row_bytes);
@@ -110,14 +97,10 @@ void EngineBase::BeginCheckpoint(int worker) {
   img.slices.clear();
   img.slices.reserve(tables_.size());
   for (size_t t = 0; t < tables_.size(); ++t) {
-    Slice& slice = tables_[t].slices[0];
     txn::CheckpointSliceImage si;
     CaptureSliceMeta(core, static_cast<int>(t), 0, &si);
     img.slices.push_back(std::move(si));
-    const std::vector<uint64_t> pages = slice.disk != nullptr
-                                            ? slice.disk->DirtyPages()
-                                            : slice.mem->DirtyPages();
-    for (uint64_t p : pages) {
+    for (uint64_t p : tables_[t].slices[0].rows->DirtyPages()) {
       capture_plan_.push_back({static_cast<int>(t), p});
     }
   }
@@ -150,12 +133,9 @@ void EngineBase::CapturePartition(int worker,
   for (size_t t = 0; t < tables_.size(); ++t) {
     TableRt& rt = tables_[t];
     if (worker >= static_cast<int>(rt.slices.size())) continue;
-    Slice& slice = rt.slices[worker];
     txn::CheckpointSliceImage si;
     CaptureSliceMeta(core, static_cast<int>(t), worker, &si);
-    const std::vector<uint64_t> pages = slice.disk != nullptr
-                                            ? slice.disk->DirtyPages()
-                                            : slice.mem->DirtyPages();
+    const std::vector<uint64_t> pages = rt.slices[worker].rows->DirtyPages();
     si.pages.reserve(pages.size());
     for (uint64_t p : pages) {
       si.pages.push_back(CapturePage(core, static_cast<int>(t), worker, p));
@@ -250,8 +230,8 @@ void EngineBase::RestorePage(mcsim::CoreSim* core,
   Slice& slice = SliceAt(rt, page.slice);
   for (size_t i = 0; i < page.rids.size(); ++i) {
     const bool present = i < page.present.size() && page.present[i] != 0;
-    SliceRestore(core, slice, page.rids[i],
-                 page.images.data() + i * page.row_bytes, present);
+    slice.rows->RestoreRow(core, page.rids[i],
+                           page.images.data() + i * page.row_bytes, present);
   }
   ++stats->restored_pages;
   stats->restored_bytes += page.images.size();
@@ -377,11 +357,10 @@ Status EngineBase::Recover(const std::vector<txn::CheckpointImage>& device,
       case txn::LogOp::kUpdate:
         if (!updates_in_place() || rec.before.empty()) break;
         if (rec.column >= 0) {
-          SliceWriteColumn(core, slice, rec.row, rec.column,
-                           rec.before.data());
+          slice.rows->WriteColumn(core, rec.row, rec.column,
+                                  rec.before.data());
         } else if (rec.before.size() >= rt.def.schema.row_bytes()) {
-          SliceWriteRow(core, slice, rec.row, rec.before.data(),
-                        rt.def.schema);
+          slice.rows->WriteRow(core, rec.row, rec.before.data());
         }
         ++stats->undone_records;
         break;
@@ -394,14 +373,14 @@ Status EngineBase::Recover(const std::vector<txn::CheckpointImage>& device,
         if (rec.payload.size() >= rt.def.schema.row_bytes()) {
           RemoveSecondaries(core, rt, slice, rec.payload.data());
         }
-        SliceDelete(core, slice, rec.row);
+        slice.rows->Delete(core, rec.row);
         ++stats->undone_records;
         break;
       }
       case txn::LogOp::kDelete: {
         if (rec.before.size() < rt.def.schema.row_bytes()) break;
-        SliceRestore(core, slice, rec.row, rec.before.data(),
-                     /*present=*/true);
+        slice.rows->RestoreRow(core, rec.row, rec.before.data(),
+                               /*present=*/true);
         if (slice.primary != nullptr && !rec.key.empty()) {
           slice.primary->Remove(core, RecordKey(rec));
           slice.primary->Insert(core, RecordKey(rec), rec.row);

@@ -206,8 +206,8 @@ Status MvccEngine::Commit(CtxBase& ctx) {
   }
   for (const auto& w : installs) {
     // Install the committed image as the table's current version.
-    TableRt& rt = tables_[w.table_id];
-    SliceWriteRow(core, rt.slices[0], w.row, w.data.data(), rt.def.schema);
+    tables_[w.table_id].slices[0].rows->WriteRow(core, w.row,
+                                                 w.data.data());
   }
   // Installed versions make the transaction's log records replayable
   // only with a commit record, as in-place inserts and deletes do.

@@ -5,15 +5,11 @@
 
 namespace imoltp::storage {
 
-DiskHeapFile::DiskHeapFile(BufferPool* pool, uint32_t file_id,
-                           Schema schema)
-    : pool_(pool), file_id_(file_id), schema_(std::move(schema)) {
-  // 8 bytes of slotted-page overhead per row (slot entry + share of the
-  // header); conservative but only used for the append cursor heuristic.
-  const uint32_t per_row = schema_.row_bytes() + 8;
-  rows_per_page_ = (pool_->page_bytes() - 16) / per_row;
-  if (rows_per_page_ == 0) rows_per_page_ = 1;
-}
+DiskHeapFile::DiskHeapFile(std::string name, BufferPool* pool,
+                           uint32_t file_id, Schema schema)
+    : Table(std::move(name), std::move(schema)),
+      pool_(pool),
+      file_id_(file_id) {}
 
 RowId DiskHeapFile::Append(mcsim::CoreSim* core, const uint8_t* row) {
   std::unique_lock<std::shared_mutex> lock(mu_);
@@ -44,7 +40,8 @@ RowId DiskHeapFile::Append(mcsim::CoreSim* core, const uint8_t* row) {
   }
 }
 
-bool DiskHeapFile::Read(mcsim::CoreSim* core, RowId row, uint8_t* out) {
+bool DiskHeapFile::ReadRow(mcsim::CoreSim* core, RowId row,
+                           uint8_t* out) {
   std::shared_lock<std::shared_mutex> lock(mu_);
   const PageId pid = GlobalPage(PageNo(row));
   uint8_t* page = pool_->FixPage(core, pid);
@@ -97,12 +94,16 @@ bool DiskHeapFile::Delete(mcsim::CoreSim* core, RowId row) {
   return ok;
 }
 
-bool DiskHeapFile::Restore(mcsim::CoreSim* core, RowId row,
-                           const uint8_t* image) {
+void DiskHeapFile::RestoreRow(mcsim::CoreSim* core, RowId row,
+                              const uint8_t* image, bool present) {
+  if (!present) {
+    Delete(core, row);
+    return;
+  }
   std::unique_lock<std::shared_mutex> lock(mu_);
   const PageId pid = GlobalPage(PageNo(row));
   uint8_t* page = pool_->FixPage(core, pid);
-  if (page == nullptr) return false;
+  if (page == nullptr) return;
   SlottedPage::Header* header =
       reinterpret_cast<SlottedPage::Header*>(page);
   if (header->page_bytes == 0) {
@@ -119,22 +120,27 @@ bool DiskHeapFile::Restore(mcsim::CoreSim* core, RowId row,
     MarkDirty(PageNo(row));
   }
   pool_->UnfixPage(core, pid, /*dirty=*/ok);
-  return ok;
 }
 
-uint16_t DiskHeapFile::SlotsOnPage(mcsim::CoreSim* core,
-                                   uint64_t page_no) {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  const PageId pid = GlobalPage(page_no);
-  uint8_t* page = pool_->FixPage(core, pid);
-  if (page == nullptr) return 0;
-  SlottedPage::Header* header =
-      reinterpret_cast<SlottedPage::Header*>(page);
-  const uint16_t slots =
-      header->page_bytes == 0 ? 0 : SlottedPage::NumSlots(page);
-  core->Read(reinterpret_cast<uint64_t>(page), 16);
-  pool_->UnfixPage(core, pid, /*dirty=*/false);
-  return slots;
+std::vector<RowId> DiskHeapFile::PageRows(mcsim::CoreSim* core,
+                                          uint64_t page_no) {
+  uint16_t slots = 0;
+  {
+    std::shared_lock<std::shared_mutex> lock(mu_);
+    const PageId pid = GlobalPage(page_no);
+    uint8_t* page = pool_->FixPage(core, pid);
+    if (page != nullptr) {
+      SlottedPage::Header* header =
+          reinterpret_cast<SlottedPage::Header*>(page);
+      slots = header->page_bytes == 0 ? 0 : SlottedPage::NumSlots(page);
+      core->Read(reinterpret_cast<uint64_t>(page), 16);
+      pool_->UnfixPage(core, pid, /*dirty=*/false);
+    }
+  }
+  std::vector<RowId> rows;
+  rows.reserve(slots);
+  for (uint16_t s = 0; s < slots; ++s) rows.push_back((page_no << 16) | s);
+  return rows;
 }
 
 std::vector<uint64_t> DiskHeapFile::DirtyPages() const {

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <mutex>
 #include <shared_mutex>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
@@ -22,50 +23,45 @@ namespace imoltp::storage {
 /// row bytes, and an unfix, exactly the access path whose overhead the
 /// in-memory systems eliminate.
 ///
-/// RowIds encode (page_no << 16 | slot).
+/// RowIds encode (page_no << 16 | slot); a checkpoint page is a heap
+/// page. The file has no row address of its own: a row lives wherever
+/// its page's frame is.
 ///
 /// Thread safety: structural operations (Append / Delete mutate the slot
 /// directory, the append cursor and the row count) take the file lock
-/// exclusively; Read / WriteColumn share it. Row-disjointness of
+/// exclusively; ReadRow / WriteColumn share it. Row-disjointness of
 /// concurrent same-page writes is guaranteed by the engine's 2PL.
-class DiskHeapFile {
+class DiskHeapFile final : public Table {
  public:
-  DiskHeapFile(BufferPool* pool, uint32_t file_id, Schema schema);
+  DiskHeapFile(std::string name, BufferPool* pool, uint32_t file_id,
+               Schema schema);
 
-  /// Appends a row; returns its RowId.
-  RowId Append(mcsim::CoreSim* core, const uint8_t* row);
-
-  /// Copies the row into `out`; false if deleted/absent.
-  bool Read(mcsim::CoreSim* core, RowId row, uint8_t* out);
-
-  /// Overwrites one column in place; false if deleted/absent.
-  bool WriteColumn(mcsim::CoreSim* core, RowId row, uint32_t col,
-                   const void* value);
-
-  bool Delete(mcsim::CoreSim* core, RowId row);
-
-  /// Places `image` at exactly `row` (page, slot) during recovery,
-  /// formatting the page if needed. Idempotent for an occupied slot of
-  /// the same size. Returns false if the page cannot hold the row.
-  bool Restore(mcsim::CoreSim* core, RowId row, const uint8_t* image);
-
-  /// Number of directory slots on `page_no` (the capture enumeration
-  /// bound; 0 for an untouched page).
-  uint16_t SlotsOnPage(mcsim::CoreSim* core, uint64_t page_no);
-
-  /// Sorted page numbers mutated since the last MarkClean().
-  std::vector<uint64_t> DirtyPages() const;
-
-  /// Clears dirty tracking — called once initial population is done, so
-  /// checkpoints only carry pages that diverged from the regenerable
-  /// initial state.
-  void MarkClean();
-
-  uint64_t num_rows() const {
+  uint64_t num_rows() const override {
     return num_rows_.load(std::memory_order_relaxed);
   }
-  const Schema& schema() const { return schema_; }
-  uint32_t rows_per_page() const { return rows_per_page_; }
+
+  bool ReadRow(mcsim::CoreSim* core, RowId row, uint8_t* out) override;
+  /// False also when the page cannot be fixed.
+  bool WriteColumn(mcsim::CoreSim* core, RowId row, uint32_t col,
+                   const void* value) override;
+  RowId Append(mcsim::CoreSim* core, const uint8_t* row) override;
+  bool Delete(mcsim::CoreSim* core, RowId row) override;
+
+  /// Fixes the page and lists its directory slots (none for an
+  /// untouched page).
+  std::vector<RowId> PageRows(mcsim::CoreSim* core,
+                              uint64_t page_no) override;
+
+  /// Page numbers mutated since the last MarkClean().
+  std::vector<uint64_t> DirtyPages() const override;
+  void MarkClean() override;
+
+  /// Places `image` at exactly `row` (page, slot), formatting the page
+  /// if needed; idempotent for an occupied slot of the same size. A row
+  /// the page cannot hold is left out. `present == false` deletes the
+  /// row.
+  void RestoreRow(mcsim::CoreSim* core, RowId row, const uint8_t* image,
+                  bool present) override;
 
   static uint64_t PageNo(RowId row) { return row >> 16; }
   static uint16_t Slot(RowId row) { return static_cast<uint16_t>(row); }
@@ -82,8 +78,6 @@ class DiskHeapFile {
 
   BufferPool* pool_;
   uint32_t file_id_;
-  Schema schema_;
-  uint32_t rows_per_page_;
   std::shared_mutex mu_;
   std::atomic<uint64_t> num_rows_{0};
   uint64_t append_page_ = 0;  // first page with free space

@@ -56,11 +56,20 @@ void DefaultRowGenerator(const Schema& schema, RowId row, uint64_t seed,
   }
 }
 
+std::vector<RowId> Table::PageRows(mcsim::CoreSim* /*core*/,
+                                   uint64_t page_no) {
+  const RowId lo = page_no * kRowsPerCheckpointPage;
+  const RowId hi = std::min(lo + kRowsPerCheckpointPage, num_rows());
+  std::vector<RowId> rows;
+  for (RowId r = lo; r < hi; ++r) rows.push_back(r);
+  return rows;
+}
+
 // ---------------------------------------------------------------------------
 // HeapTable: rows materialized in real memory.
 //
 // Thread safety: a reader/writer lock guards row storage. Readers
-// (ReadRow / RowAddress) share; mutations (WriteColumn / Append / Delete)
+// (ReadRow) share; mutations (WriteColumn / Append / Delete)
 // are exclusive — `deleted_` is a bit-packed vector<bool>, so even
 // row-disjoint mutations touch shared words, and MVCC installs can target
 // the same row from two committers.
@@ -86,11 +95,6 @@ class HeapTable final : public Table {
     return num_rows_.load(std::memory_order_relaxed);
   }
 
-  uint64_t RowAddress(RowId row) const override {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    return reinterpret_cast<uint64_t>(SlotPtr(row));
-  }
-
   bool ReadRow(mcsim::CoreSim* core, RowId row, uint8_t* out) override {
     std::shared_lock<std::shared_mutex> lock(mu_);
     if (row >= num_rows() || deleted_[row]) return false;
@@ -100,15 +104,16 @@ class HeapTable final : public Table {
     return true;
   }
 
-  void WriteColumn(mcsim::CoreSim* core, RowId row, uint32_t col,
+  bool WriteColumn(mcsim::CoreSim* core, RowId row, uint32_t col,
                    const void* value) override {
     std::unique_lock<std::shared_mutex> lock(mu_);
-    if (row >= num_rows() || deleted_[row]) return;
+    if (row >= num_rows() || deleted_[row]) return false;
     uint8_t* slot = SlotPtr(row);
     uint8_t* dst = schema_.ColumnPtr(slot, col);
     core->Write(reinterpret_cast<uint64_t>(dst), schema_.column_width(col));
     std::memcpy(dst, value, schema_.column_width(col));
     dirty_.insert(CheckpointPageOf(row));
+    return true;
   }
 
   RowId Append(mcsim::CoreSim* core, const uint8_t* row) override {
@@ -211,13 +216,9 @@ class SparseTable final : public Table {
     return num_rows_.load(std::memory_order_relaxed);
   }
 
-  uint64_t RowAddress(RowId row) const override {
-    return base_ + row * static_cast<uint64_t>(stride_);
-  }
-
   bool ReadRow(mcsim::CoreSim* core, RowId row, uint8_t* out) override {
     if (row >= num_rows()) return false;
-    core->Read(RowAddress(row), schema_.row_bytes());
+    core->Read(Address(row), schema_.row_bytes());
     std::shared_lock<std::shared_mutex> lock(mu_);
     auto it = overlay_.find(row);
     if (it != overlay_.end()) {
@@ -229,16 +230,17 @@ class SparseTable final : public Table {
     return true;
   }
 
-  void WriteColumn(mcsim::CoreSim* core, RowId row, uint32_t col,
+  bool WriteColumn(mcsim::CoreSim* core, RowId row, uint32_t col,
                    const void* value) override {
-    if (row >= num_rows()) return;
-    core->Write(RowAddress(row) + schema_.column_offset(col),
+    if (row >= num_rows()) return false;
+    core->Write(Address(row) + schema_.column_offset(col),
                 schema_.column_width(col));
     std::unique_lock<std::shared_mutex> lock(mu_);
     OverlayRow& o = Materialize(row);
-    if (o.deleted) return;
+    if (o.deleted) return false;
     std::memcpy(o.bytes.data() + schema_.column_offset(col), value,
                 schema_.column_width(col));
+    return true;
   }
 
   RowId Append(mcsim::CoreSim* core, const uint8_t* row) override {
@@ -246,7 +248,7 @@ class SparseTable final : public Table {
     const RowId id = num_rows_.fetch_add(1, std::memory_order_relaxed);
     OverlayRow& o = overlay_[id];
     o.bytes.assign(row, row + schema_.row_bytes());
-    core->Write(RowAddress(id), schema_.row_bytes());
+    core->Write(Address(id), schema_.row_bytes());
     return id;
   }
 
@@ -256,7 +258,7 @@ class SparseTable final : public Table {
     OverlayRow& o = Materialize(row);
     if (o.deleted) return false;
     o.deleted = true;
-    core->Write(RowAddress(row), 8);
+    core->Write(Address(row), 8);
     return true;
   }
 
@@ -287,7 +289,7 @@ class SparseTable final : public Table {
     o.deleted = !present;
     if (present) {
       o.bytes.assign(image, image + schema_.row_bytes());
-      core->Write(RowAddress(row), schema_.row_bytes());
+      core->Write(Address(row), schema_.row_bytes());
     }
   }
 
@@ -296,6 +298,11 @@ class SparseTable final : public Table {
     std::vector<uint8_t> bytes;
     bool deleted = false;
   };
+
+  /// The row's place in the nominal address range.
+  uint64_t Address(RowId row) const {
+    return base_ + row * static_cast<uint64_t>(stride_);
+  }
 
   OverlayRow& Materialize(RowId row) {
     auto [it, inserted] = overlay_.try_emplace(row);

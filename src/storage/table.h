@@ -15,18 +15,20 @@ namespace imoltp::storage {
 using RowId = uint64_t;
 inline constexpr RowId kInvalidRow = UINT64_MAX;
 
-/// Row storage. Two implementations:
+/// Row storage. Three implementations behind one interface:
 ///
 ///   - HeapTable: rows materialized in real memory (segmented arena).
 ///     Used whenever the configured footprint is feasible to allocate.
 ///   - SparseTable: rows spread over a *nominal* address space with
 ///     deterministic value generation and a write overlay; used for the
 ///     paper's 10GB/100GB configurations (see DESIGN.md, Substitutions).
+///   - DiskHeapFile (disk_heap_file.h): slotted pages behind a
+///     BufferPool, the disk-based archetypes' row store.
 ///
 /// Every accessor takes the worker's CoreSim so the touched cache lines
 /// flow through the simulated hierarchy. Tables are engine-neutral; the
-/// engines add their own access-path overheads (buffer pool, versioning)
-/// on top.
+/// engines add their own access-path overheads (buffer pool code,
+/// versioning) on top.
 class Table {
  public:
   virtual ~Table() = default;
@@ -34,20 +36,29 @@ class Table {
   const Schema& schema() const { return schema_; }
   const std::string& name() const { return name_; }
 
+  /// In-memory tables: the RowId space, deleted rows included. The disk
+  /// file: its live rows.
   virtual uint64_t num_rows() const = 0;
-
-  /// Address of the row in the (possibly nominal) data address space.
-  virtual uint64_t RowAddress(RowId row) const = 0;
 
   /// Copies the full row into `out` (schema().row_bytes() bytes) and
   /// traces the read. Returns false for a deleted/absent row.
   virtual bool ReadRow(mcsim::CoreSim* core, RowId row, uint8_t* out) = 0;
 
-  /// Overwrites one column in place and traces the write.
-  virtual void WriteColumn(mcsim::CoreSim* core, RowId row, uint32_t col,
+  /// Overwrites one column in place and traces the write. Returns false
+  /// for a deleted/absent row.
+  virtual bool WriteColumn(mcsim::CoreSim* core, RowId row, uint32_t col,
                            const void* value) = 0;
 
-  /// Appends a row; returns its RowId. Traces the write.
+  /// Overwrites every column of `row` from `image`, one WriteColumn per
+  /// column (each traced).
+  void WriteRow(mcsim::CoreSim* core, RowId row, const uint8_t* image) {
+    for (uint32_t c = 0; c < schema_.num_columns(); ++c) {
+      WriteColumn(core, row, c, schema_.ColumnPtr(image, c));
+    }
+  }
+
+  /// Appends a row; returns its RowId (kInvalidRow when the store is
+  /// full). Traces the write.
   virtual RowId Append(mcsim::CoreSim* core, const uint8_t* row) = 0;
 
   /// Marks a row deleted. Returns false if it was absent already.
@@ -63,11 +74,22 @@ class Table {
     return row / kRowsPerCheckpointPage;
   }
 
-  /// Sorted logical pages mutated since creation (initial population is
-  /// clean — recovery regenerates it deterministically, so a fuzzy
-  /// checkpoint only needs the pages that diverged). Never reset:
-  /// checkpoints are self-contained.
+  /// The RowIds checkpoint capture copies for page `page_no`, present
+  /// or not. In-memory tables: the page's 64 logical rows below
+  /// num_rows(), untraced. The disk file fixes the page and lists its
+  /// directory slots.
+  virtual std::vector<RowId> PageRows(mcsim::CoreSim* core,
+                                      uint64_t page_no);
+
+  /// Sorted pages mutated since the last MarkClean() (initial
+  /// population is clean — recovery regenerates it deterministically,
+  /// so a fuzzy checkpoint only needs the pages that diverged).
+  /// Checkpoints are self-contained: capture never resets it.
   virtual std::vector<uint64_t> DirtyPages() const = 0;
+
+  /// Forgets the pages dirtied so far; called once initial population
+  /// is done. A no-op for tables that are clean from construction.
+  virtual void MarkClean() {}
 
   /// Places a row image at exactly `row` during recovery, growing the
   /// rid space if needed; `present == false` restores the row as

@@ -5,10 +5,14 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <memory>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "mcsim/machine.h"
+#include "mcsim/trace_sink.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_heap_file.h"
 #include "storage/slotted_page.h"
@@ -248,7 +252,7 @@ class DiskHeapFileTest : public ::testing::Test {
       : machine_(NoTlb()),
         core_(&machine_.core(0)),
         pool_(256, 8192),
-        file_(&pool_, 1, TwoLongColumns()) {}
+        file_("t", &pool_, 1, TwoLongColumns()) {}
 
   std::vector<uint8_t> Row(int64_t key, int64_t value) {
     std::vector<uint8_t> row(file_.schema().row_bytes());
@@ -267,7 +271,7 @@ TEST_F(DiskHeapFileTest, AppendReadRoundTrip) {
   const RowId rid = file_.Append(core_, Row(7, 49).data());
   ASSERT_NE(rid, kInvalidRow);
   std::vector<uint8_t> out(16);
-  ASSERT_TRUE(file_.Read(core_, rid, out.data()));
+  ASSERT_TRUE(file_.ReadRow(core_, rid, out.data()));
   EXPECT_EQ(file_.schema().GetLong(out.data(), 0), 7);
   EXPECT_EQ(file_.schema().GetLong(out.data(), 1), 49);
 }
@@ -280,7 +284,7 @@ TEST_F(DiskHeapFileTest, RowsSpanMultiplePages) {
   EXPECT_GT(DiskHeapFile::PageNo(rids.back()), 0u);
   std::vector<uint8_t> out(16);
   for (int64_t i = 0; i < 2000; ++i) {
-    ASSERT_TRUE(file_.Read(core_, rids[i], out.data()));
+    ASSERT_TRUE(file_.ReadRow(core_, rids[i], out.data()));
     ASSERT_EQ(file_.schema().GetLong(out.data(), 0), i);
   }
 }
@@ -290,7 +294,7 @@ TEST_F(DiskHeapFileTest, WriteColumnInPlace) {
   const int64_t v = 999;
   ASSERT_TRUE(file_.WriteColumn(core_, rid, 1, &v));
   std::vector<uint8_t> out(16);
-  ASSERT_TRUE(file_.Read(core_, rid, out.data()));
+  ASSERT_TRUE(file_.ReadRow(core_, rid, out.data()));
   EXPECT_EQ(file_.schema().GetLong(out.data(), 1), 999);
   EXPECT_EQ(file_.schema().GetLong(out.data(), 0), 1);  // untouched
 }
@@ -299,7 +303,7 @@ TEST_F(DiskHeapFileTest, DeleteThenReadFails) {
   const RowId rid = file_.Append(core_, Row(1, 2).data());
   ASSERT_TRUE(file_.Delete(core_, rid));
   std::vector<uint8_t> out(16);
-  EXPECT_FALSE(file_.Read(core_, rid, out.data()));
+  EXPECT_FALSE(file_.ReadRow(core_, rid, out.data()));
   EXPECT_FALSE(file_.Delete(core_, rid));
   EXPECT_EQ(file_.num_rows(), 0u);
 }
@@ -317,23 +321,108 @@ TEST_F(DiskHeapFileTest, DeletedSpaceIsReused) {
 }
 
 // ---------------------------------------------------------------------------
-// Table (heap + sparse)
+// Table conformance: heap, sparse and the disk heap file
 // ---------------------------------------------------------------------------
 
-class TableModeTest : public ::testing::TestWithParam<bool> {
- protected:
-  TableModeTest() : machine_(NoTlb()), core_(&machine_.core(0)) {}
+/// Records the data addresses the cores read.
+class ReadRecorder final : public mcsim::TraceSink {
+ public:
+  void OnExecuteRegion(int, const mcsim::CodeRegion&, uint64_t) override {}
+  void OnRead(int, uint64_t addr, uint32_t) override {
+    reads.push_back(addr);
+  }
+  void OnWrite(int, uint64_t, uint32_t) override {}
+  void OnRetire(int, uint64_t) override {}
+  void OnMispredict(int, uint64_t) override {}
+  void OnBeginTransaction(int) override {}
+  void OnSetModule(int, mcsim::ModuleId) override {}
+  void OnWindowMark(bool) override {}
 
-  std::unique_ptr<Table> Make(uint64_t rows) {
-    TableOptions opts;
-    opts.row_stride = 64;
-    // Sparse mode: force by shrinking the resident budget.
-    if (GetParam()) opts.max_resident_bytes = 1;
-    return CreateTable("t", TwoLongColumns(), rows, opts);
+  std::vector<uint64_t> reads;
+};
+
+/// The address ReadRow traces for the row's bytes: every store reads
+/// them last (the disk file's page-table probe and header come first).
+uint64_t TracedRowAddress(mcsim::MachineSim* machine, Table* t, RowId row) {
+  ReadRecorder recorder;
+  machine->SetTraceSink(&recorder);
+  std::vector<uint8_t> out(t->schema().row_bytes());
+  EXPECT_TRUE(t->ReadRow(&machine->core(0), row, out.data()));
+  machine->SetTraceSink(nullptr);
+  return recorder.reads.empty() ? 0 : recorder.reads.back();
+}
+
+enum class Store { kHeap, kSparse, kDisk };
+
+// The in-memory stores print as the sparse flag their test ids have
+// always carried ("GetParam() = false" is the heap table).
+void PrintTo(Store store, std::ostream* os) {
+  *os << (store == Store::kHeap     ? "false"
+          : store == Store::kSparse ? "true"
+                                    : "disk");
+}
+
+std::string StoreName(const ::testing::TestParamInfo<Store>& info) {
+  switch (info.param) {
+    case Store::kHeap:
+      return "Heap";
+    case Store::kSparse:
+      return "Sparse";
+    case Store::kDisk:
+      return "Disk";
+  }
+  return "";
+}
+
+class TableModeTest : public ::testing::TestWithParam<Store> {
+ protected:
+  TableModeTest()
+      : machine_(NoTlb()), core_(&machine_.core(0)), pool_(256, 8192) {}
+
+  /// A populated, clean table: `rows` generated rows with ids shifted
+  /// by `row_offset`. The disk file appends them the way population
+  /// does.
+  std::unique_ptr<Table> Make(uint64_t rows, uint64_t row_offset = 0) {
+    std::unique_ptr<Table> t;
+    if (GetParam() == Store::kDisk) {
+      t = std::make_unique<DiskHeapFile>("t", &pool_, 1, TwoLongColumns());
+      std::vector<uint8_t> row(t->schema().row_bytes());
+      for (RowId r = 0; r < rows; ++r) {
+        DefaultRowGenerator(t->schema(), row_offset + r, 0x1234, row.data());
+        EXPECT_NE(t->Append(core_, row.data()), kInvalidRow);
+      }
+    } else {
+      TableOptions opts;
+      opts.row_stride = 64;
+      opts.generator_row_offset = row_offset;
+      // Sparse mode: force by shrinking the resident budget.
+      if (GetParam() == Store::kSparse) opts.max_resident_bytes = 1;
+      t = CreateTable("t", TwoLongColumns(), rows, opts);
+    }
+    t->MarkClean();
+    return t;
+  }
+
+  /// Whether `row` lies on one of the table's dirty pages.
+  bool OnDirtyPage(Table* t, RowId row) {
+    for (uint64_t page : t->DirtyPages()) {
+      for (RowId r : t->PageRows(core_, page)) {
+        if (r == row) return true;
+      }
+    }
+    return false;
+  }
+
+  std::vector<uint8_t> Row(const Table& t, int64_t key, int64_t value) {
+    std::vector<uint8_t> row(t.schema().row_bytes());
+    t.schema().SetLong(row.data(), 0, key);
+    t.schema().SetLong(row.data(), 1, value);
+    return row;
   }
 
   mcsim::MachineSim machine_;
   mcsim::CoreSim* core_;
+  BufferPool pool_;
 };
 
 TEST_P(TableModeTest, GeneratedRowsAreDeterministic) {
@@ -348,19 +437,33 @@ TEST_P(TableModeTest, GeneratedRowsAreDeterministic) {
 TEST_P(TableModeTest, WriteColumnPersists) {
   auto t = Make(100);
   const int64_t v = -42;
-  t->WriteColumn(core_, 5, 1, &v);
+  EXPECT_TRUE(t->WriteColumn(core_, 5, 1, &v));
   std::vector<uint8_t> row(16);
   ASSERT_TRUE(t->ReadRow(core_, 5, row.data()));
   EXPECT_EQ(t->schema().GetLong(row.data(), 1), -42);
   EXPECT_EQ(t->schema().GetLong(row.data(), 0), 5);
 }
 
+TEST_P(TableModeTest, WriteColumnOfAbsentRowFails) {
+  auto t = Make(10);
+  ASSERT_TRUE(t->Delete(core_, 3));
+  const int64_t v = 1;
+  EXPECT_FALSE(t->WriteColumn(core_, 3, 1, &v));
+  EXPECT_FALSE(t->WriteColumn(core_, 10, 1, &v));
+}
+
+TEST_P(TableModeTest, WriteRowOverwritesEveryColumn) {
+  auto t = Make(10);
+  t->WriteRow(core_, 7, Row(*t, 70, 700).data());
+  std::vector<uint8_t> out(16);
+  ASSERT_TRUE(t->ReadRow(core_, 7, out.data()));
+  EXPECT_EQ(t->schema().GetLong(out.data(), 0), 70);
+  EXPECT_EQ(t->schema().GetLong(out.data(), 1), 700);
+}
+
 TEST_P(TableModeTest, AppendExtendsTable) {
   auto t = Make(10);
-  std::vector<uint8_t> row(16);
-  t->schema().SetLong(row.data(), 0, 777);
-  t->schema().SetLong(row.data(), 1, 888);
-  const RowId rid = t->Append(core_, row.data());
+  const RowId rid = t->Append(core_, Row(*t, 777, 888).data());
   EXPECT_EQ(rid, 10u);
   EXPECT_EQ(t->num_rows(), 11u);
   std::vector<uint8_t> out(16);
@@ -377,10 +480,67 @@ TEST_P(TableModeTest, DeleteHidesRow) {
   EXPECT_TRUE(t->ReadRow(core_, 4, out.data()));
 }
 
+TEST_P(TableModeTest, RestoreRowPlacesPresentAndAbsentRows) {
+  auto t = Make(10);
+  std::vector<uint8_t> out(16);
+  t->RestoreRow(core_, 4, Row(*t, 4, 44).data(), /*present=*/false);
+  EXPECT_FALSE(t->ReadRow(core_, 4, out.data()));
+  t->RestoreRow(core_, 4, Row(*t, 4, 44).data(), /*present=*/true);
+  ASSERT_TRUE(t->ReadRow(core_, 4, out.data()));
+  EXPECT_EQ(t->schema().GetLong(out.data(), 1), 44);
+  // Past the end: the row lands exactly there, the gap stays absent.
+  t->RestoreRow(core_, 12, Row(*t, 12, 120).data(), /*present=*/true);
+  ASSERT_TRUE(t->ReadRow(core_, 12, out.data()));
+  EXPECT_EQ(t->schema().GetLong(out.data(), 1), 120);
+  EXPECT_FALSE(t->ReadRow(core_, 10, out.data()));
+  EXPECT_FALSE(t->ReadRow(core_, 11, out.data()));
+}
+
+TEST_P(TableModeTest, DirtyPagesHoldEveryMutatedRow) {
+  auto t = Make(100);
+  EXPECT_TRUE(t->DirtyPages().empty());  // population is clean
+  const int64_t v = 9;
+  ASSERT_TRUE(t->WriteColumn(core_, 70, 1, &v));
+  EXPECT_EQ(t->DirtyPages().size(), 1u);
+  EXPECT_TRUE(OnDirtyPage(t.get(), 70));
+  ASSERT_TRUE(t->Delete(core_, 5));
+  const RowId rid = t->Append(core_, Row(*t, 1, 1).data());
+  t->RestoreRow(core_, 40, Row(*t, 40, 4).data(), /*present=*/true);
+  EXPECT_TRUE(OnDirtyPage(t.get(), 70));
+  EXPECT_TRUE(OnDirtyPage(t.get(), 5));
+  EXPECT_TRUE(OnDirtyPage(t.get(), rid));
+  EXPECT_TRUE(OnDirtyPage(t.get(), 40));
+}
+
+TEST_P(TableModeTest, PagesEnumerateEveryRowOnce) {
+  // More rows than one 8 KB slotted page or eight logical pages hold.
+  constexpr uint64_t kRows = 500;
+  auto t = Make(kRows);
+  std::vector<int64_t> keys;
+  std::vector<uint8_t> out(16);
+  for (uint64_t page = 0; keys.size() < kRows && page < kRows; ++page) {
+    for (RowId r : t->PageRows(core_, page)) {
+      ASSERT_TRUE(t->ReadRow(core_, r, out.data())) << "row " << r;
+      keys.push_back(t->schema().GetLong(out.data(), 0));
+    }
+  }
+  ASSERT_EQ(keys.size(), kRows);
+  for (uint64_t i = 0; i < kRows; ++i) {
+    EXPECT_EQ(keys[i], static_cast<int64_t>(i));
+  }
+}
+
 TEST_P(TableModeTest, RowAddressesAreStriddenAndDistinct) {
   auto t = Make(100);
-  EXPECT_EQ(t->RowAddress(1) - t->RowAddress(0), 64u);
-  EXPECT_EQ(t->RowAddress(99) - t->RowAddress(98), 64u);
+  // Heap and sparse rows sit one 64-byte stride apart; a slotted page
+  // packs its records downward from the end of the page.
+  const int64_t stride =
+      GetParam() == Store::kDisk ? -int64_t{16} : int64_t{64};
+  auto addr = [&](RowId r) {
+    return static_cast<int64_t>(TracedRowAddress(&machine_, t.get(), r));
+  };
+  EXPECT_EQ(addr(1) - addr(0), stride);
+  EXPECT_EQ(addr(99) - addr(98), stride);
 }
 
 TEST_P(TableModeTest, OutOfRangeRowFails) {
@@ -390,21 +550,17 @@ TEST_P(TableModeTest, OutOfRangeRowFails) {
 }
 
 TEST_P(TableModeTest, GeneratorRowOffsetShiftsContent) {
-  TableOptions opts;
-  opts.row_stride = 64;
-  opts.generator_row_offset = 500;
-  if (GetParam()) opts.max_resident_bytes = 1;
-  auto t = CreateTable("t", TwoLongColumns(), 10, opts);
+  auto t = Make(10, /*row_offset=*/500);
   std::vector<uint8_t> row(16);
   ASSERT_TRUE(t->ReadRow(core_, 0, row.data()));
   EXPECT_EQ(t->schema().GetLong(row.data(), 0), 500);
 }
 
 INSTANTIATE_TEST_SUITE_P(HeapAndSparse, TableModeTest,
-                         ::testing::Values(false, true),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "Sparse" : "Heap";
-                         });
+                         ::testing::Values(Store::kHeap, Store::kSparse),
+                         StoreName);
+INSTANTIATE_TEST_SUITE_P(Disk, TableModeTest,
+                         ::testing::Values(Store::kDisk), StoreName);
 
 TEST(TableFactoryTest, PicksSparseAboveResidentBudget) {
   TableOptions opts;
@@ -413,15 +569,18 @@ TEST(TableFactoryTest, PicksSparseAboveResidentBudget) {
   auto t = CreateTable("big", TwoLongColumns(), 1000, opts);
   // A sparse table spreads rows over the synthetic address range
   // [2^44, 2^46); real heap mappings live above it on x86-64 Linux.
-  EXPECT_GE(t->RowAddress(0), 1ULL << 44);
-  EXPECT_LT(t->RowAddress(0), 1ULL << 46);
+  mcsim::MachineSim machine(NoTlb());
+  const uint64_t addr = TracedRowAddress(&machine, t.get(), 0);
+  EXPECT_GE(addr, 1ULL << 44);
+  EXPECT_LT(addr, 1ULL << 46);
 }
 
 TEST(TableFactoryTest, PicksHeapWithinBudget) {
   TableOptions opts;
   opts.row_stride = 64;
   auto t = CreateTable("small", TwoLongColumns(), 1000, opts);
-  const uint64_t addr = t->RowAddress(0);
+  mcsim::MachineSim machine(NoTlb());
+  const uint64_t addr = TracedRowAddress(&machine, t.get(), 0);
   // Real memory: outside the synthetic sparse range.
   EXPECT_TRUE(addr < (1ULL << 44) || addr >= (1ULL << 46));
 }
