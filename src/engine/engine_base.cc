@@ -17,7 +17,8 @@ EngineBase::EngineBase(mcsim::MachineSim* machine,
   logs_.reserve(machine_->num_cores());
   for (int i = 0; i < machine_->num_cores(); ++i) {
     logs_.push_back(
-        std::make_unique<txn::LogManager>(options_.log_buffer_bytes));
+        std::make_unique<txn::LogManager>(&lsn_clock_,
+                                          options_.log_buffer_bytes));
     logs_.back()->set_fault_injector(options_.fault_injector);
   }
   undo_logs_.resize(machine_->num_cores());

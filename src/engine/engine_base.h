@@ -391,6 +391,7 @@ class EngineBase : public Engine {
   obs::SpanCollector spans_;
   std::vector<TableRt> tables_;
   std::unique_ptr<storage::BufferPool> bufferpool_;  // disk engines
+  txn::LsnClock lsn_clock_;  // shared by the logs_, declared before them
   std::vector<std::unique_ptr<txn::LogManager>> logs_;  // per worker
   std::vector<UndoLog> undo_logs_;                       // per worker
   uint32_t next_file_id_ = 1;

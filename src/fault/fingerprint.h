@@ -42,10 +42,11 @@ inline uint64_t FnvString(uint64_t h, const std::string& s) {
                   s.size());
 }
 
-/// Digest of a log's replayable content. LSNs and txn ids are
-/// deliberately excluded: both come from process-wide counters that
-/// keep advancing across cycles, so only their order (already implied
-/// by record order) is deterministic, not their values.
+/// Digest of a log's replayable content. LSNs and txn ids are left
+/// out: both come from per-engine counters, so their values repeat
+/// with the seed, but the order they carry is already implied by record
+/// order, and folding them in would change every recorded fingerprint
+/// (the chaos campaigns' and perfbench/reference.json's).
 inline uint64_t FnvLog(uint64_t h,
                        const std::vector<txn::LogRecord>& log) {
   h = FnvMix(h, log.size());

@@ -42,7 +42,7 @@ uint64_t LogManager::Append(mcsim::CoreSim* core, LogOp op,
   if (fault_ != nullptr && fault_->Fires(fault::kLogTornRecord)) {
     rec.torn = true;
   }
-  rec.lsn = NextLsn();
+  rec.lsn = clock_->Next();
   rec.txn_id = txn_id;
   rec.op = op;
   rec.table = table;

@@ -25,8 +25,9 @@ enum class LogOp : uint8_t {
                      // payload = 8-byte begin LSN of the same ckpt)
 };
 
-/// One recovery-grade WAL record. `lsn` is globally ordered across all
-/// workers' logs so multi-partition logs merge deterministically.
+/// One recovery-grade WAL record. `lsn` is ordered across all of one
+/// engine's worker logs (they share an LsnClock), so multi-partition
+/// logs merge deterministically.
 struct LogRecord {
   uint64_t lsn = 0;
   uint64_t txn_id = 0;
@@ -50,6 +51,19 @@ struct LogRecord {
   std::vector<uint8_t> before;
 };
 
+/// The LSN source of one engine, shared by its per-worker logs so that
+/// their records merge into one order. Atomic so the logs can append
+/// from concurrent host threads in free-running parallel mode.
+class LsnClock {
+ public:
+  uint64_t Next() {
+    return next_.fetch_add(1, std::memory_order_relaxed) + 1;
+  }
+
+ private:
+  std::atomic<uint64_t> next_{0};
+};
+
 /// Asynchronous write-ahead logging. The paper configures every system
 /// with asynchronous logging "so there is no delay due to I/O in the
 /// critical path" (Section 3). What remains on the critical path — and
@@ -68,8 +82,10 @@ struct LogRecord {
 /// allocates land (docs/engines.md).
 class LogManager {
  public:
-  explicit LogManager(uint32_t buffer_bytes = 1 << 20)
-      : capacity_(buffer_bytes),
+  /// `clock` hands out the LSNs; it must outlive the log.
+  explicit LogManager(LsnClock* clock, uint32_t buffer_bytes = 1 << 20)
+      : clock_(clock),
+        capacity_(buffer_bytes),
         buffer_(std::make_unique<uint8_t[]>(buffer_bytes)) {}
 
   LogManager(const LogManager&) = delete;
@@ -212,14 +228,9 @@ class LogManager {
     return mutable_record(records_);
   }
 
-  /// Globally ordered LSNs. Atomic so per-worker logs can append from
-  /// concurrent host threads in free-running parallel mode; every other
-  /// LogManager member is confined to its owning worker.
-  static uint64_t NextLsn() {
-    static std::atomic<uint64_t> next{0};
-    return next.fetch_add(1, std::memory_order_relaxed) + 1;
-  }
-
+  /// Shared with the engine's other logs; every other member is
+  /// confined to the owning worker.
+  LsnClock* clock_;
   uint32_t capacity_;
   uint32_t offset_ = 0;
   uint64_t bytes_logged_ = 0;

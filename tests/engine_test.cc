@@ -9,6 +9,7 @@
 #include <string>
 #include <utility>
 
+#include "common/rng.h"
 #include "core/experiment.h"
 #include "core/tpcc.h"
 #include "fault/fault_injector.h"
@@ -192,6 +193,51 @@ std::string EngineTestName(const ::testing::TestParamInfo<EngineKind>& i) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllEngines, EngineConformanceTest,
+                         ::testing::ValuesIn(kAllEngines), EngineTestName);
+
+// ---------------------------------------------------------------------------
+// LSNs come from the engine, not the process
+// ---------------------------------------------------------------------------
+
+/// The LSNs of a fresh engine's stable log after a seeded stream of
+/// single-row updates.
+std::vector<uint64_t> SeededRunLsns(EngineKind kind) {
+  mcsim::MachineSim machine(NoTlb());
+  auto engine = CreateEngine(kind, &machine, EngineOptions());
+  EXPECT_TRUE(engine->CreateDatabase({SimpleTable(1000)}).ok());
+  Rng rng(29);
+  for (int i = 0; i < 40; ++i) {
+    const uint64_t key = rng.Uniform(1000);
+    const int64_t value = static_cast<int64_t>(rng.Next());
+    TxnRequest req;
+    req.type = 1;
+    req.partition_key = key;
+    req.key_space = 1000;
+    const Status s = engine->Execute(0, req, [&](TxnContext& ctx) {
+      storage::RowId rid;
+      const Status st = ctx.Probe(0, index::Key::FromUint64(key), &rid);
+      return st.ok() ? ctx.Update(0, rid, 1, &value) : st;
+    });
+    EXPECT_TRUE(s.ok()) << s.ToString();
+  }
+  std::vector<uint64_t> lsns;
+  for (const txn::LogRecord& rec : engine->StableLog()) {
+    lsns.push_back(rec.lsn);
+  }
+  return lsns;
+}
+
+class EngineLsnTest : public ::testing::TestWithParam<EngineKind> {};
+
+TEST_P(EngineLsnTest, EnginesBuiltInTurnLogEqualLsns) {
+  const std::vector<uint64_t> first = SeededRunLsns(GetParam());
+  const std::vector<uint64_t> second = SeededRunLsns(GetParam());
+  ASSERT_FALSE(first.empty());
+  EXPECT_EQ(first.front(), 1u);
+  EXPECT_EQ(first, second);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllEngines, EngineLsnTest,
                          ::testing::ValuesIn(kAllEngines), EngineTestName);
 
 // ---------------------------------------------------------------------------

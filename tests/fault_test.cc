@@ -154,7 +154,8 @@ class FaultHookTest : public ::testing::Test {
 TEST_F(FaultHookTest, TornRecordMarksExactlyTheFiredAppend) {
   FaultInjector inj(3);
   inj.Arm(kLogTornRecord, {0.0, 2});
-  txn::LogManager log;
+  txn::LsnClock clock;
+  txn::LogManager log(&clock);
   log.set_fault_injector(&inj);
   const uint8_t payload[16] = {0};
   for (int i = 0; i < 4; ++i) {
@@ -189,7 +190,8 @@ TEST_F(FaultHookTest, InjectedLockConflictAborts) {
 // ---------------------------------------------------------------------------
 
 TEST_F(FaultHookTest, OversizedRecordGrowsRingInsteadOfOverflowing) {
-  txn::LogManager log(64);  // smaller than one 256-byte payload
+  txn::LsnClock clock;
+  txn::LogManager log(&clock, 64);  // smaller than one 256-byte payload
   ASSERT_EQ(log.capacity(), 64u);
   std::vector<uint8_t> payload(256, 0xAB);
   log.LogUpdate(core_, 1, 0, 7, -1, payload.data(),
@@ -210,7 +212,8 @@ TEST_F(FaultHookTest, OversizedRecordGrowsRingInsteadOfOverflowing) {
 }
 
 TEST_F(FaultHookTest, OversizedKeyAlsoGrowsRing) {
-  txn::LogManager log(64);
+  txn::LsnClock clock;
+  txn::LogManager log(&clock, 64);
   std::vector<uint8_t> key(300, 0x11);
   log.Append(core_, txn::LogOp::kInsert, 1, 0, 7, -1, nullptr, 0,
              key.data(), static_cast<uint32_t>(key.size()));

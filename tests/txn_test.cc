@@ -252,7 +252,8 @@ std::vector<LogRecord> Retained(const LogManager& log) {
 }
 
 TEST_F(LogTest, CountsRecordsAndBytes) {
-  LogManager log;
+  LsnClock clock;
+  LogManager log(&clock);
   const uint8_t payload[32] = {0};
   log.LogUpdate(core_, 1, 0, 100, 1, payload, 32);
   log.LogCommit(core_, 1);
@@ -261,7 +262,8 @@ TEST_F(LogTest, CountsRecordsAndBytes) {
 }
 
 TEST_F(LogTest, BufferWrapsViaAsynchronousFlush) {
-  LogManager log(1024);
+  LsnClock clock;
+  LogManager log(&clock, 1024);
   const uint8_t payload[100] = {0};
   for (int i = 0; i < 50; ++i) {
     log.LogUpdate(core_, 1, 0, i, 1, payload, 100);
@@ -271,7 +273,8 @@ TEST_F(LogTest, BufferWrapsViaAsynchronousFlush) {
 }
 
 TEST_F(LogTest, SequentialWritesHaveGoodLocality) {
-  LogManager log(1 << 20);
+  LsnClock clock;
+  LogManager log(&clock, 1 << 20);
   const uint8_t payload[28] = {0};
   for (int i = 0; i < 100; ++i) {
     log.LogUpdate(core_, 1, 0, i, 1, payload, 28);
@@ -282,7 +285,8 @@ TEST_F(LogTest, SequentialWritesHaveGoodLocality) {
 }
 
 TEST_F(LogTest, StableLogRetainsRecordsInLsnOrder) {
-  LogManager log;
+  LsnClock clock;
+  LogManager log(&clock);
   const uint8_t payload[8] = {7};
   const uint8_t key[8] = {9};
   log.Append(core_, LogOp::kInsert, 42, 3, 17, -1, payload, 8, key, 8,
@@ -302,7 +306,8 @@ TEST_F(LogTest, StableLogRetainsRecordsInLsnOrder) {
 }
 
 TEST_F(LogTest, TruncateDropsRetainedRecords) {
-  LogManager log;
+  LsnClock clock;
+  LogManager log(&clock);
   log.LogCommit(core_, 1);
   const uint64_t anchor = log.LogCommit(core_, 2);
   log.LogCommit(core_, 3);
@@ -317,7 +322,8 @@ TEST_F(LogTest, TruncateKeepsATransactionThatStraddlesTheAnchor) {
   // Transaction 2 logged an update before the anchor and committed
   // after it; a staged update reaches the table only at commit, so all
   // of transaction 2 stays.
-  LogManager log;
+  LsnClock clock;
+  LogManager log(&clock);
   const uint8_t payload[8] = {};
   log.LogCommit(core_, 1);
   const uint64_t update =
@@ -334,7 +340,8 @@ TEST_F(LogTest, TruncateRecordsPositionEvenWhenLogDrainsEmpty) {
   // A fully truncated log must not look like a never-written log:
   // recovery needs the anchor LSN to know replay legitimately starts
   // past 0.
-  LogManager log;
+  LsnClock clock;
+  LogManager log(&clock);
   log.LogCommit(core_, 1);
   const uint64_t last = log.LogCommit(core_, 2);
   log.Truncate(last + 1);
@@ -386,7 +393,8 @@ TEST_F(PartitionTest, FailedClaimReleasesPartialAcquisitions) {
 TEST_F(LogTest, StableLogRetainsEveryField) {
   fault::FaultInjector inj(5);
   inj.Arm(fault::kLogTornRecord, {0.0, 3});  // the third append is torn
-  LogManager log(256);
+  LsnClock clock;
+  LogManager log(&clock, 256);
   const std::vector<uint8_t> payload = {1, 2, 3, 4, 5};
   const std::vector<uint8_t> key = {9, 8, 7};
   const std::vector<uint8_t> before = {6, 6, 6, 6, 6, 6, 6};
@@ -448,7 +456,8 @@ TEST_F(LogTest, StableLogRetainsEveryField) {
 TEST_F(LogTest, TruncateAcrossBlocksKeepsAStraddlingTransaction) {
   // Transaction 2's records run from the end of the first stable-log
   // block into the second, past the anchor.
-  LogManager log;
+  LsnClock clock;
+  LogManager log(&clock);
   const uint64_t block = LogManager::kBlockRecords;
   const uint8_t payload[16] = {0};
   for (uint64_t i = 0; i + 2 < block; ++i) {
