@@ -62,7 +62,7 @@ class DiskEngine::Ctx final : public EngineBase::CtxBase {
   Status Read(int table, storage::RowId row, uint8_t* out) override {
     Status s = Lock(table, row, txn::LockMode::kShared);
     if (!s.ok()) return s;
-    const Step step(e_, core_, SpanKind::kStorageAccess, HeapRegion());
+    const Step step(e_, core_, SpanKind::kStorageAccess, e_->HeapRegion());
     return ReadRow(table, row, out);
   }
 
@@ -71,7 +71,7 @@ class DiskEngine::Ctx final : public EngineBase::CtxBase {
     Status s = Lock(table, row, txn::LockMode::kExclusive);
     if (!s.ok()) return s;
     {
-      const Step step(e_, core_, SpanKind::kStorageAccess, HeapRegion());
+      const Step step(e_, core_, SpanKind::kStorageAccess, e_->HeapRegion());
       s = UpdateInPlace(table, row, column, value);
       if (!s.ok()) return s;
     }
@@ -86,7 +86,7 @@ class DiskEngine::Ctx final : public EngineBase::CtxBase {
     storage::RowId rid = storage::kInvalidRow;
     Status s;
     {
-      const Step step(e_, core_, SpanKind::kStorageAccess, HeapRegion());
+      const Step step(e_, core_, SpanKind::kStorageAccess, e_->HeapRegion());
       s = AppendRow(table, row, &rid);
       if (!s.ok()) return s;
     }
@@ -113,7 +113,7 @@ class DiskEngine::Ctx final : public EngineBase::CtxBase {
     uint8_t* before = RowScratch(table);
     {
       const Step step(e_, core_, SpanKind::kStorageAccess,
-                      HeapRegion().module);
+                      e_->HeapRegion().module);
       s = ReadRow(table, row, before);
       if (!s.ok()) return s;
     }
@@ -123,7 +123,7 @@ class DiskEngine::Ctx final : public EngineBase::CtxBase {
       if (!s.ok()) return s;
     }
     {
-      const Step step(e_, core_, SpanKind::kStorageAccess, HeapRegion());
+      const Step step(e_, core_, SpanKind::kStorageAccess, e_->HeapRegion());
       s = DeleteRow(table, row);
       if (!s.ok()) return s;
     }
@@ -169,12 +169,6 @@ class DiskEngine::Ctx final : public EngineBase::CtxBase {
     return LockObject(table, storage::DiskHeapFile::PageNo(row));
   }
 
-  /// Buffer-pool ablation plumbing: the heap access path is either the
-  /// slotted-page file behind the pool or a direct in-memory table.
-  const mcsim::CodeRegion& HeapRegion() const {
-    return e_->options_.use_bufferpool ? e_->heap_bp_ : e_->heap_direct_;
-  }
-
   DiskEngine* e_;
 };
 
@@ -197,7 +191,8 @@ void DiskEngine::Abort(CtxBase& ctx) {
   // (charged outside the sm-log module, unlike the commit record).
   mcsim::CoreSim* core = ctx.core();
   if (!ctx.undo.empty()) {
-    const Step step(this, core, SpanKind::kStorageAccess, heap_bp_.module);
+    const Step step(this, core, SpanKind::kStorageAccess,
+                    HeapRegion().module);
     ctx.Rollback();
   }
   Release(ctx);

@@ -48,6 +48,12 @@ class DiskEngine final : public EngineBase {
   void Release(CtxBase& ctx) override;
   void Epilogue(CtxBase& ctx) override;
 
+  /// Buffer-pool ablation plumbing: the heap access path is either the
+  /// slotted-page file behind the pool or a direct in-memory table.
+  const mcsim::CodeRegion& HeapRegion() const {
+    return options_.use_bufferpool ? heap_bp_ : heap_direct_;
+  }
+
   EngineKind kind_;
   bool full_stack_;       // DBMS D: frontend layers per transaction
   bool row_level_locks_;  // Shore-MT: row locks; DBMS D: page locks

@@ -734,8 +734,8 @@ TEST_P(PinnedSignatureTest, AblationTpccSignatureIsPinned) {
         0xbbd43fd3e181de15ull,
         {{"<none>", 79608400ull}, {"sm-xct-begin", 2288000ull},
          {"sm-xct-commit", 2464000ull}, {"sm-btree", 63503876ull},
-         {"sm-bufferpool", 38990ull}, {"sm-lock", 52895191ull},
-         {"sm-log", 13173037ull}, {"sm-heap-direct", 39040200ull}}}},
+         {"sm-lock", 52895191ull}, {"sm-log", 13173037ull},
+         {"sm-heap-direct", 39079190ull}}}},
       {EngineKind::kDbmsD,
        {286114694ull, 350, 50, {11131, 20711, 7302, 20477},
         0xbbd43fd3e181de15ull,
@@ -743,8 +743,8 @@ TEST_P(PinnedSignatureTest, AblationTpccSignatureIsPinned) {
          {"parser", 3344000ull}, {"optimizer", 3080000ull},
          {"plan-exec", 40072400ull}, {"sm-xct-begin", 1584000ull},
          {"sm-xct-commit", 1672000ull}, {"sm-btree", 54101476ull},
-         {"sm-bufferpool", 38990ull}, {"sm-lock", 48557391ull},
-         {"sm-log", 11546637ull}, {"sm-heap-direct", 39040200ull}}}},
+         {"sm-lock", 48557391ull}, {"sm-log", 11546637ull},
+         {"sm-heap-direct", 39079190ull}}}},
       {EngineKind::kVoltDb,
        {169360544ull, 350, 50, {11074, 400, 316, 20477},
         0x607ccb0130169b6ull,
