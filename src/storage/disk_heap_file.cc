@@ -124,20 +124,17 @@ void DiskHeapFile::RestoreRow(mcsim::CoreSim* core, RowId row,
 
 std::vector<RowId> DiskHeapFile::PageRows(mcsim::CoreSim* core,
                                           uint64_t page_no) {
-  uint16_t slots = 0;
-  {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    const PageId pid = GlobalPage(page_no);
-    uint8_t* page = pool_->FixPage(core, pid);
-    if (page != nullptr) {
-      SlottedPage::Header* header =
-          reinterpret_cast<SlottedPage::Header*>(page);
-      slots = header->page_bytes == 0 ? 0 : SlottedPage::NumSlots(page);
-      core->Read(reinterpret_cast<uint64_t>(page), 16);
-      pool_->UnfixPage(core, pid, /*dirty=*/false);
-    }
-  }
   std::vector<RowId> rows;
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  const PageId pid = GlobalPage(page_no);
+  uint8_t* page = pool_->FixPage(core, pid);
+  if (page == nullptr) return rows;
+  SlottedPage::Header* header =
+      reinterpret_cast<SlottedPage::Header*>(page);
+  const uint16_t slots =
+      header->page_bytes == 0 ? 0 : SlottedPage::NumSlots(page);
+  core->Read(reinterpret_cast<uint64_t>(page), 16);
+  pool_->UnfixPage(core, pid, /*dirty=*/false);
   rows.reserve(slots);
   for (uint16_t s = 0; s < slots; ++s) rows.push_back((page_no << 16) | s);
   return rows;
