@@ -64,16 +64,6 @@ class Table {
   /// Marks a row deleted. Returns false if it was absent already.
   virtual bool Delete(mcsim::CoreSim* core, RowId row) = 0;
 
-  /// Checkpoint page granularity for in-memory tables: 64 consecutive
-  /// RowIds per logical page (≈ a few KB of row data, the same order of
-  /// magnitude as a disk page).
-  static constexpr uint64_t kRowsPerCheckpointPage = 64;
-
-  /// Logical page a RowId belongs to for checkpoint capture.
-  static uint64_t CheckpointPageOf(RowId row) {
-    return row / kRowsPerCheckpointPage;
-  }
-
   /// The RowIds checkpoint capture copies for page `page_no`, present
   /// or not. In-memory tables: the page's 64 logical rows below
   /// num_rows(), untraced. The disk file fixes the page and lists its
@@ -100,6 +90,16 @@ class Table {
                           const uint8_t* image, bool present) = 0;
 
  protected:
+  /// Checkpoint page granularity for in-memory tables: 64 consecutive
+  /// RowIds per logical page (≈ a few KB of row data, the same order of
+  /// magnitude as a disk page).
+  static constexpr uint64_t kRowsPerCheckpointPage = 64;
+
+  /// Logical page a RowId belongs to for checkpoint capture.
+  static uint64_t CheckpointPageOf(RowId row) {
+    return row / kRowsPerCheckpointPage;
+  }
+
   Table(std::string name, Schema schema)
       : name_(std::move(name)), schema_(std::move(schema)) {}
 
