@@ -13,10 +13,11 @@
 #
 # With -jN, up to N figure binaries run concurrently on spare host
 # cores. Each binary's output goes to a temp file and is concatenated
-# in name order afterwards, so bench_output.txt is byte-stable
-# regardless of N (each binary is internally deterministic — the
-# default ParallelMode is kSerial; see
-# docs/parallel_execution.md). A per-binary wall-clock table (slowest
+# in name order afterwards, so bench_output.txt lists the binaries in
+# the same order regardless of N. Its numbers are not byte-stable: the
+# cache simulator models host heap addresses, which ASLR moves, so two
+# campaigns differ in most simulated figures (ROADMAP item 1). A
+# per-binary wall-clock table (slowest
 # first) goes to stderr at the end — stderr, not the output file,
 # because timings are non-deterministic.
 #

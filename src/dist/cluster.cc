@@ -566,7 +566,6 @@ Status Cluster::Run() {
 
 void Cluster::ComputeFingerprint() {
   using fault::FnvInvariants;
-  using fault::FnvLog;
   using fault::FnvMix;
   uint64_t fp = fault::kFnvOffset;
   fp = FnvMix(fp, result_.generated);
@@ -586,7 +585,7 @@ void Cluster::ComputeFingerprint() {
     fp = FnvMix(fp, st.single_home);
     fp = FnvMix(fp, st.multi_home);
     fp = FnvMix(fp, st.fragments);
-    fp = FnvLog(fp, node->DurableLog());
+    fp = node->FnvDurableLog(fp);
   }
   fp = FnvInvariants(fp, result_.invariants);
   result_.fingerprint = fp;

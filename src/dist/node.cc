@@ -1,5 +1,7 @@
 #include "dist/node.h"
 
+#include "fault/fingerprint.h"
+
 namespace imoltp::dist {
 
 Node::Node(const NodeConfig& config) : config_(config) {
@@ -76,9 +78,9 @@ Status Node::Recover() {
   return engine_->Replay(saved_log_);
 }
 
-std::vector<txn::LogRecord> Node::DurableLog() const {
-  if (engine_ != nullptr) return engine_->StableLog();
-  return saved_log_;
+uint64_t Node::FnvDurableLog(uint64_t h) const {
+  if (engine_ != nullptr) return fault::FnvStableLog(h, *engine_);
+  return fault::FnvLog(h, saved_log_);
 }
 
 }  // namespace imoltp::dist

@@ -106,9 +106,10 @@ class Node {
                             static_cast<uint64_t>(config_.warehouses));
   }
 
-  /// Durable log for fingerprints / recovery checks: the engine's live
-  /// stable log while alive, the death-time snapshot after Kill().
-  std::vector<txn::LogRecord> DurableLog() const;
+  /// fault::FnvLog of the durable log: the engine's live stable log
+  /// while alive, read in place, or the death-time snapshot after
+  /// Kill().
+  uint64_t FnvDurableLog(uint64_t h) const;
 
  private:
   NodeConfig config_;

@@ -215,6 +215,17 @@ class Engine {
   /// order (the simulated log device).
   virtual std::vector<txn::LogRecord> StableLog() const = 0;
 
+  /// The number of records StableLog() returns.
+  virtual uint64_t StableLogSize() const { return StableLog().size(); }
+
+  /// Calls `visit` on each record StableLog() returns, in the same
+  /// order. Engines that own their logs read the records where they
+  /// lie instead of copying them.
+  virtual void VisitStableLog(
+      const std::function<void(const txn::LogRecord&)>& visit) const {
+    for (const txn::LogRecord& rec : StableLog()) visit(rec);
+  }
+
   /// The flushed prefix of the durable log: only records the
   /// asynchronous background writer had pushed to the device. This is
   /// what survives a crash that loses the in-memory log rings

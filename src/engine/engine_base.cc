@@ -470,30 +470,47 @@ std::vector<txn::LogRecord> EngineBase::FlushedLog() const {
   return MergedLog(/*flushed_only=*/true);
 }
 
-std::vector<txn::LogRecord> EngineBase::MergedLog(bool flushed_only) const {
-  // Per worker log: the index of its next record and its record count.
-  std::vector<std::pair<uint64_t, uint64_t>> cursors;
-  uint64_t total = 0;
-  for (const auto& log : logs_) {
-    const uint64_t n = flushed_only ? log->flushed_records() : log->records();
-    cursors.emplace_back(0, n);
-    total += n;
-  }
-  std::vector<txn::LogRecord> merged;
-  merged.reserve(total);
+uint64_t EngineBase::StableLogSize() const {
+  return MergedLogSize(/*flushed_only=*/false);
+}
+
+void EngineBase::VisitStableLog(
+    const std::function<void(const txn::LogRecord&)>& visit) const {
+  VisitMergedLog(/*flushed_only=*/false, visit);
+}
+
+void EngineBase::VisitMergedLog(
+    bool flushed_only,
+    const std::function<void(const txn::LogRecord&)>& visit) const {
+  // Per worker log: the index of its next record.
+  std::vector<uint64_t> next_of(logs_.size(), 0);
   while (true) {
     size_t next = logs_.size();
     for (size_t w = 0; w < logs_.size(); ++w) {
-      if (cursors[w].first == cursors[w].second) continue;
+      if (next_of[w] == MergedRecords(*logs_[w], flushed_only)) continue;
       if (next == logs_.size() ||
-          logs_[w]->record(cursors[w].first).lsn <
-              logs_[next]->record(cursors[next].first).lsn) {
+          logs_[w]->record(next_of[w]).lsn <
+              logs_[next]->record(next_of[next]).lsn) {
         next = w;
       }
     }
     if (next == logs_.size()) break;
-    merged.push_back(logs_[next]->record(cursors[next].first++));
+    visit(logs_[next]->record(next_of[next]++));
   }
+}
+
+uint64_t EngineBase::MergedLogSize(bool flushed_only) const {
+  uint64_t n = 0;
+  for (const auto& log : logs_) n += MergedRecords(*log, flushed_only);
+  return n;
+}
+
+std::vector<txn::LogRecord> EngineBase::MergedLog(bool flushed_only) const {
+  std::vector<txn::LogRecord> merged;
+  merged.reserve(MergedLogSize(flushed_only));
+  VisitMergedLog(flushed_only, [&merged](const txn::LogRecord& rec) {
+    merged.push_back(rec);
+  });
   return merged;
 }
 
@@ -554,30 +571,30 @@ Status EngineBase::RedoPass(const std::vector<txn::LogRecord>& log,
       case txn::LogOp::kUpdate:
         if (rec.column >= 0) {
           slice.rows->WriteColumn(core, rec.row, rec.column,
-                                  rec.payload.data());
+                                  rec.payload().data());
         } else {
-          slice.rows->WriteRow(core, rec.row, rec.payload.data());
+          slice.rows->WriteRow(core, rec.row, rec.payload().data());
         }
         break;
       case txn::LogOp::kInsert: {
         // Placement replay: the record's RowId is the physical position
         // the live run assigned; later records reference it, so the
         // replayed row must land exactly there.
-        slice.rows->RestoreRow(core, rec.row, rec.payload.data(),
+        slice.rows->RestoreRow(core, rec.row, rec.payload().data(),
                                /*present=*/true);
-        if (slice.primary != nullptr && !rec.key.empty()) {
+        if (slice.primary != nullptr && !rec.key().empty()) {
           slice.primary->Remove(core, RecordKey(rec));  // idempotent
           result = slice.primary->Insert(core, RecordKey(rec), rec.row);
         }
-        InsertSecondaries(core, rt, slice, rec.payload.data(), rec.row);
+        InsertSecondaries(core, rt, slice, rec.payload().data(), rec.row);
         break;
       }
       case txn::LogOp::kDelete: {
         if (!slice.secondaries.empty()) {
           // Prefer the logged before-image (checkpoint-enabled logs);
           // fall back to the current row contents.
-          if (rec.before.size() >= rt.def.schema.row_bytes()) {
-            RemoveSecondaries(core, rt, slice, rec.before.data());
+          if (rec.before().size() >= rt.def.schema.row_bytes()) {
+            RemoveSecondaries(core, rt, slice, rec.before().data());
           } else {
             std::vector<uint8_t> image(rt.def.schema.row_bytes());
             if (slice.rows->ReadRow(core, rec.row, image.data())) {
@@ -585,7 +602,7 @@ Status EngineBase::RedoPass(const std::vector<txn::LogRecord>& log,
             }
           }
         }
-        if (slice.primary != nullptr && !rec.key.empty()) {
+        if (slice.primary != nullptr && !rec.key().empty()) {
           slice.primary->Remove(core, RecordKey(rec));
         }
         slice.rows->Delete(core, rec.row);

@@ -38,6 +38,9 @@ class EngineBase : public Engine {
                  const std::function<Status(TxnContext&)>& body) final;
   std::vector<txn::LogRecord> StableLog() const override;
   std::vector<txn::LogRecord> FlushedLog() const override;
+  uint64_t StableLogSize() const override;
+  void VisitStableLog(const std::function<void(const txn::LogRecord&)>&
+                          visit) const override;
   Status Replay(const std::vector<txn::LogRecord>& log) override;
   void CheckpointTick(int worker) override;
   Status Recover(const std::vector<txn::CheckpointImage>& device,
@@ -69,8 +72,8 @@ class EngineBase : public Engine {
 
   /// The primary key a log record carries.
   static index::Key RecordKey(const txn::LogRecord& rec) {
-    return index::Key::FromBytes(rec.key.data(),
-                                 static_cast<uint32_t>(rec.key.size()));
+    return index::Key::FromBytes(rec.key().data(),
+                                 static_cast<uint32_t>(rec.key().size()));
   }
 
   /// The slice a log record or checkpoint entry names (slice 0 when
@@ -428,9 +431,22 @@ class EngineBase : public Engine {
                     const txn::CheckpointIndexImage& image,
                     txn::RecoveryStats* stats);
 
-  /// Every worker's first `flushed_only ? flushed_records() : records()`
-  /// stable-log records, copied and merged into LSN order (each
-  /// worker's log is already in LSN order, so no sort is needed).
+  /// A worker log's share of the merged log.
+  static uint64_t MergedRecords(const txn::LogManager& log,
+                                bool flushed_only) {
+    return flushed_only ? log.flushed_records() : log.records();
+  }
+  /// Calls `visit` on every worker's first MergedRecords() stable-log
+  /// records, merged into LSN order where they lie (each worker's log
+  /// is already in LSN order, so no sort is needed). The one merge
+  /// routine: MergedLog copies through it, and the log digest reads
+  /// through it.
+  void VisitMergedLog(
+      bool flushed_only,
+      const std::function<void(const txn::LogRecord&)>& visit) const;
+  /// The number of records VisitMergedLog visits.
+  uint64_t MergedLogSize(bool flushed_only) const;
+  /// The visited records, copied.
   std::vector<txn::LogRecord> MergedLog(bool flushed_only) const;
 
   /// ARIES REDO: applies committed transactions' records plus all CLRs

@@ -35,7 +35,6 @@ void EngineBase::CaptureSliceMeta(mcsim::CoreSim* core, int table,
   Slice& slice = tables_[table].slices[slice_idx];
   out->table = static_cast<int16_t>(table);
   out->slice = static_cast<int16_t>(slice_idx);
-  out->num_rows = slice.rows->num_rows();
   // Image every index that diverged from the population. Engines log a
   // mutation after applying it, so a mutation missing from the image
   // has its record at or after the checkpoint's begin LSN and is redone.
@@ -355,37 +354,37 @@ Status EngineBase::Recover(const std::vector<txn::CheckpointImage>& device,
     Slice& slice = SliceAt(rt, rec.slice);
     switch (rec.op) {
       case txn::LogOp::kUpdate:
-        if (!updates_in_place() || rec.before.empty()) break;
+        if (!updates_in_place() || rec.before().empty()) break;
         if (rec.column >= 0) {
           slice.rows->WriteColumn(core, rec.row, rec.column,
-                                  rec.before.data());
-        } else if (rec.before.size() >= rt.def.schema.row_bytes()) {
-          slice.rows->WriteRow(core, rec.row, rec.before.data());
+                                  rec.before().data());
+        } else if (rec.before().size() >= rt.def.schema.row_bytes()) {
+          slice.rows->WriteRow(core, rec.row, rec.before().data());
         }
         ++stats->undone_records;
         break;
       case txn::LogOp::kInsert: {
         // The loser inserted this row; remove it wherever it landed.
         // All operations are no-ops if the fuzzy capture missed it.
-        if (slice.primary != nullptr && !rec.key.empty()) {
+        if (slice.primary != nullptr && !rec.key().empty()) {
           slice.primary->Remove(core, RecordKey(rec));
         }
-        if (rec.payload.size() >= rt.def.schema.row_bytes()) {
-          RemoveSecondaries(core, rt, slice, rec.payload.data());
+        if (rec.payload().size() >= rt.def.schema.row_bytes()) {
+          RemoveSecondaries(core, rt, slice, rec.payload().data());
         }
         slice.rows->Delete(core, rec.row);
         ++stats->undone_records;
         break;
       }
       case txn::LogOp::kDelete: {
-        if (rec.before.size() < rt.def.schema.row_bytes()) break;
-        slice.rows->RestoreRow(core, rec.row, rec.before.data(),
+        if (rec.before().size() < rt.def.schema.row_bytes()) break;
+        slice.rows->RestoreRow(core, rec.row, rec.before().data(),
                                /*present=*/true);
-        if (slice.primary != nullptr && !rec.key.empty()) {
+        if (slice.primary != nullptr && !rec.key().empty()) {
           slice.primary->Remove(core, RecordKey(rec));
           slice.primary->Insert(core, RecordKey(rec), rec.row);
         }
-        InsertSecondaries(core, rt, slice, rec.before.data(), rec.row);
+        InsertSecondaries(core, rt, slice, rec.before().data(), rec.row);
         ++stats->undone_records;
         break;
       }

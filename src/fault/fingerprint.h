@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "engine/engine.h"
 #include "fault/invariants.h"
 #include "txn/log_manager.h"
 
@@ -42,26 +43,39 @@ inline uint64_t FnvString(uint64_t h, const std::string& s) {
                   s.size());
 }
 
-/// Digest of a log's replayable content. LSNs and txn ids are left
-/// out: both come from per-engine counters, so their values repeat
+/// Folds one record's replayable content into `h`. LSNs and txn ids are
+/// left out: both come from per-engine counters, so their values repeat
 /// with the seed, but the order they carry is already implied by record
 /// order, and folding them in would change every recorded fingerprint
 /// (the chaos campaigns' and perfbench/reference.json's).
+inline uint64_t FnvLogRecord(uint64_t h, const txn::LogRecord& r) {
+  h = FnvByte(h, static_cast<uint8_t>(r.op));
+  h = FnvMix(h, static_cast<uint16_t>(r.table));
+  h = FnvMix(h, static_cast<uint16_t>(r.column));
+  h = FnvMix(h, static_cast<uint16_t>(r.slice));
+  h = FnvMix(h, r.row);
+  h = FnvByte(h, r.torn ? 1 : 0);
+  h = FnvMix(h, r.payload().size());
+  h = FnvBytes(h, r.payload().data(), r.payload().size());
+  h = FnvMix(h, r.key().size());
+  h = FnvBytes(h, r.key().data(), r.key().size());
+  return h;
+}
+
+/// Digest of a log's replayable content: its length, then each record.
 inline uint64_t FnvLog(uint64_t h,
                        const std::vector<txn::LogRecord>& log) {
   h = FnvMix(h, log.size());
-  for (const txn::LogRecord& r : log) {
-    h = FnvByte(h, static_cast<uint8_t>(r.op));
-    h = FnvMix(h, static_cast<uint16_t>(r.table));
-    h = FnvMix(h, static_cast<uint16_t>(r.column));
-    h = FnvMix(h, static_cast<uint16_t>(r.slice));
-    h = FnvMix(h, r.row);
-    h = FnvByte(h, r.torn ? 1 : 0);
-    h = FnvMix(h, r.payload.size());
-    h = FnvBytes(h, r.payload.data(), r.payload.size());
-    h = FnvMix(h, r.key.size());
-    h = FnvBytes(h, r.key.data(), r.key.size());
-  }
+  for (const txn::LogRecord& r : log) h = FnvLogRecord(h, r);
+  return h;
+}
+
+/// FnvLog(h, engine.StableLog()), read where the records lie: no copy
+/// of the log is made.
+inline uint64_t FnvStableLog(uint64_t h, const engine::Engine& engine) {
+  h = FnvMix(h, engine.StableLogSize());
+  engine.VisitStableLog(
+      [&h](const txn::LogRecord& r) { h = FnvLogRecord(h, r); });
   return h;
 }
 

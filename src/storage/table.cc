@@ -165,8 +165,10 @@ class HeapTable final : public Table {
     const RowId row = num_rows_.fetch_add(1, std::memory_order_relaxed);
     const uint64_t seg = row / kRowsPerSegment;
     if (seg >= segments_.size()) {
-      segments_.push_back(
-          std::make_unique<uint8_t[]>(kRowsPerSegment * stride_));
+      // Not zero-filled: every slot is written before it is read, and
+      // pages no row reaches never become resident.
+      segments_.push_back(std::make_unique_for_overwrite<uint8_t[]>(
+          kRowsPerSegment * stride_));
     }
     deleted_.push_back(false);
     return segments_[seg].get() + (row % kRowsPerSegment) * stride_;

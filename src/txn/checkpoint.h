@@ -55,7 +55,6 @@ struct CheckpointPage {
 struct CheckpointSliceImage {
   int16_t table = 0;
   int16_t slice = 0;
-  uint64_t num_rows = 0;  // rid-space size at capture time
   std::vector<CheckpointIndexImage> indexes;  // dirty indexes only
   std::vector<CheckpointPage> pages;
 };

@@ -2,6 +2,27 @@
 
 namespace imoltp::txn {
 
+LogRecordBytes::LogRecordBytes(const LogRecordBytes& other) {
+  for (int f = 0; f < kFields; ++f) {
+    Assign(static_cast<Field>(f), other.bytes_[f].get(), other.len_[f]);
+  }
+}
+
+LogRecordBytes& LogRecordBytes::operator=(LogRecordBytes&& other) noexcept {
+  for (int f = 0; f < kFields; ++f) {
+    bytes_[f] = std::move(other.bytes_[f]);
+    len_[f] = std::exchange(other.len_[f], 0);
+  }
+  return *this;
+}
+
+void LogRecordBytes::Assign(Field f, const void* src, uint32_t n) {
+  if (src == nullptr || n == 0) return;
+  bytes_[f] = std::make_unique_for_overwrite<uint8_t[]>(n);
+  std::memcpy(bytes_[f].get(), src, n);
+  len_[f] = n;
+}
+
 uint64_t LogManager::Append(mcsim::CoreSim* core, LogOp op,
                             uint64_t txn_id, int16_t table, uint64_t row,
                             int16_t column, const void* payload,
@@ -50,19 +71,9 @@ uint64_t LogManager::Append(mcsim::CoreSim* core, LogOp op,
   rec.slice = slice;
   rec.row = row;
   rec.clr = clr;
-  if (payload != nullptr && payload_bytes > 0) {
-    rec.payload.assign(static_cast<const uint8_t*>(payload),
-                       static_cast<const uint8_t*>(payload) +
-                           payload_bytes);
-  }
-  if (key != nullptr && key_bytes > 0) {
-    rec.key.assign(static_cast<const uint8_t*>(key),
-                   static_cast<const uint8_t*>(key) + key_bytes);
-  }
-  if (before != nullptr && before_bytes > 0) {
-    rec.before.assign(static_cast<const uint8_t*>(before),
-                      static_cast<const uint8_t*>(before) + before_bytes);
-  }
+  rec.Assign(LogRecord::kPayload, payload, payload_bytes);
+  rec.Assign(LogRecord::kKey, key, key_bytes);
+  rec.Assign(LogRecord::kBefore, before, before_bytes);
   ++records_;
   if (force_) flushed_records_ = records_;
   return rec.lsn;

@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "fault/fault_injector.h"
@@ -25,31 +27,67 @@ enum class LogOp : uint8_t {
                      // payload = 8-byte begin LSN of the same ckpt)
 };
 
+/// The payload, key and before-image bytes one LogRecord owns. Each
+/// non-empty field is one heap allocation of exactly its size, and an
+/// empty field allocates nothing (see LogManager for why). Copies are
+/// deep; a moved-from record is empty.
+class LogRecordBytes {
+ public:
+  enum Field { kPayload, kKey, kBefore, kFields };
+
+  LogRecordBytes() = default;
+  LogRecordBytes(const LogRecordBytes& other);
+  LogRecordBytes(LogRecordBytes&& other) noexcept { *this = std::move(other); }
+  LogRecordBytes& operator=(const LogRecordBytes& other) {
+    return *this = LogRecordBytes(other);
+  }
+  LogRecordBytes& operator=(LogRecordBytes&& other) noexcept;
+
+  std::span<const uint8_t> field(Field f) const {
+    return {bytes_[f].get(), len_[f]};
+  }
+  /// Copies `n` bytes from `src` into field `f`, which must be empty.
+  void Assign(Field f, const void* src, uint32_t n);
+
+ private:
+  std::unique_ptr<uint8_t[]> bytes_[kFields];
+  uint32_t len_[kFields] = {};
+};
+
 /// One recovery-grade WAL record. `lsn` is ordered across all of one
 /// engine's worker logs (they share an LsnClock), so multi-partition
 /// logs merge deterministically.
-struct LogRecord {
-  uint64_t lsn = 0;
-  uint64_t txn_id = 0;
+struct LogRecord : private LogRecordBytes {
+  /// After-image bytes.
+  std::span<const uint8_t> payload() const { return field(kPayload); }
+  /// Primary key bytes (insert/delete).
+  std::span<const uint8_t> key() const { return field(kKey); }
+  /// Before-image (column or full row, per `column`). Logged only when
+  /// fuzzy checkpointing is enabled: a checkpoint page can capture an
+  /// in-flight transaction's writes, and recovery needs before-images
+  /// to roll such losers back.
+  std::span<const uint8_t> before() const { return field(kBefore); }
+
+  // The narrow fields come first: they fill the bytes' tail padding.
   LogOp op = LogOp::kCommit;
   int16_t table = -1;
   int16_t column = -1;  // -1: full-row payload
   int16_t slice = 0;    // partition that produced the record
-  uint64_t row = 0;
   bool torn = false;  // injected torn write: record reached the device
                       // with a bad checksum; recovery must stop here
   /// Compensation log record: a redo-only record written while rolling
   /// a transaction back (ARIES-style). CLRs repeat the undo writes
   /// during recovery REDO and are never themselves undone.
   bool clr = false;
-  std::vector<uint8_t> payload;  // after-image bytes
-  std::vector<uint8_t> key;      // primary key bytes (insert/delete)
-  /// Before-image (column or full row, per `column`). Logged only when
-  /// fuzzy checkpointing is enabled: a checkpoint page can capture an
-  /// in-flight transaction's writes, and recovery needs before-images
-  /// to roll such losers back.
-  std::vector<uint8_t> before;
+  uint64_t lsn = 0;
+  uint64_t txn_id = 0;
+  uint64_t row = 0;
+
+ private:
+  friend class LogManager;
 };
+
+static_assert(sizeof(LogRecord) <= 72, "stable-log records stay compact");
 
 /// The LSN source of one engine, shared by its per-worker logs so that
 /// their records merge into one order. Atomic so the logs can append
@@ -76,10 +114,14 @@ class LsnClock {
 /// database (see engine/engine.h). The stable log is a list of
 /// fixed-size blocks of records: a block is allocated whole and never
 /// moves, so growing the log copies no record, and truncation frees the
-/// blocks it empties. A record still keeps its payload, key and
-/// before-image as heap vectors: the cache simulator sees host
-/// addresses, and those allocations decide where the index nodes a run
-/// allocates land (docs/engines.md).
+/// blocks it empties. A 72-byte record holds its payload, key and
+/// before-image behind three pointers and three lengths, but each
+/// non-empty field is still its own heap allocation of exactly its
+/// size, made in that order: the cache simulator sees host addresses,
+/// and those allocations decide where the index nodes a run allocates
+/// land (docs/engines.md). Packing the bytes into arenas would move
+/// them, so it waits for simulated addresses that do not follow the
+/// host heap.
 class LogManager {
  public:
   /// `clock` hands out the LSNs; it must outlive the log.
@@ -185,7 +227,8 @@ class LogManager {
     return records_ + truncated_records_;
   }
 
-  /// Records per stable-log block (about 1 MB of LogRecords).
+  /// Records per stable-log block (576 KiB of LogRecords, far above
+  /// glibc's 128 KiB mmap threshold, so a block lives outside the heap).
   static constexpr uint64_t kBlockRecords = 8192;
 
  private:

@@ -279,5 +279,23 @@ TEST(ClusterChaosTest, UnrecoveredDeadNodeSkipsCrossNodeAudit) {
   EXPECT_TRUE(c.result().invariants.ok);
 }
 
+// A node killed and never recovered is digested from the log it saved
+// at death; the survivors' logs are read where they lie. The
+// fingerprint is pinned, so a change to how it reads the logs cannot
+// move it.
+TEST(ClusterChaosTest, UnrecoveredDeadNodeFingerprintIsPinned) {
+  ClusterConfig cfg = SmallConfig();
+  cfg.chaos.enabled = true;
+  cfg.chaos.nth_hit = 10;
+  cfg.chaos.recover = false;
+  Cluster c(cfg);
+  ASSERT_TRUE(c.Create().ok());
+  ASSERT_TRUE(c.Run().ok());
+  ASSERT_GE(c.result().died_node, 0);
+  ASSERT_FALSE(c.node(c.result().died_node)->alive());
+  EXPECT_EQ(c.result().fingerprint, 0x7dc1f71e3dbdffafull)
+      << std::hex << c.result().fingerprint;
+}
+
 }  // namespace
 }  // namespace imoltp::dist

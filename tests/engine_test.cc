@@ -5,6 +5,7 @@
 #include <array>
 #include <cstring>
 #include <new>
+#include <span>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -19,6 +20,11 @@
 
 namespace imoltp::engine {
 namespace {
+
+/// A log record field's bytes, for comparisons.
+std::vector<uint8_t> Bytes(std::span<const uint8_t> field) {
+  return {field.begin(), field.end()};
+}
 
 mcsim::MachineConfig NoTlb(int cores = 1) {
   mcsim::MachineConfig c;
@@ -410,15 +416,15 @@ TEST_P(UndoLogTest, AbortRestoresUpdateInsertAndDelete) {
   const bool in_place_update = GetParam() != EngineKind::kDbmsM;
   ASSERT_EQ(clrs.size(), in_place_update ? 3u : 2u);
   EXPECT_EQ(clrs[0].op, txn::LogOp::kInsert);
-  EXPECT_EQ(clrs[0].payload, deleted);
+  EXPECT_EQ(Bytes(clrs[0].payload()), deleted);
   EXPECT_EQ(clrs[1].op, txn::LogOp::kDelete);
-  EXPECT_EQ(clrs[1].key.size(), 8u);
-  EXPECT_EQ(storage::TwoLongColumns().GetLong(clrs[1].before.data(), 0),
+  EXPECT_EQ(clrs[1].key().size(), 8u);
+  EXPECT_EQ(storage::TwoLongColumns().GetLong(clrs[1].before().data(), 0),
             500);
   if (in_place_update) {
     EXPECT_EQ(clrs[2].op, txn::LogOp::kUpdate);
     EXPECT_EQ(clrs[2].column, 1);
-    EXPECT_EQ(clrs[2].payload,
+    EXPECT_EQ(Bytes(clrs[2].payload()),
               std::vector<uint8_t>(updated.begin() + 8, updated.end()));
   }
 }
@@ -597,7 +603,11 @@ void Ablate(EngineKind kind, EngineOptions* options) {
   }
 }
 
-Signature RunSignature(EngineKind kind, bool ablated) {
+// The pinned stream on `kind`, run to its end: seeded serial TPC-C
+// with rollbacks and checkpointing on. Null if the engine failed to
+// start.
+std::unique_ptr<core::ExperimentRunner> RunRollbackTpcc(EngineKind kind,
+                                                        bool ablated) {
   core::TpccConfig tcfg;
   tcfg.warehouses = 2;
   tcfg.orders_per_district = 30;
@@ -619,11 +629,18 @@ Signature RunSignature(EngineKind kind, bool ablated) {
   if (ablated) Ablate(kind, &cfg.engine_options);
   auto runner = core::ExperimentRunner::Create(cfg, &workload);
   EXPECT_TRUE(runner.ok()) << runner.status().ToString();
-  if (!runner.ok()) return {};
+  if (!runner.ok()) return nullptr;
   EXPECT_TRUE((*runner)->Run(&workload).ok());
+  return std::move(*runner);
+}
+
+Signature RunSignature(EngineKind kind, bool ablated) {
+  const std::unique_ptr<core::ExperimentRunner> runner =
+      RunRollbackTpcc(kind, ablated);
+  if (runner == nullptr) return {};
 
   Signature sig;
-  mcsim::MachineSim* machine = (*runner)->machine();
+  mcsim::MachineSim* machine = runner->machine();
   const mcsim::ModuleRegistry& modules = machine->modules();
   for (int m = 0; m < modules.size(); ++m) {
     uint64_t n = 0;
@@ -635,12 +652,12 @@ Signature RunSignature(EngineKind kind, bool ablated) {
   for (int c = 0; c < machine->num_cores(); ++c) {
     sig.instructions += machine->core(c).counters().instructions;
   }
-  sig.committed = (*runner)->committed();
-  sig.aborted = (*runner)->aborts();
+  sig.committed = runner->committed();
+  sig.aborted = runner->aborts();
   for (int k = 0; k < obs::kNumSpanKinds; ++k) {
-    sig.spans[k] = (*runner)->spans().stats(static_cast<obs::SpanKind>(k)).count;
+    sig.spans[k] = runner->spans().stats(static_cast<obs::SpanKind>(k)).count;
   }
-  const std::vector<txn::LogRecord> log = (*runner)->engine()->StableLog();
+  const std::vector<txn::LogRecord> log = runner->engine()->StableLog();
   sig.log_fnv = fault::FnvLog(fault::kFnvOffset, log);
 
   // The run covers what the pinned signature claims to cover.
@@ -648,7 +665,7 @@ Signature RunSignature(EngineKind kind, bool ablated) {
   for (const txn::LogRecord& rec : log) {
     clrs += rec.clr ? 1 : 0;
     deletes += rec.op == txn::LogOp::kDelete && !rec.clr ? 1 : 0;
-    before_images += rec.before.empty() ? 0 : 1;
+    before_images += rec.before().empty() ? 0 : 1;
   }
   EXPECT_GT(sig.aborted, 0u);
   if (kind != EngineKind::kVoltDb) {  // command log: no physical records
@@ -772,6 +789,28 @@ TEST_P(PinnedSignatureTest, AblationTpccSignatureIsPinned) {
          {"mm-log", 6058500ull}}}},
   };
   ExpectPinned(kPinned, /*ablated=*/true);
+}
+
+// The cluster fingerprint digests each live log where it lies. On the
+// pinned stream, whose logs hold CLRs and before-images, that digest
+// must equal the digest of the copied log.
+TEST_P(PinnedSignatureTest, InPlaceLogDigestEqualsDigestOfCopiedLog) {
+  const std::unique_ptr<core::ExperimentRunner> runner =
+      RunRollbackTpcc(GetParam(), /*ablated=*/false);
+  ASSERT_NE(runner, nullptr);
+  const Engine& engine = *runner->engine();
+  const std::vector<txn::LogRecord> log = engine.StableLog();
+  ASSERT_FALSE(log.empty());
+  EXPECT_EQ(engine.StableLogSize(), log.size());
+  std::vector<uint64_t> visited;
+  engine.VisitStableLog(
+      [&visited](const txn::LogRecord& rec) { visited.push_back(rec.lsn); });
+  ASSERT_EQ(visited.size(), log.size());
+  for (size_t i = 0; i < log.size(); ++i) {
+    ASSERT_EQ(visited[i], log[i].lsn) << "record " << i;
+  }
+  EXPECT_EQ(fault::FnvStableLog(fault::kFnvOffset, engine),
+            fault::FnvLog(fault::kFnvOffset, log));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllEngines, PinnedSignatureTest,
@@ -1102,7 +1141,9 @@ TEST(VoltDbTest, CommandRecordIgnoresRequestPadding) {
   }
   std::vector<std::vector<uint8_t>> payloads;
   for (const txn::LogRecord& rec : engine->StableLog()) {
-    if (rec.op == txn::LogOp::kCommand) payloads.push_back(rec.payload);
+    if (rec.op == txn::LogOp::kCommand) {
+      payloads.push_back(Bytes(rec.payload()));
+    }
   }
   ASSERT_EQ(payloads.size(), 2u);
   EXPECT_EQ(payloads[0].size(), sizeof(TxnRequest));

@@ -199,9 +199,9 @@ TEST_F(FaultHookTest, OversizedRecordGrowsRingInsteadOfOverflowing) {
   EXPECT_GE(log.capacity(), 256u + 32u);  // payload + header fit now
   const std::vector<txn::LogRecord> records = Retained(log);
   ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].payload.size(), 256u);
-  EXPECT_EQ(records[0].payload[0], 0xAB);
-  EXPECT_EQ(records[0].payload[255], 0xAB);
+  EXPECT_EQ(records[0].payload().size(), 256u);
+  EXPECT_EQ(records[0].payload()[0], 0xAB);
+  EXPECT_EQ(records[0].payload()[255], 0xAB);
   // The grown ring keeps working: wrap it a few times.
   for (int i = 0; i < 20; ++i) {
     log.LogUpdate(core_, 2, 0, i, -1, payload.data(),
@@ -219,7 +219,7 @@ TEST_F(FaultHookTest, OversizedKeyAlsoGrowsRing) {
              key.data(), static_cast<uint32_t>(key.size()));
   const std::vector<txn::LogRecord> records = Retained(log);
   ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].key.size(), 300u);
+  EXPECT_EQ(records[0].key().size(), 300u);
 }
 
 }  // namespace

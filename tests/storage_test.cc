@@ -601,5 +601,41 @@ TEST(TableTest, StringSchemaGeneratesUniqueEarlyDivergingKeys) {
   EXPECT_EQ(a[1], 'a');
 }
 
+/// Resident bytes of this process, or -1 without /proc/self/statm.
+int64_t ResidentBytes() {
+  std::FILE* f = std::fopen("/proc/self/statm", "r");
+  if (f == nullptr) return -1;
+  long long size = 0, resident = 0;
+  const int n = std::fscanf(f, "%lld %lld", &size, &resident);
+  std::fclose(f);
+  if (n != 2) return -1;
+  return resident * static_cast<int64_t>(sysconf(_SC_PAGESIZE));
+}
+
+TEST(TableTest, SegmentPagesNoRowReachesStayNonResident) {
+  if (ResidentBytes() < 0) GTEST_SKIP() << "no /proc/self/statm";
+  // A 4096-row segment of 2 KiB slots is 8 MiB; one row touches one
+  // page of it.
+  TableOptions opts;
+  opts.row_stride = 2048;
+  const int64_t before = ResidentBytes();
+  auto t = CreateTable("one", TwoLongColumns(), 1, opts);
+  const int64_t grown = ResidentBytes() - before;
+  EXPECT_LT(grown, 64 << 10) << "resident bytes grew by " << grown;
+
+  // The row written at creation and one appended later read back.
+  mcsim::MachineSim machine(NoTlb());
+  mcsim::CoreSim* core = &machine.core(0);
+  const Schema& schema = t->schema();
+  std::vector<uint8_t> want(schema.row_bytes()), got(schema.row_bytes());
+  DefaultRowGenerator(schema, 0, opts.generator_seed, want.data());
+  ASSERT_TRUE(t->ReadRow(core, 0, got.data()));
+  EXPECT_EQ(got, want);
+  schema.SetLong(want.data(), 0, 77);
+  ASSERT_EQ(t->Append(core, want.data()), 1u);
+  ASSERT_TRUE(t->ReadRow(core, 1, got.data()));
+  EXPECT_EQ(got, want);
+}
+
 }  // namespace
 }  // namespace imoltp::storage

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "fault/fault_injector.h"
@@ -244,6 +246,11 @@ TEST_F(MvccTest, TimestampsAdvanceOnCommitOnly) {
 
 using LogTest = TxnTest;
 
+/// A log record field's bytes, for comparisons.
+std::vector<uint8_t> Bytes(std::span<const uint8_t> field) {
+  return {field.begin(), field.end()};
+}
+
 /// A copy of every record the log retains, oldest first.
 std::vector<LogRecord> Retained(const LogManager& log) {
   std::vector<LogRecord> out;
@@ -300,8 +307,8 @@ TEST_F(LogTest, StableLogRetainsRecordsInLsnOrder) {
   EXPECT_EQ(records[0].table, 3);
   EXPECT_EQ(records[0].row, 17u);
   EXPECT_EQ(records[0].slice, 1);
-  EXPECT_EQ(records[0].payload.size(), 8u);
-  EXPECT_EQ(records[0].key.size(), 8u);
+  EXPECT_EQ(records[0].payload().size(), 8u);
+  EXPECT_EQ(records[0].key().size(), 8u);
   EXPECT_EQ(records[1].op, LogOp::kCommit);
 }
 
@@ -423,34 +430,96 @@ TEST_F(LogTest, StableLogRetainsEveryField) {
   EXPECT_EQ(r[0].row, 300u);
   EXPECT_EQ(r[0].column, 1);
   EXPECT_EQ(r[0].slice, 3);
-  EXPECT_EQ(r[0].payload, payload);
-  EXPECT_TRUE(r[0].key.empty());
-  EXPECT_EQ(r[0].before, before);
+  EXPECT_EQ(Bytes(r[0].payload()), payload);
+  EXPECT_TRUE(r[0].key().empty());
+  EXPECT_EQ(Bytes(r[0].before()), before);
   EXPECT_FALSE(r[0].torn);
   EXPECT_FALSE(r[0].clr);
 
   EXPECT_EQ(r[1].op, LogOp::kInsert);
   EXPECT_EQ(r[1].column, -1);
   EXPECT_EQ(r[1].slice, 1);
-  EXPECT_EQ(r[1].payload, payload);
-  EXPECT_EQ(r[1].key, key);
-  EXPECT_TRUE(r[1].before.empty());
+  EXPECT_EQ(Bytes(r[1].payload()), payload);
+  EXPECT_EQ(Bytes(r[1].key()), key);
+  EXPECT_TRUE(r[1].before().empty());
 
   EXPECT_EQ(r[2].op, LogOp::kDelete);
   EXPECT_EQ(r[2].txn_id, 12u);
-  EXPECT_TRUE(r[2].payload.empty());
-  EXPECT_EQ(r[2].key, key);
-  EXPECT_EQ(r[2].before, before);
+  EXPECT_TRUE(r[2].payload().empty());
+  EXPECT_EQ(Bytes(r[2].key()), key);
+  EXPECT_EQ(Bytes(r[2].before()), before);
   EXPECT_TRUE(r[2].torn);
   EXPECT_TRUE(r[2].clr);
 
   EXPECT_EQ(r[3].row, 303u);
-  EXPECT_EQ(r[3].payload, huge);
+  EXPECT_EQ(Bytes(r[3].payload()), huge);
   EXPECT_FALSE(r[3].torn);
 
   EXPECT_EQ(r[4].op, LogOp::kCommit);
   EXPECT_EQ(r[4].table, -1);
-  EXPECT_TRUE(r[4].payload.empty());
+  EXPECT_TRUE(r[4].payload().empty());
+}
+
+TEST_F(LogTest, CopiedRecordIsByteEqualAndMovedFromRecordIsEmpty) {
+  LsnClock clock;
+  LogManager log(&clock);
+  const std::vector<uint8_t> payload = {1, 2, 3, 4, 5};
+  const std::vector<uint8_t> key = {9, 8, 7};
+  const std::vector<uint8_t> before = {6, 6, 6, 6, 6, 6, 6};
+  log.Append(core_, LogOp::kDelete, 21, 5, 302, 2, payload.data(), 5,
+             key.data(), 3, 4, before.data(), 7, /*clr=*/true);
+  const LogRecord& original = log.record(0);
+
+  LogRecord copy = original;
+  EXPECT_EQ(copy.lsn, original.lsn);
+  EXPECT_EQ(copy.txn_id, 21u);
+  EXPECT_EQ(copy.op, LogOp::kDelete);
+  EXPECT_EQ(copy.table, 5);
+  EXPECT_EQ(copy.row, 302u);
+  EXPECT_EQ(copy.column, 2);
+  EXPECT_EQ(copy.slice, 4);
+  EXPECT_TRUE(copy.clr);
+  EXPECT_EQ(Bytes(copy.payload()), payload);
+  EXPECT_EQ(Bytes(copy.key()), key);
+  EXPECT_EQ(Bytes(copy.before()), before);
+  // A deep copy: its bytes live apart from the retained record's.
+  EXPECT_NE(copy.payload().data(), original.payload().data());
+  EXPECT_NE(copy.key().data(), original.key().data());
+  EXPECT_NE(copy.before().data(), original.before().data());
+
+  LogRecord moved = std::move(copy);
+  EXPECT_EQ(Bytes(moved.payload()), payload);
+  EXPECT_EQ(Bytes(moved.key()), key);
+  EXPECT_EQ(Bytes(moved.before()), before);
+  EXPECT_TRUE(copy.payload().empty());  // NOLINT(bugprone-use-after-move)
+  EXPECT_TRUE(copy.key().empty());
+  EXPECT_TRUE(copy.before().empty());
+
+  copy = moved;  // a moved-from record takes a copy again
+  EXPECT_EQ(Bytes(copy.before()), before);
+  EXPECT_EQ(Bytes(original.payload()), payload);  // the original stays
+}
+
+TEST_F(LogTest, EmptyFieldsAllocateNothing) {
+  LsnClock clock;
+  LogManager log(&clock);
+  const uint8_t payload[4] = {1, 2, 3, 4};
+  const uint8_t key[8] = {5};
+  // A non-null pointer with a zero length is still an empty field.
+  log.Append(core_, LogOp::kUpdate, 1, 0, 7, 1, payload, 4, key, 0);
+  log.LogCommit(core_, 1);
+  const LogRecord& update = log.record(0);
+  EXPECT_EQ(update.payload().size(), 4u);
+  EXPECT_EQ(update.key().data(), nullptr);
+  EXPECT_EQ(update.before().data(), nullptr);
+  const LogRecord& commit = log.record(1);
+  EXPECT_EQ(commit.payload().data(), nullptr);
+  EXPECT_EQ(commit.key().data(), nullptr);
+  EXPECT_EQ(commit.before().data(), nullptr);
+  const LogRecord copy = commit;
+  EXPECT_EQ(copy.payload().data(), nullptr);
+  EXPECT_EQ(copy.key().data(), nullptr);
+  EXPECT_EQ(copy.before().data(), nullptr);
 }
 
 TEST_F(LogTest, TruncateAcrossBlocksKeepsAStraddlingTransaction) {
@@ -481,7 +550,7 @@ TEST_F(LogTest, TruncateAcrossBlocksKeepsAStraddlingTransaction) {
   EXPECT_EQ(log.flushed_records(), 4u);
   EXPECT_EQ(log.record(0).txn_id, 2u);
   EXPECT_EQ(log.record(0).row, 1u);
-  EXPECT_EQ(log.record(0).payload.size(), sizeof(payload));
+  EXPECT_EQ(log.record(0).payload().size(), sizeof(payload));
   EXPECT_EQ(log.record(1).lsn, anchor);
 
   // Past transaction 2's commit: only the unflushed record remains, and
