@@ -297,5 +297,32 @@ TEST(ClusterChaosTest, UnrecoveredDeadNodeFingerprintIsPinned) {
       << std::hex << c.result().fingerprint;
 }
 
+// One node dies and is recovered twice: by hand after population, then
+// by chaos inside Run (the tenth death check falls on node 0). Recovery
+// must leave nothing behind that changes what the audit or the
+// fingerprint reads, so the fingerprint is pinned.
+TEST(ClusterChaosTest, TwiceRecoveredNodeFingerprintIsPinned) {
+  ClusterConfig cfg = SmallConfig();
+  cfg.chaos.enabled = true;
+  cfg.chaos.nth_hit = 10;
+  Cluster c(cfg);
+  ASSERT_TRUE(c.Create().ok());
+  Node* node = c.node(0);
+  node->Kill(0);
+  ASSERT_FALSE(node->alive());
+  ASSERT_TRUE(node->Recover().ok());
+  ASSERT_TRUE(node->alive());
+  ASSERT_TRUE(c.Run().ok());
+  ASSERT_EQ(c.result().died_node, 0);
+  EXPECT_TRUE(c.result().recovered);
+  EXPECT_TRUE(node->alive());
+  EXPECT_TRUE(c.result().invariants.ok)
+      << (c.result().invariants.violations.empty()
+              ? ""
+              : c.result().invariants.violations[0]);
+  EXPECT_EQ(c.result().fingerprint, 0x39ae3f97fecd9b5dull)
+      << std::hex << c.result().fingerprint;
+}
+
 }  // namespace
 }  // namespace imoltp::dist

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -331,6 +333,136 @@ TEST(BTreeTest, ReverseInsertionOrderWorks) {
   ASSERT_EQ(got.size(), 10u);
   EXPECT_EQ(got.front(), 1u);
 }
+
+// ---------------------------------------------------------------------------
+// B-tree compare stream: a fixed random sequence of inserts, removes,
+// lookups (hits and misses) and scans, whose results and simulated
+// instruction and data-access counts are pinned. A rewrite of the key
+// comparison must leave all three unchanged. Miss counts follow host
+// addresses and are not pinned.
+// ---------------------------------------------------------------------------
+
+struct CompareStreamCase {
+  IndexKind kind;
+  uint32_t key_bytes;
+  uint64_t results_digest;
+  uint64_t instructions;
+  uint64_t data_accesses;
+};
+
+// Keys of id < 4000. 8-byte keys are spread over all eight bytes.
+// 50-byte keys come in two families: even ids differ only in the first
+// 8-byte chunk (the rest is zero, so an 8-byte probe of that chunk
+// matches), odd ids share a 48-byte prefix and differ only in the
+// 2-byte tail chunk.
+std::string StreamKeyBytes(uint32_t key_bytes, uint64_t id) {
+  std::string bytes(key_bytes, '\0');
+  if (key_bytes == 8 || id % 2 == 0) {
+    const Key k = Key::FromUint64((id / 2 + 1) * 0x9e3779b97f4a7c15ULL);
+    std::memcpy(bytes.data(), k.data(), 8);
+  } else {
+    std::memset(bytes.data(), 0xa5, key_bytes - 2);
+    bytes[key_bytes - 2] = static_cast<char>((id / 2) >> 8);
+    bytes[key_bytes - 1] = static_cast<char>(id / 2);
+  }
+  return bytes;
+}
+
+class BTreeCompareStreamTest
+    : public ::testing::TestWithParam<CompareStreamCase> {};
+
+TEST_P(BTreeCompareStreamTest, ResultsAndCountersArePinned) {
+  const CompareStreamCase& c = GetParam();
+  mcsim::MachineSim m(NoTlb());
+  mcsim::CoreSim* core = &m.core(0);
+  auto index = CreateIndex(c.kind, c.key_bytes);
+  std::map<std::string, uint64_t> oracle;
+  uint64_t digest = 1469598103934665603ULL;
+  auto mix = [&digest](uint64_t v) {
+    digest = (digest ^ v) * 0x100000001b3ULL;
+  };
+  auto key_of = [&c](const std::string& bytes) {
+    return Key::FromBytes(bytes.data(), c.key_bytes);
+  };
+  Rng rng(2024);
+  for (int step = 0; step < 6000; ++step) {
+    const uint64_t id = rng.Uniform(4000);
+    const std::string bytes = StreamKeyBytes(c.key_bytes, id);
+    const uint64_t op = rng.Uniform(10);
+    if (op < 4) {
+      const bool ok = index->Insert(core, key_of(bytes), id).ok();
+      ASSERT_EQ(ok, oracle.emplace(bytes, id).second) << step;
+      mix(ok);
+    } else if (op == 4) {
+      const bool removed = index->Remove(core, key_of(bytes));
+      ASSERT_EQ(removed, oracle.erase(bytes) > 0) << step;
+      mix(removed);
+    } else if (op < 9) {
+      // Wide trees also take an 8-byte probe of the first chunk, which
+      // matches a zero-padded slot exactly.
+      const bool short_probe = c.key_bytes > 8 && op == 8;
+      const Key probe = short_probe ? Key::FromBytes(bytes.data(), 8)
+                                    : key_of(bytes);
+      const std::string padded =
+          short_probe ? bytes.substr(0, 8) + std::string(c.key_bytes - 8,
+                                                         '\0')
+                      : bytes;
+      uint64_t value = 0;
+      const bool found = index->Lookup(core, probe, &value);
+      const auto it = oracle.find(padded);
+      ASSERT_EQ(found, it != oracle.end()) << step;
+      if (found) {
+        ASSERT_EQ(value, it->second) << step;
+      }
+      mix(found);
+      mix(value);
+    } else {
+      const uint64_t limit = 1 + rng.Uniform(30);
+      std::vector<uint64_t> got;
+      index->Scan(core, key_of(bytes), limit, &got);
+      std::vector<uint64_t> want;
+      for (auto it = oracle.lower_bound(bytes);
+           it != oracle.end() && want.size() < limit; ++it) {
+        want.push_back(it->second);
+      }
+      ASSERT_EQ(got, want) << step;
+      for (uint64_t v : got) mix(v);
+    }
+  }
+  const mcsim::CoreCounters& counters = core->counters();
+  EXPECT_EQ(digest, c.results_digest) << std::hex << digest;
+  EXPECT_EQ(counters.instructions, c.instructions);
+  EXPECT_EQ(counters.data_accesses, c.data_accesses);
+}
+
+std::string CompareStreamName(
+    const ::testing::TestParamInfo<CompareStreamCase>& info) {
+  std::string name = std::string(IndexKindName(info.param.kind)) + "_" +
+                     std::to_string(info.param.key_bytes) + "b";
+  std::replace(name.begin(), name.end(), '-', '_');
+  return name;
+}
+
+// The results do not depend on node size, only on key width.
+constexpr uint64_t kDigest8 = 0x520928f490da363dULL;
+constexpr uint64_t kDigest50 = 0x3a7386ebdbac495fULL;
+
+INSTANTIATE_TEST_SUITE_P(
+    AllBTrees, BTreeCompareStreamTest,
+    ::testing::Values(
+        CompareStreamCase{IndexKind::kBTree8K, 8, kDigest8, 816958,
+                          76833},
+        CompareStreamCase{IndexKind::kBTreeCacheline, 8, kDigest8, 882616,
+                          84221},
+        CompareStreamCase{IndexKind::kBTreeCc, 8, kDigest8, 837048,
+                          78952},
+        CompareStreamCase{IndexKind::kBTree8K, 50, kDigest50, 1729612,
+                          110610},
+        CompareStreamCase{IndexKind::kBTreeCacheline, 50, kDigest50, 1899990,
+                          125317},
+        CompareStreamCase{IndexKind::kBTreeCc, 50, kDigest50, 1761806,
+                          115524}),
+    CompareStreamName);
 
 TEST(ArtTest, DensePrefixesCompress) {
   mcsim::MachineSim m(NoTlb());
