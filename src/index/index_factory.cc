@@ -1,4 +1,5 @@
 #include <atomic>
+#include <mutex>
 #include <shared_mutex>
 #include <utility>
 
@@ -14,9 +15,12 @@ namespace {
 /// Reader/writer locking decorator. The underlying structures (B-tree
 /// splits, ART node growth, hash rehash) move memory around on insert, so
 /// free-running parallel workers must not probe mid-restructure. Lookups
-/// and scans share the lock; mutations are exclusive. The simulated cost
-/// model is unchanged — the traced node walks happen inside the lock on
-/// the caller's own core. The decorator also keeps the dirty bit: a
+/// and scans share the lock; mutations are exclusive. Both are taken
+/// only while the calling core free-runs (mcsim::HostLock): in serial
+/// execution one host thread runs every core. size() and ForEach(),
+/// which take no core, always lock. The simulated cost model is
+/// unchanged — the traced node walks happen inside the lock on the
+/// caller's own core. The decorator also keeps the dirty bit: a
 /// successful mutation sets it, MarkClean() clears it.
 class LockedIndex final : public Index {
  public:
@@ -27,28 +31,28 @@ class LockedIndex final : public Index {
 
   Status Insert(mcsim::CoreSim* core, const Key& key,
                 uint64_t value) override {
-    std::unique_lock<std::shared_mutex> lock(mu_);
+    auto lock = mcsim::HostLock<std::unique_lock>(core, mu_);
     const Status s = inner_->Insert(core, key, value);
-    if (s.ok()) dirty_ = true;
+    if (s.ok()) dirty_.store(true, std::memory_order_relaxed);
     return s;
   }
 
   bool Lookup(mcsim::CoreSim* core, const Key& key,
               uint64_t* value) override {
-    std::shared_lock<std::shared_mutex> lock(mu_);
+    auto lock = mcsim::HostLock<std::shared_lock>(core, mu_);
     return inner_->Lookup(core, key, value);
   }
 
   bool Remove(mcsim::CoreSim* core, const Key& key) override {
-    std::unique_lock<std::shared_mutex> lock(mu_);
+    auto lock = mcsim::HostLock<std::unique_lock>(core, mu_);
     const bool removed = inner_->Remove(core, key);
-    if (removed) dirty_ = true;
+    if (removed) dirty_.store(true, std::memory_order_relaxed);
     return removed;
   }
 
   uint64_t Scan(mcsim::CoreSim* core, const Key& from, uint64_t limit,
                 std::vector<uint64_t>* out) override {
-    std::shared_lock<std::shared_mutex> lock(mu_);
+    auto lock = mcsim::HostLock<std::shared_lock>(core, mu_);
     return inner_->Scan(core, from, limit, out);
   }
 

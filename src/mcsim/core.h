@@ -43,6 +43,12 @@ class CoreSim {
   void set_enabled(bool enabled) { enabled_ = enabled; }
   bool enabled() const { return enabled_; }
 
+  /// True while the machine free-runs (MachineSim::SetFreeRunning):
+  /// other host threads may then drive sibling cores at the same time,
+  /// so shared structures take their host locks (see HostLock).
+  void set_free_running(bool on) { free_running_ = on; }
+  bool free_running() const { return free_running_; }
+
   void SetModule(ModuleId module) {
     if (trace_ != nullptr && module != module_) {
       trace_->OnSetModule(core_id_, module);
@@ -256,6 +262,7 @@ class CoreSim {
   double default_cpi_;
   double cpi_floor_;
   bool enabled_ = true;
+  bool free_running_ = false;
   TraceSink* trace_ = nullptr;
   std::unique_ptr<CoreSampler> sampler_owned_;
   CoreSampler* sampler_ = nullptr;
@@ -268,6 +275,17 @@ class CoreSim {
   std::vector<uint64_t> mbox_;
   std::atomic<bool> mbox_pending_{false};
 };
+
+/// The host lock a shared structure (index, table, buffer pool, lock
+/// table, MVCC manager) takes for one operation on `core`'s behalf:
+/// held while the machine free-runs or when there is no core, deferred
+/// (not taken) in serial execution, where one host thread drives every
+/// core. `Lock` is std::unique_lock or std::shared_lock.
+template <template <typename> class Lock, typename Mutex>
+Lock<Mutex> HostLock(const CoreSim* core, Mutex& mu) {
+  if (core == nullptr || core->free_running()) return Lock<Mutex>(mu);
+  return Lock<Mutex>(mu, std::defer_lock);
+}
 
 /// RAII module scope: attributes all events inside the scope to `module`.
 class ScopedModule {

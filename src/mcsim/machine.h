@@ -21,9 +21,10 @@ namespace imoltp::mcsim {
 /// caches directly and every counter is bit-identical to the historical
 /// single-threaded interleaving. In free-running mode
 /// (`SetFreeRunning(true)`) one host thread runs per core concurrently:
-/// the shared LLC takes its one lock on every access and cross-core
-/// invalidations are posted to per-core mailboxes instead of touching
-/// sibling caches from the writer's thread.
+/// the shared LLC and the shared database structures take their host
+/// locks on every access, and cross-core invalidations are posted to
+/// per-core mailboxes instead of touching sibling caches from the
+/// writer's thread.
 class MachineSim {
  public:
   explicit MachineSim(const MachineConfig& config = MachineConfig());
@@ -57,14 +58,17 @@ class MachineSim {
   }
 
   /// Switches the machine between serialized execution (default) and
-  /// free-running parallel execution: the LLC takes its lock and
-  /// cross-core invalidation goes through per-core mailboxes. Flip only
-  /// while no worker threads are running.
+  /// free-running parallel execution: the LLC takes its lock, every
+  /// core's free_running() flag turns on (so shared structures take
+  /// their host locks, see HostLock) and cross-core invalidation goes
+  /// through per-core mailboxes. Flip only while no worker threads are
+  /// running.
   void SetFreeRunning(bool on) {
     free_running_ = on;
     llc_.set_concurrent(on);
-    if (!on) {
-      for (auto& core : cores_) core->DrainInvalidates();
+    for (auto& core : cores_) {
+      core->set_free_running(on);
+      if (!on) core->DrainInvalidates();
     }
   }
   bool free_running() const { return free_running_; }

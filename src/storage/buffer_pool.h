@@ -36,10 +36,12 @@ inline constexpr PageId kInvalidPage = UINT64_MAX;
 ///
 /// Thread safety: one mutex serializes fix/unfix (the real systems this
 /// models latch at finer grain, but the simulated cost is what matters —
-/// the traced probe stream is identical either way). Page bytes returned
-/// by FixPage stay valid until the matching UnfixPage: the pin count
-/// blocks eviction, and row-disjoint writes within a page are guaranteed
-/// by the engine's 2PL above.
+/// the traced probe stream is identical either way). FixPage and
+/// UnfixPage take it only while the calling core free-runs
+/// (mcsim::HostLock); num_pages() and IsResident() always do. Page
+/// bytes returned by FixPage stay valid until the matching UnfixPage:
+/// the pin count blocks eviction, and row-disjoint writes within a page
+/// are guaranteed by the engine's 2PL above.
 class BufferPool {
  public:
   struct Stats {

@@ -12,7 +12,7 @@ DiskHeapFile::DiskHeapFile(std::string name, BufferPool* pool,
       file_id_(file_id) {}
 
 RowId DiskHeapFile::Append(mcsim::CoreSim* core, const uint8_t* row) {
-  std::unique_lock<std::shared_mutex> lock(mu_);
+  auto lock = mcsim::HostLock<std::unique_lock>(core, mu_);
   for (;;) {
     const PageId pid = GlobalPage(append_page_);
     uint8_t* page = pool_->FixPage(core, pid);
@@ -32,7 +32,7 @@ RowId DiskHeapFile::Append(mcsim::CoreSim* core, const uint8_t* row) {
       core->Write(reinterpret_cast<uint64_t>(rec), schema_.row_bytes());
       pool_->UnfixPage(core, pid, /*dirty=*/true);
       num_rows_.fetch_add(1, std::memory_order_relaxed);
-      MarkDirty(append_page_);
+      MarkDirty(core, append_page_);
       return (append_page_ << 16) | slot;
     }
     pool_->UnfixPage(core, pid, /*dirty=*/false);
@@ -42,7 +42,7 @@ RowId DiskHeapFile::Append(mcsim::CoreSim* core, const uint8_t* row) {
 
 bool DiskHeapFile::ReadRow(mcsim::CoreSim* core, RowId row,
                            uint8_t* out) {
-  std::shared_lock<std::shared_mutex> lock(mu_);
+  auto lock = mcsim::HostLock<std::shared_lock>(core, mu_);
   const PageId pid = GlobalPage(PageNo(row));
   uint8_t* page = pool_->FixPage(core, pid);
   if (page == nullptr) return false;
@@ -59,7 +59,7 @@ bool DiskHeapFile::ReadRow(mcsim::CoreSim* core, RowId row,
 
 bool DiskHeapFile::WriteColumn(mcsim::CoreSim* core, RowId row,
                                uint32_t col, const void* value) {
-  std::shared_lock<std::shared_mutex> lock(mu_);
+  auto lock = mcsim::HostLock<std::shared_lock>(core, mu_);
   const PageId pid = GlobalPage(PageNo(row));
   uint8_t* page = pool_->FixPage(core, pid);
   if (page == nullptr) return false;
@@ -71,14 +71,14 @@ bool DiskHeapFile::WriteColumn(mcsim::CoreSim* core, RowId row,
     core->Write(reinterpret_cast<uint64_t>(dst),
                 schema_.column_width(col));
     std::memcpy(dst, value, schema_.column_width(col));
-    MarkDirty(PageNo(row));
+    MarkDirty(core, PageNo(row));
   }
   pool_->UnfixPage(core, pid, /*dirty=*/ok);
   return ok;
 }
 
 bool DiskHeapFile::Delete(mcsim::CoreSim* core, RowId row) {
-  std::unique_lock<std::shared_mutex> lock(mu_);
+  auto lock = mcsim::HostLock<std::unique_lock>(core, mu_);
   const PageId pid = GlobalPage(PageNo(row));
   uint8_t* page = pool_->FixPage(core, pid);
   if (page == nullptr) return false;
@@ -88,7 +88,7 @@ bool DiskHeapFile::Delete(mcsim::CoreSim* core, RowId row) {
     core->Write(reinterpret_cast<uint64_t>(page), 16);
     num_rows_.fetch_sub(1, std::memory_order_relaxed);
     if (PageNo(row) < append_page_) append_page_ = PageNo(row);
-    MarkDirty(PageNo(row));
+    MarkDirty(core, PageNo(row));
   }
   pool_->UnfixPage(core, pid, /*dirty=*/ok);
   return ok;
@@ -100,7 +100,7 @@ void DiskHeapFile::RestoreRow(mcsim::CoreSim* core, RowId row,
     Delete(core, row);
     return;
   }
-  std::unique_lock<std::shared_mutex> lock(mu_);
+  auto lock = mcsim::HostLock<std::unique_lock>(core, mu_);
   const PageId pid = GlobalPage(PageNo(row));
   uint8_t* page = pool_->FixPage(core, pid);
   if (page == nullptr) return;
@@ -117,7 +117,7 @@ void DiskHeapFile::RestoreRow(mcsim::CoreSim* core, RowId row,
     const uint8_t* rec = SlottedPage::Get(page, Slot(row));
     core->Write(reinterpret_cast<uint64_t>(rec), schema_.row_bytes());
     if (!existed) num_rows_.fetch_add(1, std::memory_order_relaxed);
-    MarkDirty(PageNo(row));
+    MarkDirty(core, PageNo(row));
   }
   pool_->UnfixPage(core, pid, /*dirty=*/ok);
 }
@@ -125,7 +125,7 @@ void DiskHeapFile::RestoreRow(mcsim::CoreSim* core, RowId row,
 std::vector<RowId> DiskHeapFile::PageRows(mcsim::CoreSim* core,
                                           uint64_t page_no) {
   std::vector<RowId> rows;
-  std::shared_lock<std::shared_mutex> lock(mu_);
+  auto lock = mcsim::HostLock<std::shared_lock>(core, mu_);
   const PageId pid = GlobalPage(page_no);
   uint8_t* page = pool_->FixPage(core, pid);
   if (page == nullptr) return rows;

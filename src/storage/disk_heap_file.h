@@ -27,10 +27,13 @@ namespace imoltp::storage {
 /// page. The file has no row address of its own: a row lives wherever
 /// its page's frame is.
 ///
-/// Thread safety: structural operations (Append / Delete mutate the slot
-/// directory, the append cursor and the row count) take the file lock
-/// exclusively; ReadRow / WriteColumn share it. Row-disjointness of
-/// concurrent same-page writes is guaranteed by the engine's 2PL.
+/// Thread safety: structural operations (Append / Delete / RestoreRow
+/// mutate the slot directory, the append cursor and the row count) take
+/// the file lock exclusively; ReadRow / WriteColumn / PageRows share it.
+/// Row-disjointness of concurrent same-page writes is guaranteed by the
+/// engine's 2PL. Methods that take a core lock (the file lock and the
+/// dirty-page lock) only while it free-runs (mcsim::HostLock);
+/// DirtyPages and MarkClean always lock.
 class DiskHeapFile final : public Table {
  public:
   DiskHeapFile(std::string name, BufferPool* pool, uint32_t file_id,
@@ -71,8 +74,8 @@ class DiskHeapFile final : public Table {
     return (static_cast<uint64_t>(file_id_) << 40) | page_no;
   }
 
-  void MarkDirty(uint64_t page_no) {
-    std::lock_guard<std::mutex> lock(dirty_mu_);
+  void MarkDirty(mcsim::CoreSim* core, uint64_t page_no) {
+    auto lock = mcsim::HostLock<std::unique_lock>(core, dirty_mu_);
     dirty_.insert(page_no);
   }
 

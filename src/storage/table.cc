@@ -69,10 +69,12 @@ std::vector<RowId> Table::PageRows(mcsim::CoreSim* /*core*/,
 // HeapTable: rows materialized in real memory.
 //
 // Thread safety: a reader/writer lock guards row storage. Readers
-// (ReadRow) share; mutations (WriteColumn / Append / Delete)
-// are exclusive — `deleted_` is a bit-packed vector<bool>, so even
-// row-disjoint mutations touch shared words, and MVCC installs can target
-// the same row from two committers.
+// (ReadRow) share; mutations (WriteColumn / Append / Delete /
+// RestoreRow) are exclusive — `deleted_` is a bit-packed vector<bool>,
+// so even row-disjoint mutations touch shared words, and MVCC installs
+// can target the same row from two committers. Methods that take a core
+// lock only while it free-runs (mcsim::HostLock); DirtyPages always
+// locks. SparseTable follows the same rule.
 // ---------------------------------------------------------------------------
 
 class HeapTable final : public Table {
@@ -96,7 +98,7 @@ class HeapTable final : public Table {
   }
 
   bool ReadRow(mcsim::CoreSim* core, RowId row, uint8_t* out) override {
-    std::shared_lock<std::shared_mutex> lock(mu_);
+    auto lock = mcsim::HostLock<std::shared_lock>(core, mu_);
     if (row >= num_rows() || deleted_[row]) return false;
     const uint8_t* slot = SlotPtr(row);
     core->Read(reinterpret_cast<uint64_t>(slot), schema_.row_bytes());
@@ -106,7 +108,7 @@ class HeapTable final : public Table {
 
   bool WriteColumn(mcsim::CoreSim* core, RowId row, uint32_t col,
                    const void* value) override {
-    std::unique_lock<std::shared_mutex> lock(mu_);
+    auto lock = mcsim::HostLock<std::unique_lock>(core, mu_);
     if (row >= num_rows() || deleted_[row]) return false;
     uint8_t* slot = SlotPtr(row);
     uint8_t* dst = schema_.ColumnPtr(slot, col);
@@ -117,7 +119,7 @@ class HeapTable final : public Table {
   }
 
   RowId Append(mcsim::CoreSim* core, const uint8_t* row) override {
-    std::unique_lock<std::shared_mutex> lock(mu_);
+    auto lock = mcsim::HostLock<std::unique_lock>(core, mu_);
     uint8_t* slot = AllocateSlot();
     std::memcpy(slot, row, schema_.row_bytes());
     core->Write(reinterpret_cast<uint64_t>(slot), schema_.row_bytes());
@@ -127,7 +129,7 @@ class HeapTable final : public Table {
   }
 
   bool Delete(mcsim::CoreSim* core, RowId row) override {
-    std::unique_lock<std::shared_mutex> lock(mu_);
+    auto lock = mcsim::HostLock<std::unique_lock>(core, mu_);
     if (row >= num_rows() || deleted_[row]) return false;
     deleted_[row] = true;
     core->Write(reinterpret_cast<uint64_t>(SlotPtr(row)), 8);
@@ -144,7 +146,7 @@ class HeapTable final : public Table {
 
   void RestoreRow(mcsim::CoreSim* core, RowId row, const uint8_t* image,
                   bool present) override {
-    std::unique_lock<std::shared_mutex> lock(mu_);
+    auto lock = mcsim::HostLock<std::unique_lock>(core, mu_);
     while (num_rows() <= row) {
       AllocateSlot();
       deleted_.back() = true;  // gap rows stay absent until restored
@@ -221,7 +223,7 @@ class SparseTable final : public Table {
   bool ReadRow(mcsim::CoreSim* core, RowId row, uint8_t* out) override {
     if (row >= num_rows()) return false;
     core->Read(Address(row), schema_.row_bytes());
-    std::shared_lock<std::shared_mutex> lock(mu_);
+    auto lock = mcsim::HostLock<std::shared_lock>(core, mu_);
     auto it = overlay_.find(row);
     if (it != overlay_.end()) {
       if (it->second.deleted) return false;
@@ -237,7 +239,7 @@ class SparseTable final : public Table {
     if (row >= num_rows()) return false;
     core->Write(Address(row) + schema_.column_offset(col),
                 schema_.column_width(col));
-    std::unique_lock<std::shared_mutex> lock(mu_);
+    auto lock = mcsim::HostLock<std::unique_lock>(core, mu_);
     OverlayRow& o = Materialize(row);
     if (o.deleted) return false;
     std::memcpy(o.bytes.data() + schema_.column_offset(col), value,
@@ -246,7 +248,7 @@ class SparseTable final : public Table {
   }
 
   RowId Append(mcsim::CoreSim* core, const uint8_t* row) override {
-    std::unique_lock<std::shared_mutex> lock(mu_);
+    auto lock = mcsim::HostLock<std::unique_lock>(core, mu_);
     const RowId id = num_rows_.fetch_add(1, std::memory_order_relaxed);
     OverlayRow& o = overlay_[id];
     o.bytes.assign(row, row + schema_.row_bytes());
@@ -256,7 +258,7 @@ class SparseTable final : public Table {
 
   bool Delete(mcsim::CoreSim* core, RowId row) override {
     if (row >= num_rows()) return false;
-    std::unique_lock<std::shared_mutex> lock(mu_);
+    auto lock = mcsim::HostLock<std::unique_lock>(core, mu_);
     OverlayRow& o = Materialize(row);
     if (o.deleted) return false;
     o.deleted = true;
@@ -279,7 +281,7 @@ class SparseTable final : public Table {
 
   void RestoreRow(mcsim::CoreSim* core, RowId row, const uint8_t* image,
                   bool present) override {
-    std::unique_lock<std::shared_mutex> lock(mu_);
+    auto lock = mcsim::HostLock<std::unique_lock>(core, mu_);
     const uint64_t old_rows = num_rows_.load(std::memory_order_relaxed);
     if (row >= old_rows) {
       // Gap rows would otherwise read as generator-present; tombstone

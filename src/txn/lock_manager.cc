@@ -35,7 +35,7 @@ Status LockManager::Acquire(mcsim::CoreSim* core, uint64_t txn_id,
   const uint64_t bucket = BucketOf(object_id);
   bool acquired = false;
   {
-    std::lock_guard<std::mutex> stripe(StripeOf(bucket));
+    auto stripe = mcsim::HostLock<std::unique_lock>(core, StripeOf(bucket));
     auto& chain = buckets_[bucket];
     core->Read(reinterpret_cast<uint64_t>(&chain), 16);  // bucket head
     core->Retire(14);                                    // hash + latch
@@ -86,7 +86,7 @@ Status LockManager::Acquire(mcsim::CoreSim* core, uint64_t txn_id,
   // Record the acquisition outside the stripe lock; the txn-list mutex
   // and the stripe mutexes are never held together.
   if (acquired) {
-    std::lock_guard<std::mutex> guard(txn_mu_);
+    auto guard = mcsim::HostLock<std::unique_lock>(core, txn_mu_);
     LocksOf(txn_id).objects.push_back(object_id);
   }
   return Status::Ok();
@@ -95,7 +95,7 @@ Status LockManager::Acquire(mcsim::CoreSim* core, uint64_t txn_id,
 void LockManager::Release(mcsim::CoreSim* core, uint64_t txn_id,
                           uint64_t object_id) {
   const uint64_t bucket = BucketOf(object_id);
-  std::lock_guard<std::mutex> stripe(StripeOf(bucket));
+  auto stripe = mcsim::HostLock<std::unique_lock>(core, StripeOf(bucket));
   auto& chain = buckets_[bucket];
   core->Read(reinterpret_cast<uint64_t>(&chain), 16);
   core->Retire(10);
@@ -117,7 +117,7 @@ void LockManager::Release(mcsim::CoreSim* core, uint64_t txn_id,
 void LockManager::ReleaseAll(mcsim::CoreSim* core, uint64_t txn_id) {
   std::vector<uint64_t> objects;
   {
-    std::lock_guard<std::mutex> guard(txn_mu_);
+    auto guard = mcsim::HostLock<std::unique_lock>(core, txn_mu_);
     for (size_t t = 0; t < txn_locks_.size(); ++t) {
       if (txn_locks_[t].txn_id != txn_id) continue;
       objects = std::move(txn_locks_[t].objects);

@@ -30,6 +30,8 @@ enum class LockMode : uint8_t { kShared, kExclusive };
 /// Thread safety: bucket chains are guarded by striped mutexes (hashed
 /// bucket → stripe), the per-transaction lock lists by a separate mutex.
 /// The two are never held together, so there is no ordering hazard.
+/// Acquire and ReleaseAll take them only while the calling core
+/// free-runs (mcsim::HostLock); Holds() always locks its stripe.
 class LockManager {
  public:
   explicit LockManager(uint64_t num_buckets = 1 << 14);

@@ -3,7 +3,7 @@
 namespace imoltp::txn {
 
 uint64_t MvccManager::Begin(mcsim::CoreSim* core) {
-  std::lock_guard<std::mutex> guard(mu_);
+  auto guard = mcsim::HostLock<std::unique_lock>(core, mu_);
   const uint64_t txn_id = ++next_txn_;
   TxnState& t = txns_[txn_id];
   t.read_ts = clock_.load(std::memory_order_relaxed);
@@ -14,7 +14,7 @@ uint64_t MvccManager::Begin(mcsim::CoreSim* core) {
 bool MvccManager::ReadOwnWrite(mcsim::CoreSim* core, uint64_t txn_id,
                                uint64_t table_id, uint64_t row,
                                std::vector<uint8_t>* image) {
-  std::lock_guard<std::mutex> guard(mu_);
+  auto guard = mcsim::HostLock<std::unique_lock>(core, mu_);
   auto it = txns_.find(txn_id);
   if (it == txns_.end()) return false;
   core->Retire(6);  // write-set probe
@@ -34,7 +34,7 @@ bool MvccManager::ReadOwnWrite(mcsim::CoreSim* core, uint64_t txn_id,
 bool MvccManager::Read(mcsim::CoreSim* core, uint64_t txn_id,
                        uint64_t table_id, uint64_t row,
                        std::vector<uint8_t>* image) {
-  std::lock_guard<std::mutex> guard(mu_);
+  auto guard = mcsim::HostLock<std::unique_lock>(core, mu_);
   TxnState& t = txns_[txn_id];
   const uint64_t key = RowKey(table_id, row);
   auto it = versions_.find(key);
@@ -69,7 +69,7 @@ Status MvccManager::StageWrite(mcsim::CoreSim* core, uint64_t txn_id,
                                uint64_t table_id, uint64_t row,
                                const uint8_t* new_image, uint32_t length,
                                const uint8_t* prior_image) {
-  std::lock_guard<std::mutex> guard(mu_);
+  auto guard = mcsim::HostLock<std::unique_lock>(core, mu_);
   TxnState& t = txns_[txn_id];
   const uint64_t key = RowKey(table_id, row);
   RowVersions& rv = versions_[key];
@@ -94,7 +94,7 @@ Status MvccManager::StageWrite(mcsim::CoreSim* core, uint64_t txn_id,
 
 Status MvccManager::Commit(mcsim::CoreSim* core, uint64_t txn_id,
                            std::vector<StagedWrite>* installs) {
-  std::lock_guard<std::mutex> guard(mu_);
+  auto guard = mcsim::HostLock<std::unique_lock>(core, mu_);
   auto it = txns_.find(txn_id);
   if (it == txns_.end()) return Status::InvalidArgument("unknown txn");
   TxnState& t = it->second;
@@ -135,7 +135,7 @@ Status MvccManager::Commit(mcsim::CoreSim* core, uint64_t txn_id,
 }
 
 void MvccManager::Abort(mcsim::CoreSim* core, uint64_t txn_id) {
-  std::lock_guard<std::mutex> guard(mu_);
+  auto guard = mcsim::HostLock<std::unique_lock>(core, mu_);
   AbortLocked(core, txn_id);
 }
 

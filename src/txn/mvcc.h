@@ -31,7 +31,8 @@ namespace imoltp::txn {
 ///
 /// Thread safety: one mutex guards the version map, transaction table and
 /// clock, so concurrent worker threads (free-running parallel mode) can
-/// Begin/Read/StageWrite/Commit/Abort safely. Read copies the visible
+/// Begin/Read/StageWrite/Commit/Abort safely. Every method takes it only
+/// while the calling core free-runs (mcsim::HostLock). Read copies the visible
 /// image out under the mutex — returning an interior pointer would dangle
 /// once another thread's commit trims the version chain.
 class MvccManager {
