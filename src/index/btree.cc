@@ -1,5 +1,6 @@
 #include "index/btree.h"
 
+#include <bit>
 #include <cstdlib>
 #include <cstring>
 
@@ -33,14 +34,34 @@ uint32_t CompareInstructions(uint32_t bytes_examined) {
   return 6 + 6 * ((bytes_examined + 7) / 8);
 }
 
-// Bytes a memcmp-style comparison examines before resolving: up to and
-// including the first differing 8-byte chunk.
-uint32_t BytesExamined(const uint8_t* a, const uint8_t* b, uint32_t n) {
-  for (uint32_t i = 0; i < n; i += 8) {
-    const uint32_t chunk = n - i < 8 ? n - i : 8;
-    if (std::memcmp(a + i, b + i, chunk) != 0) return i + chunk;
+uint64_t LoadBigEndian64(const uint8_t* p) {
+  uint64_t v;
+  std::memcpy(&v, p, sizeof(v));
+  if constexpr (std::endian::native == std::endian::little) {
+    v = __builtin_bswap64(v);
   }
-  return n;
+  return v;
+}
+
+// memcmp of `n` bytes in one pass over 8-byte chunks. Also reports the
+// bytes the comparison examines before resolving: up to and including
+// the first differing chunk, or all `n` when equal.
+int CompareChunks(const uint8_t* a, const uint8_t* b, uint32_t n,
+                  uint32_t* examined) {
+  uint32_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const uint64_t x = LoadBigEndian64(a + i);
+    const uint64_t y = LoadBigEndian64(b + i);
+    if (x != y) {
+      *examined = i + 8;
+      return x < y ? -1 : 1;
+    }
+  }
+  *examined = n;
+  for (; i < n; ++i) {
+    if (a[i] != b[i]) return a[i] < b[i] ? -1 : 1;
+  }
+  return 0;
 }
 
 }  // namespace
@@ -102,10 +123,10 @@ uint32_t BTree::LowerBound(mcsim::CoreSim* core, const Node* node,
     const uint8_t* slot = EntryPtr(node, mid, entry);
     const uint32_t cmp_bytes =
         key_bytes_ < key.size() ? key_bytes_ : key.size();
-    const uint32_t examined = BytesExamined(slot, key.data(), cmp_bytes);
+    uint32_t examined;
+    const int c = CompareChunks(slot, key.data(), cmp_bytes, &examined);
     core->Read(reinterpret_cast<uint64_t>(slot), examined);
     core->Retire(CompareInstructions(examined));
-    const int c = std::memcmp(slot, key.data(), cmp_bytes);
     if (c == 0 && key_bytes_ >= key.size()) {
       // Fixed-width slots are zero-padded; a shorter probe key matches
       // only if the slot's remainder is zero.
