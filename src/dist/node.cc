@@ -73,9 +73,13 @@ uint64_t Node::SimulatedRefs() const {
 
 Status Node::Recover() {
   if (alive_) return Status::Ok();
-  const Status s = Create();
+  Status s = Create();
   if (!s.ok()) return s;
-  return engine_->Replay(saved_log_);
+  s = engine_->Replay(saved_log_);
+  // The live engine's log is the durable log from here on; a failed
+  // replay keeps the death-time copy.
+  if (s.ok()) std::vector<txn::LogRecord>().swap(saved_log_);
+  return s;
 }
 
 uint64_t Node::FnvDurableLog(uint64_t h) const {

@@ -70,7 +70,8 @@ class Node {
   void Kill(uint64_t round);
 
   /// Rebuilds a killed node: fresh machine + engine, re-populated
-  /// initial database, REDO of the saved durable log.
+  /// initial database, REDO of the saved durable log. A successful
+  /// replay releases the saved log; a failed one keeps it.
   Status Recover();
 
   bool alive() const { return alive_; }

@@ -1,10 +1,14 @@
 // Heavier randomized stress tests: cross-checking the substrates against
-// reference models under long random operation sequences, and the
-// workloads under multi-partition execution.
+// reference models under long random operation sequences, the shared
+// structures under free-running threads, and the workloads under
+// multi-partition execution.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
+#include <set>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -13,6 +17,7 @@
 #include "core/tpcc.h"
 #include "index/index.h"
 #include "mcsim/machine.h"
+#include "storage/table.h"
 #include "txn/lock_manager.h"
 
 namespace imoltp {
@@ -225,6 +230,128 @@ TEST(TpcbMultiWorkerTest, RunsCleanlyPartitioned) {
     ASSERT_TRUE(wl.RunTransaction(engine.get(), 0, &r0).ok());
     ASSERT_TRUE(wl.RunTransaction(engine.get(), 1, &r1).ok());
   }
+}
+
+// ---------------------------------------------------------------------------
+// Shared structures under free-running execution: two host threads, each
+// driving its own core, work one shared B-tree, ART, heap table and lock
+// manager at once. The structures take their host locks only while the
+// machine free-runs, so this is the case that exercises them (and the
+// case the thread-sanitized run, scripts/tsan.sh, checks for races).
+// ---------------------------------------------------------------------------
+
+TEST(FreeRunningStressTest, SharedStructuresMatchOracle) {
+  constexpr int kThreads = 2;
+  constexpr uint64_t kKeys = 3000;
+  constexpr uint64_t kRows = 2000;
+  constexpr uint64_t kAppends = 500;
+  constexpr uint64_t kSharedObject = 7;
+  mcsim::MachineSim m(NoTlb(kThreads));
+  auto btree = index::CreateIndex(index::IndexKind::kBTreeCacheline, 8);
+  auto art = index::CreateIndex(index::IndexKind::kArt, 8);
+  auto table = storage::CreateTable("t", storage::TwoLongColumns(), kRows,
+                                    storage::TableOptions());
+  txn::LockManager lm(64);
+
+  for (int c = 0; c < kThreads; ++c) EXPECT_FALSE(m.core(c).free_running());
+  m.SetFreeRunning(true);
+  for (int c = 0; c < kThreads; ++c) EXPECT_TRUE(m.core(c).free_running());
+
+  std::atomic<int> failures{0};
+  std::vector<std::vector<storage::RowId>> appended(kThreads);
+  auto work = [&](int t) {
+    mcsim::CoreSim* core = &m.core(t);
+    auto check = [&failures](bool ok) {
+      if (!ok) failures.fetch_add(1, std::memory_order_relaxed);
+    };
+    // Disjoint keys per thread: k = 2i + t.
+    for (index::Index* idx : {btree.get(), art.get()}) {
+      for (uint64_t i = 0; i < kKeys; ++i) {
+        const uint64_t k = 2 * i + static_cast<uint64_t>(t);
+        check(idx->Insert(core, index::Key::FromUint64(k), k * 3).ok());
+      }
+      for (uint64_t i = 0; i < kKeys; ++i) {
+        const uint64_t k = 2 * i + static_cast<uint64_t>(t);
+        uint64_t v = 0;
+        check(idx->Lookup(core, index::Key::FromUint64(k), &v) &&
+              v == k * 3);
+        if (i % 3 == 0) {
+          check(idx->Remove(core, index::Key::FromUint64(k)));
+        }
+      }
+    }
+    // Disjoint rows per thread: write column 1 of rows r % 2 == t, read
+    // the row back, and append rows of its own.
+    const storage::Schema& schema = table->schema();
+    std::vector<uint8_t> row(schema.row_bytes());
+    for (storage::RowId r = static_cast<uint64_t>(t); r < kRows;
+         r += kThreads) {
+      const int64_t value = static_cast<int64_t>(r * 10) + t;
+      check(table->WriteColumn(core, r, 1, &value));
+      check(table->ReadRow(core, r, row.data()) &&
+            schema.GetLong(row.data(), 1) == value);
+    }
+    for (uint64_t i = 0; i < kAppends; ++i) {
+      schema.SetLong(row.data(), 0, -1 - t);
+      schema.SetLong(row.data(), 1, static_cast<int64_t>(i));
+      appended[t].push_back(table->Append(core, row.data()));
+    }
+    // Exclusive locks on objects of its own, a shared lock on one
+    // object both threads share: every request is grantable.
+    for (uint64_t i = 0; i < 500; ++i) {
+      const uint64_t txn = 2 * i + static_cast<uint64_t>(t) + 1;
+      for (uint64_t j = 0; j < 4; ++j) {
+        check(lm.Acquire(core, txn, 1000 * (t + 1) + j,
+                         txn::LockMode::kExclusive)
+                  .ok());
+      }
+      check(lm.Acquire(core, txn, kSharedObject, txn::LockMode::kShared)
+                .ok());
+      lm.ReleaseAll(core, txn);
+    }
+  };
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) threads.emplace_back(work, t);
+  for (auto& th : threads) th.join();
+
+  m.SetFreeRunning(false);
+  for (int c = 0; c < kThreads; ++c) EXPECT_FALSE(m.core(c).free_running());
+  EXPECT_EQ(failures.load(), 0);
+
+  std::map<uint64_t, uint64_t> want_keys;
+  for (uint64_t k = 0; k < kThreads * kKeys; ++k) {
+    if ((k / 2) % 3 != 0) want_keys[k] = k * 3;
+  }
+  for (index::Index* idx : {btree.get(), art.get()}) {
+    std::map<uint64_t, uint64_t> got;
+    idx->ForEach([&got](const index::Key& k, uint64_t v) {
+      got[k.AsUint64()] = v;
+    });
+    EXPECT_EQ(got, want_keys) << index::IndexKindName(idx->kind());
+  }
+
+  const storage::Schema& schema = table->schema();
+  ASSERT_EQ(table->num_rows(), kRows + kThreads * kAppends);
+  std::vector<uint8_t> row(schema.row_bytes());
+  for (storage::RowId r = 0; r < kRows; ++r) {
+    ASSERT_TRUE(table->ReadRow(&m.core(0), r, row.data()));
+    EXPECT_EQ(schema.GetLong(row.data(), 1),
+              static_cast<int64_t>(r * 10 + r % kThreads));
+  }
+  std::set<storage::RowId> ids;
+  for (int t = 0; t < kThreads; ++t) {
+    for (uint64_t i = 0; i < kAppends; ++i) {
+      const storage::RowId id = appended[t][i];
+      ids.insert(id);
+      ASSERT_TRUE(table->ReadRow(&m.core(0), id, row.data()));
+      EXPECT_EQ(schema.GetLong(row.data(), 0), -1 - t);
+      EXPECT_EQ(schema.GetLong(row.data(), 1), static_cast<int64_t>(i));
+    }
+  }
+  EXPECT_EQ(ids.size(), kThreads * kAppends);
+
+  EXPECT_EQ(lm.ActiveLocks(), 0u);
+  EXPECT_FALSE(lm.Holds(1, kSharedObject));
 }
 
 }  // namespace
