@@ -49,7 +49,7 @@ class MachineSim {
   void InvalidateOthers(uint64_t line, int writer_core) {
     for (auto& core : cores_) {
       if (core->core_id() == writer_core) continue;
-      if (free_running_) {
+      if (core->free_running()) {
         core->PostInvalidate(line);
       } else {
         core->InvalidateLine(line);
@@ -64,14 +64,12 @@ class MachineSim {
   /// through per-core mailboxes. Flip only while no worker threads are
   /// running.
   void SetFreeRunning(bool on) {
-    free_running_ = on;
     llc_.set_concurrent(on);
     for (auto& core : cores_) {
       core->set_free_running(on);
       if (!on) core->DrainInvalidates();
     }
   }
-  bool free_running() const { return free_running_; }
 
   void SetEnabled(bool enabled) {
     for (auto& core : cores_) core->set_enabled(enabled);
@@ -112,7 +110,6 @@ class MachineSim {
 
  private:
   MachineConfig config_;
-  bool free_running_ = false;
   SharedCache llc_;
   std::vector<std::unique_ptr<CoreSim>> cores_;
   ModuleRegistry modules_;
