@@ -45,10 +45,9 @@ inline const std::vector<DbSizePoint>& DbSizes() {
 }
 
 /// Process-wide knobs shared by every figure binary, set once by
-/// ParseBenchArgs in main(). Figures default to kSerial so the exported
-/// JSON is reproducible run to run (and diffable with imoltp_diff);
-/// pass --mode=free for wall-clock speed when the exact counters don't
-/// matter.
+/// ParseBenchArgs in main(). Figures default to kSerial, the paper's
+/// non-overlapping transactions; --mode=interleaved overlaps them at
+/// operation boundaries. Both repeat from the seed.
 struct BenchOptions {
   core::ParallelMode mode = core::ParallelMode::kSerial;
   double txn_scale = 1.0;
@@ -59,7 +58,7 @@ inline BenchOptions& Options() {
   return options;
 }
 
-/// Shared figure-binary flag parsing: --mode=serial|free and
+/// Shared figure-binary flag parsing: --mode=serial|interleaved and
 /// --txn-scale=F (scales every warm-up/measurement window, for quick
 /// smoke runs). Unknown flags print usage and exit.
 inline void ParseBenchArgs(int argc, char** argv) {
@@ -80,7 +79,7 @@ inline void ParseBenchArgs(int argc, char** argv) {
       }
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--mode=serial|free] "
+                   "usage: %s [--mode=serial|interleaved] "
                    "[--txn-scale=F]\n",
                    argv[0]);
       std::exit(2);

@@ -18,6 +18,7 @@ enum class SeedStream : uint64_t {
   kNodeEngine = 5,    // per-node engine-level randomness (dist cluster)
   kClusterFault = 6,  // cluster-level fault injector (dist cluster)
   kTxnTrace = 7,      // distributed-trace ids (dist cluster tracing)
+  kScheduler = 8,     // interleaved worker switches (ExperimentRunner)
 };
 
 /// Derives a decorrelated child seed from `base` for (entity, stream).

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
-#include <thread>
 
 #include "common/seed.h"
+#include "core/interleaver.h"
 #include "fault/fault_injector.h"
 #include "obs/timeline.h"
 
@@ -72,19 +72,21 @@ const char* ParallelModeName(ParallelMode mode) {
   switch (mode) {
     case ParallelMode::kSerial:
       return "serial";
-    case ParallelMode::kFree:
-      return "free";
+    case ParallelMode::kInterleaved:
+      return "interleaved";
   }
   return "?";
 }
 
 bool ParseParallelMode(const std::string& name, ParallelMode* out) {
   if (name == "serial") return *out = ParallelMode::kSerial, true;
-  if (name == "free") return *out = ParallelMode::kFree, true;
+  if (name == "interleaved") {
+    return *out = ParallelMode::kInterleaved, true;
+  }
   return false;
 }
 
-const char* ParallelModeChoices() { return "serial free"; }
+const char* ParallelModeChoices() { return "serial interleaved"; }
 
 ExperimentRunner::ExperimentRunner(const ExperimentConfig& config)
     : config_(config) {}
@@ -127,7 +129,7 @@ void ExperimentRunner::RunPhase(Workload* workload, ParallelMode mode,
   // call crashed, no worker starts another transaction (a crashed
   // process executes nothing). Initialized from the injector so a crash
   // in the warm-up phase also empties the measurement window.
-  std::atomic<bool> halt{inj != nullptr && inj->crash_pending()};
+  bool halt = inj != nullptr && inj->crash_pending();
 
   // Retry attempts are sliced onto the timeline (with a shared flow id
   // per logical transaction) only while a recorder is attached to the
@@ -135,12 +137,10 @@ void ExperimentRunner::RunPhase(Workload* workload, ParallelMode mode,
   obs::TimelineRecorder* recorder =
       measure ? engine_->span_collector()->recorder() : nullptr;
 
-  // One worker-transaction, including its retry loop. Latency/abort
-  // accounting goes to the given sinks: the shared members for kSerial
-  // (every access is ordered by program order), per-worker locals for
-  // kFree. The latency sample covers every attempt plus backoff — the
-  // retry tail is exactly what the per-attempt averages would hide.
-  auto body = [&](int w, const PhaseSinks& sinks) {
+  // One worker-transaction, including its retry loop. The latency
+  // sample covers every attempt plus backoff — the retry tail is
+  // exactly what the per-attempt averages would hide.
+  auto body = [&](int w) {
     Rng* rng = &(*rngs)[w];
     mcsim::CoreSim* core = &machine_->core(w);
     // Full snapshot (per-module array included) so the final-outcome
@@ -171,32 +171,25 @@ void ExperimentRunner::RunPhase(Workload* workload, ParallelMode mode,
       if (s.ok()) {
         committed_txn = true;
         if (measure) {
-          ++*sinks.committed;
-          if (attempt > 1) ++sinks.retry->retry_successes;
+          ++committed_;
+          if (attempt > 1) ++retry_stats_.retry_successes;
         }
         break;
       }
       if (measure) {
-        ++*sinks.aborts;
-        ClassifyAbort(s, sinks.breakdown);
+        ++aborts_;
+        ClassifyAbort(s, &breakdown_);
       }
       // A crashed process retries nothing.
       if (inj != nullptr && inj->crash_pending()) break;
       if (attempt >= max_attempts) break;
       if (!holds_retry_token) {
         // Admission cap: bounded concurrent retriers, or load-shed.
-        int cur = inflight_retries_.load(std::memory_order_relaxed);
-        bool admitted = false;
-        while (cur < retry_cap) {
-          if (inflight_retries_.compare_exchange_weak(cur, cur + 1)) {
-            admitted = true;
-            break;
-          }
-        }
-        if (!admitted) {
-          if (measure) ++sinks.retry->retry_rejections;
+        if (inflight_retries_ >= retry_cap) {
+          if (measure) ++retry_stats_.retry_rejections;
           break;
         }
+        ++inflight_retries_;
         holds_retry_token = true;
       }
       // Bounded exponential backoff, charged to the worker's core.
@@ -204,33 +197,27 @@ void ExperimentRunner::RunPhase(Workload* workload, ParallelMode mode,
         core->Retire(config_.retry.backoff_cycles
                      << std::min(attempt - 1, 16));
       }
-      if (mode == ParallelMode::kFree) std::this_thread::yield();
       *rng = snapshot;
-      if (measure) ++sinks.retry->retries;
+      if (measure) ++retry_stats_.retries;
     }
-    if (holds_retry_token) {
-      inflight_retries_.fetch_sub(1, std::memory_order_relaxed);
-    }
+    if (holds_retry_token) --inflight_retries_;
     // Single-attempt transactions draw no flow id: flow arrows only
     // mean something when there is a second slice to point at.
     if (recorder != nullptr && attempt_log.size() > 1) {
-      const uint64_t flow =
-          next_flow_id_.fetch_add(1, std::memory_order_relaxed);
+      const uint64_t flow = next_flow_id_++;
       for (obs::AttemptEvent& ev : attempt_log) {
         ev.flow_id = flow;
         recorder->RecordAttempt(w, ev);
       }
     }
-    if (inj != nullptr && inj->crash_pending()) {
-      halt.store(true, std::memory_order_release);
-    }
+    if (inj != nullptr && inj->crash_pending()) halt = true;
     // Mark the final outcome on the core so the sampled time-series can
     // report abort rate per bucket (cycle-model neutral: aborted_txns
     // feeds no cycle math).
     if (!committed_txn) core->CountAbort();
     if (measure) {
       const mcsim::CoreCounters& after = core->counters();
-      sinks.lat->Add(mcsim::SimulatedCycles(
+      latency_.Add(mcsim::SimulatedCycles(
           mcsim::AggregateCounters(after) - mcsim::AggregateCounters(before),
           params));
       // Module×txn-type attribution: the whole final-outcome delta
@@ -238,12 +225,11 @@ void ExperimentRunner::RunPhase(Workload* workload, ParallelMode mode,
       // Only registered modules count anything (a compiled engine may
       // register one during the transaction); the rest would add +0.0.
       const int type = workload->LastTransactionType(w);
-      if (sinks.matrix != nullptr && type >= 0 &&
-          static_cast<size_t>(type) < sinks.matrix->counts.size()) {
-        ++sinks.matrix->counts[type];
+      if (type >= 0 && static_cast<size_t>(type) < matrix_.counts.size()) {
+        ++matrix_.counts[type];
         const int modules = machine_->modules().size();
         for (int m = 0; m < modules; ++m) {
-          sinks.matrix->cycles[type][m] += mcsim::SimulatedCycles(
+          matrix_.cycles[type][m] += mcsim::SimulatedCycles(
               after.per_module[m] - before.per_module[m], params);
         }
       }
@@ -257,73 +243,30 @@ void ExperimentRunner::RunPhase(Workload* workload, ParallelMode mode,
   };
 
   if (mode == ParallelMode::kSerial) {
-    const PhaseSinks shared{&latency_, &aborts_, &breakdown_,
-                            &retry_stats_, &committed_, &matrix_};
     for (uint64_t t = 0; t < txns; ++t) {
       for (int w = 0; w < workers; ++w) {
-        if (halt.load(std::memory_order_acquire)) return;
-        body(w, shared);
+        if (halt) return;
+        body(w);
       }
     }
     return;
   }
 
-  // kFree: one free-running host thread per simulated core.
-  std::vector<obs::LatencyHistogram> local_lat(workers);
-  std::vector<uint64_t> local_aborts(workers, 0);
-  std::vector<mcsim::AbortBreakdown> local_breakdown(workers);
-  std::vector<RetryStats> local_retry(workers);
-  std::vector<uint64_t> local_committed(workers, 0);
-  std::vector<TxnMatrixAcc> local_matrix(workers);
-  for (auto& m : local_matrix) {
-    m.Resize(static_cast<int>(matrix_.counts.size()));
-  }
-  machine_->SetFreeRunning(true);
-  // Per-worker host CPU: each thread exists for exactly this phase, so
-  // its thread-CPU clock at exit is the phase's consumption.
-  std::vector<double> cpu_seconds(workers, 0.0);
-  std::vector<std::thread> threads;
-  threads.reserve(workers);
-  for (int w = 0; w < workers; ++w) {
-    threads.emplace_back([&, w] {
-      const PhaseSinks local{&local_lat[w], &local_aborts[w],
-                             &local_breakdown[w], &local_retry[w],
-                             &local_committed[w], &local_matrix[w]};
-      for (uint64_t t = 0; t < txns; ++t) {
-        if (halt.load(std::memory_order_acquire)) break;
-        // Simulated worker-core death: the thread stops issuing
-        // transactions; the rest of the fleet keeps running.
-        if (inj != nullptr && inj->Fires(fault::kCoreDeath)) break;
-        body(w, local);
-      }
-      cpu_seconds[w] = obs::ThreadCpuSeconds();
-    });
-  }
-  for (auto& th : threads) th.join();
-  machine_->SetFreeRunning(false);
-  if (measure) {
-    for (int w = 0; w < workers; ++w) {
-      host_perf_.workers.push_back({w, cpu_seconds[w], 0.0});
+  // kInterleaved: each worker's loop is a coroutine on this thread, and
+  // the engine hands control to the scheduler before every operation.
+  Interleaver scheduler(workers,
+                        DeriveSeed2(config_.seed, runs_, measure ? 1 : 0,
+                                    SeedStream::kScheduler));
+  engine_->set_op_hook([&scheduler] { scheduler.Yield(); });
+  scheduler.Run([&](int w) {
+    for (uint64_t t = 0; t < txns && !halt; ++t) {
+      // Simulated worker-core death: this worker stops issuing
+      // transactions; the rest of the fleet keeps running.
+      if (inj != nullptr && inj->Fires(fault::kCoreDeath)) return;
+      body(w);
     }
-  }
-  // Merge in worker order so repeated runs at least merge
-  // identically-shaped state the same way.
-  for (int w = 0; w < workers; ++w) {
-    latency_.Merge(local_lat[w]);
-    aborts_ += local_aborts[w];
-    committed_ += local_committed[w];
-    matrix_.Merge(local_matrix[w]);
-    retry_stats_.retries += local_retry[w].retries;
-    retry_stats_.retry_successes += local_retry[w].retry_successes;
-    retry_stats_.retry_rejections += local_retry[w].retry_rejections;
-    const mcsim::AbortBreakdown& lb = local_breakdown[w];
-    breakdown_.total += lb.total;
-    breakdown_.lock_conflict += lb.lock_conflict;
-    breakdown_.validation += lb.validation;
-    breakdown_.partition += lb.partition;
-    breakdown_.injected_fault += lb.injected_fault;
-    breakdown_.other += lb.other;
-  }
+  });
+  engine_->set_op_hook(nullptr);
 }
 
 StatusOr<mcsim::WindowReport> ExperimentRunner::Run(Workload* workload) {
@@ -337,18 +280,13 @@ StatusOr<mcsim::WindowReport> ExperimentRunner::Run(Workload* workload) {
   }
   ++runs_;
 
-  // A single worker needs no host threads, and an attached trace sink
-  // requires the one totally-ordered event stream only serial
-  // execution produces.
-  ParallelMode mode = config_.parallel_mode;
-  if (workers <= 1 || trace_sink_ != nullptr) {
-    mode = ParallelMode::kSerial;
-  }
+  // A single worker has nothing to interleave.
+  const ParallelMode mode =
+      workers <= 1 ? ParallelMode::kSerial : config_.parallel_mode;
 
   // Host self-observability for this Run: warm-up accumulates across
   // calls, the measurement fields cover the newest window only.
   host_perf_.parallel_mode = ParallelModeName(mode);
-  host_perf_.workers.clear();
 
   // Warm-up: simulation on (caches fill), profiler not yet attached.
   {
@@ -403,9 +341,6 @@ StatusOr<mcsim::WindowReport> ExperimentRunner::Run(Workload* workload) {
     host_perf_.instructions_per_second =
         static_cast<double>(work.instructions) / wall;
     host_perf_.txns_per_second = static_cast<double>(committed_) / wall;
-    for (obs::WorkerHostUtilization& u : host_perf_.workers) {
-      u.utilization = u.cpu_seconds / wall;
-    }
   }
   host_perf_.peak_rss_bytes = obs::PeakRssBytes();
   report.convergence = CheckConvergence(report, config_.convergence_rtol);

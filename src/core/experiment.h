@@ -2,7 +2,6 @@
 #define IMOLTP_CORE_EXPERIMENT_H_
 
 #include <array>
-#include <atomic>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -17,24 +16,24 @@
 
 namespace imoltp::core {
 
-/// How the per-worker transaction loops execute on the host. See
-/// docs/parallel_execution.md for the full threading model and
-/// determinism contract.
+/// How the per-worker transaction loops interleave. Both modes run every
+/// worker on the calling thread and repeat bit for bit under the same
+/// seed; see docs/parallel_execution.md.
 enum class ParallelMode {
-  /// The default. Every worker runs on the calling thread in the
-  /// reference interleaving: transaction t runs on worker 0, then 1,
-  /// ... then W-1 before t+1 starts. Counters, spans, latencies and
-  /// trace replays repeat bit for bit under the same seed.
+  /// The default, the reference interleaving: transaction t runs on
+  /// worker 0, then 1, ... then W-1 before t+1 starts. Transactions
+  /// never overlap.
   kSerial,
-  /// One free-running host thread per simulated core: full wall-clock
-  /// speed, data-race-free, but the interleaving (and therefore exact
-  /// counter values) varies run to run.
-  kFree,
+  /// Workers run as coroutines, and a scheduler seeded from the run
+  /// seed picks the next worker at every TxnContext operation boundary.
+  /// Transactions overlap, so lock conflicts, MVCC validation failures
+  /// and checkpoint races happen, at the same points in every run.
+  kInterleaved,
 };
 
 const char* ParallelModeName(ParallelMode mode);
 
-/// Parses a CLI mode name ("serial", "free") — the single spelling
+/// Parses a CLI mode name ("serial", "interleaved") — the single spelling
 /// authority for every tool with a --mode flag. Returns false on an
 /// unknown name.
 bool ParseParallelMode(const std::string& name, ParallelMode* out);
@@ -134,10 +133,7 @@ class ExperimentRunner {
 
   /// Warm-up (profiler detached) then measurement window (attached).
   /// Returns the paper's per-worker-averaged metrics, or the first
-  /// post_warmup hook failure. Under kFree with num_workers > 1 the
-  /// windows run one host thread per simulated core; otherwise (and
-  /// always with an attached trace sink) every worker runs on the
-  /// calling thread.
+  /// post_warmup hook failure. A single worker always runs kSerial.
   StatusOr<mcsim::WindowReport> Run(Workload* workload);
 
   engine::Engine* engine() { return engine_.get(); }
@@ -159,8 +155,7 @@ class ExperimentRunner {
   /// Run() bracket each measurement window with window markers, so a
   /// replay can reproduce the WindowReport. Attach before the first
   /// Run(): capture determinism assumes cold caches and zero counters.
-  /// While a sink is attached Run() executes serially — the trace
-  /// stream is a single totally-ordered event sequence.
+  /// Either mode gives one totally-ordered event stream.
   void set_trace_sink(mcsim::TraceSink* sink) {
     trace_sink_ = sink;
     machine_->SetTraceSink(sink);
@@ -182,8 +177,7 @@ class ExperimentRunner {
   /// Host-side self-observability of the most recent Run(): wall-clock
   /// per phase (populate is Create()'s share), simulated references and
   /// instructions retired per host second across the measurement
-  /// window, peak RSS, and per-worker host-thread CPU utilization
-  /// (kFree only). Never deterministic — excluded from every
+  /// window, and peak RSS. Never deterministic — excluded from every
   /// replay/fingerprint comparison (see docs/OBSERVABILITY.md).
   const obs::HostPerf& host_perf() const { return host_perf_; }
 
@@ -194,8 +188,7 @@ class ExperimentRunner {
   Status Init(Workload* schema_source);
 
   /// Raw module×transaction-type cycle accumulator behind
-  /// WindowReport::txn_module_matrix. Indexed [type][module]; per-worker
-  /// locals are merged in worker order for kFree.
+  /// WindowReport::txn_module_matrix. Indexed [type][module].
   struct TxnMatrixAcc {
     std::vector<uint64_t> counts;  // transactions per type, any outcome
     std::vector<std::array<double, mcsim::kMaxModules>> cycles;
@@ -204,33 +197,13 @@ class ExperimentRunner {
       counts.assign(types, 0);
       cycles.assign(types, {});
     }
-    void Merge(const TxnMatrixAcc& o) {
-      for (size_t t = 0; t < o.counts.size() && t < counts.size(); ++t) {
-        counts[t] += o.counts[t];
-        for (int m = 0; m < mcsim::kMaxModules; ++m) {
-          cycles[t][m] += o.cycles[t][m];
-        }
-      }
-    }
-  };
-
-  /// Per-phase accounting sinks: the shared members for kSerial,
-  /// per-worker locals (merged post-join) for kFree.
-  struct PhaseSinks {
-    obs::LatencyHistogram* lat = nullptr;
-    uint64_t* aborts = nullptr;
-    mcsim::AbortBreakdown* breakdown = nullptr;
-    RetryStats* retry = nullptr;
-    uint64_t* committed = nullptr;
-    TxnMatrixAcc* matrix = nullptr;
   };
 
   /// Runs `txns` transactions per worker under `mode`. When `measure`
   /// is set, per-transaction latencies land in latency_ and failures
-  /// in aborts_ (merged in worker order for kFree). An injected crash
-  /// halts the phase: no worker starts another transaction. Measured
-  /// kFree phases additionally record each worker host thread's CPU
-  /// seconds into host_perf_.
+  /// in aborts_. An injected crash halts the phase: no worker starts
+  /// another transaction, and under kInterleaved the suspended ones
+  /// finish the transaction they are in.
   void RunPhase(Workload* workload, ParallelMode mode, uint64_t txns,
                 std::vector<Rng>* rngs, bool measure);
 
@@ -251,11 +224,11 @@ class ExperimentRunner {
   RetryStats retry_stats_;
   uint64_t committed_ = 0;
   TxnMatrixAcc matrix_;
-  std::atomic<int> inflight_retries_{0};
+  int inflight_retries_ = 0;
   obs::HostPerf host_perf_;
   /// Flow ids linking retry attempts of one logical transaction in the
   /// timeline export. Only drawn while a TimelineRecorder is attached.
-  std::atomic<uint64_t> next_flow_id_{1};
+  uint64_t next_flow_id_ = 1;
 };
 
 /// One-shot convenience: build, populate, run.

@@ -1,8 +1,6 @@
 #ifndef IMOLTP_CORE_TPCB_H_
 #define IMOLTP_CORE_TPCB_H_
 
-#include <atomic>
-
 #include "core/workload.h"
 
 namespace imoltp::core {
@@ -46,7 +44,7 @@ class TpcbBenchmark final : public Workload {
   uint64_t tellers_;
   uint64_t accounts_;
   uint64_t accounts_per_branch_;
-  std::atomic<uint64_t> history_counter_{0};
+  uint64_t history_counter_ = 0;
 };
 
 }  // namespace imoltp::core

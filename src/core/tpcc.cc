@@ -258,7 +258,7 @@ int TpccBenchmark::LastTransactionType(int worker) const {
   if (worker < 0 || static_cast<size_t>(worker) >= last_type_.size()) {
     return 0;
   }
-  return last_type_[worker].type;
+  return last_type_[worker];
 }
 
 std::vector<engine::TableDef> TpccBenchmark::Tables() const {
@@ -382,7 +382,7 @@ Status TpccBenchmark::RunTransaction(engine::Engine* engine, int worker,
   // rewinds the RNG, so re-execution re-records the same type.
   auto record = [&](int type) {
     if (static_cast<size_t>(worker) < last_type_.size()) {
-      last_type_[worker].type = type;
+      last_type_[worker] = type;
     }
   };
   const uint64_t roll = rng->Uniform(100);

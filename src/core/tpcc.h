@@ -1,8 +1,6 @@
 #ifndef IMOLTP_CORE_TPCC_H_
 #define IMOLTP_CORE_TPCC_H_
 
-#include <atomic>
-
 #include "core/workload.h"
 
 namespace imoltp::core {
@@ -19,6 +17,18 @@ struct TpccConfig {
   int warehouses = 8;
   int orders_per_district = 1000;  // initial orders (spec: 3000)
   int num_partitions = 1;          // must divide warehouses
+
+  /// kInvalidArgument unless every worker gets the same non-empty
+  /// warehouse range, i.e. num_partitions divides warehouses. Every
+  /// tool that builds a TpccBenchmark from user input checks this.
+  Status Validate() const {
+    if (warehouses < 1 || num_partitions < 1 ||
+        warehouses % num_partitions != 0) {
+      return Status::InvalidArgument(
+          "warehouses must be divisible by workers");
+    }
+    return Status::Ok();
+  }
 };
 
 class TpccBenchmark final : public Workload {
@@ -165,9 +175,7 @@ class TpccBenchmark final : public Workload {
     return (static_cast<uint64_t>(worker) << 40) | history_counter_++;
   }
 
-  /// Counters for mix accounting (testing/reporting hook). Returned as
-  /// a plain snapshot; the live counters are atomics so concurrent
-  /// workers can bump them.
+  /// Counters for mix accounting (testing/reporting hook).
   struct MixCounts {
     uint64_t new_order = 0;
     uint64_t payment = 0;
@@ -175,15 +183,7 @@ class TpccBenchmark final : public Workload {
     uint64_t delivery = 0;
     uint64_t stock_level = 0;
   };
-  MixCounts mix_counts() const {
-    MixCounts c;
-    c.new_order = mix_.new_order.load(std::memory_order_relaxed);
-    c.payment = mix_.payment.load(std::memory_order_relaxed);
-    c.order_status = mix_.order_status.load(std::memory_order_relaxed);
-    c.delivery = mix_.delivery.load(std::memory_order_relaxed);
-    c.stock_level = mix_.stock_level.load(std::memory_order_relaxed);
-    return c;
-  }
+  const MixCounts& mix_counts() const { return mix_; }
 
  private:
   Status RunNewOrder(engine::Engine* engine, int worker, Rng* rng,
@@ -204,24 +204,10 @@ class TpccBenchmark final : public Workload {
   engine::TxnRequest FragmentRequest(int type, uint64_t w,
                                      int statements) const;
 
-  struct AtomicMixCounts {
-    std::atomic<uint64_t> new_order{0};
-    std::atomic<uint64_t> payment{0};
-    std::atomic<uint64_t> order_status{0};
-    std::atomic<uint64_t> delivery{0};
-    std::atomic<uint64_t> stock_level{0};
-  };
-
-  /// One cache line per worker: each free-running worker writes only
-  /// its own slot, so the mix dispatch stays data-race-free.
-  struct alignas(64) LastTypeSlot {
-    int type = 0;
-  };
-
   TpccConfig config_;
-  std::atomic<uint64_t> history_counter_{0};
-  AtomicMixCounts mix_;
-  std::vector<LastTypeSlot> last_type_;
+  uint64_t history_counter_ = 0;
+  MixCounts mix_;
+  std::vector<int> last_type_;  // per worker
 };
 
 }  // namespace imoltp::core

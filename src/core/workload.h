@@ -75,9 +75,9 @@ class Workload {
 
   /// Transaction-type vocabulary for the module×type attribution matrix
   /// (WindowReport::txn_module_matrix). Single-procedure benchmarks
-  /// keep the defaults; mixes (TPC-C) override all three. Per-worker
-  /// last-type state must be thread-confined to `worker` — workers run
-  /// concurrently in ParallelMode::kFree.
+  /// keep the defaults; mixes (TPC-C) override all three. Last-type
+  /// state is per worker: under kInterleaved other workers' transactions
+  /// run between a worker's RunTransaction and the harness reading it.
   virtual int NumTransactionTypes() const { return 1; }
   virtual const char* TransactionTypeName(int type) const {
     (void)type;

@@ -206,6 +206,12 @@ class Engine {
 
   virtual mcsim::MachineSim* machine() = 0;
 
+  /// Runs `hook` before every TxnContext operation of a transaction
+  /// body; an empty hook removes it. The interleaved runner switches
+  /// workers there, so no operation, Begin or Commit is ever split.
+  /// Engines that do not run bodies themselves ignore it.
+  virtual void set_op_hook(std::function<void()> /*hook*/) {}
+
   /// Lifecycle-span accumulator (index-probe / lock-acquire /
   /// log-append / storage-access cycles). The harness resets it at each
   /// measurement-window start and reads it after EndWindow.

@@ -243,9 +243,63 @@ Status EngineBase::Execute(int worker, const TxnRequest& request,
   return result;
 }
 
+namespace {
+
+/// The body's context while an op hook is installed: runs the hook,
+/// then forwards the operation.
+class HookedContext final : public TxnContext {
+ public:
+  HookedContext(TxnContext& inner, const std::function<void()>& hook)
+      : inner_(inner), hook_(hook) {}
+
+  Status Probe(int table, const index::Key& key,
+               storage::RowId* row) override {
+    hook_();
+    return inner_.Probe(table, key, row);
+  }
+  Status Read(int table, storage::RowId row, uint8_t* out) override {
+    hook_();
+    return inner_.Read(table, row, out);
+  }
+  Status Update(int table, storage::RowId row, uint32_t column,
+                const void* value) override {
+    hook_();
+    return inner_.Update(table, row, column, value);
+  }
+  Status Insert(int table, const uint8_t* row, const index::Key& key,
+                storage::RowId* out_row) override {
+    hook_();
+    return inner_.Insert(table, row, key, out_row);
+  }
+  Status Delete(int table, storage::RowId row,
+                const index::Key& key) override {
+    hook_();
+    return inner_.Delete(table, row, key);
+  }
+  Status Scan(int table, const index::Key& from, uint64_t limit,
+              std::vector<storage::RowId>* rows) override {
+    hook_();
+    return inner_.Scan(table, from, limit, rows);
+  }
+  Status ScanSecondary(int table, int secondary, const index::Key& from,
+                       uint64_t limit,
+                       std::vector<storage::RowId>* rows) override {
+    hook_();
+    return inner_.ScanSecondary(table, secondary, from, limit, rows);
+  }
+  mcsim::CoreSim* core() override { return inner_.core(); }
+
+ private:
+  TxnContext& inner_;
+  const std::function<void()>& hook_;
+};
+
+}  // namespace
+
 Status EngineBase::Run(CtxBase& ctx, const Txn& txn,
                        const std::function<Status(TxnContext&)>& body) {
-  Status s = body(ctx);
+  HookedContext hooked(ctx, op_hook_);
+  Status s = op_hook_ ? body(hooked) : body(ctx);
 
   // Crash mid-commit: in-place changes stay dirty, locks stay held,
   // staged versions die with the process, and no commit (or command)

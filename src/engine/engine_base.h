@@ -1,10 +1,8 @@
 #ifndef IMOLTP_ENGINE_ENGINE_BASE_H_
 #define IMOLTP_ENGINE_ENGINE_BASE_H_
 
-#include <atomic>
 #include <cstddef>
 #include <memory>
-#include <mutex>
 #include <new>
 #include <utility>
 #include <vector>
@@ -28,6 +26,9 @@ class EngineBase : public Engine {
   ~EngineBase() override = default;
 
   mcsim::MachineSim* machine() override { return machine_; }
+  void set_op_hook(std::function<void()> hook) override {
+    op_hook_ = std::move(hook);
+  }
   obs::SpanCollector* span_collector() override { return &spans_; }
 
   Status CreateDatabase(const std::vector<TableDef>& defs) override;
@@ -407,7 +408,8 @@ class EngineBase : public Engine {
   Status Run(CtxBase& ctx, const Txn& txn,
              const std::function<Status(TxnContext&)>& body);
 
-  std::atomic<uint64_t> next_txn_{0};
+  uint64_t next_txn_ = 0;
+  std::function<void()> op_hook_;
 
   /// Capture worker `w`'s share of the pending checkpoint
   /// (partitioned engines: every table's slice w, atomically at a
@@ -457,7 +459,6 @@ class EngineBase : public Engine {
   Status RedoPass(const std::vector<txn::LogRecord>& log, uint64_t from_lsn,
                   txn::RecoveryStats* stats);
 
-  std::mutex ckpt_mu_;  // manager + capture plan + ticks
   uint64_t ticks_ = 0;  // worker-0 transaction ticks (cadence driver)
   /// Partitioned capture: which partitions contributed to the pending
   /// checkpoint.
@@ -470,9 +471,8 @@ class EngineBase : public Engine {
   std::vector<CaptureUnit> capture_plan_;
   size_t capture_next_ = 0;
   /// Last completed checkpoint's truncation anchor. Workers truncate
-  /// their own logs to it on their next tick — a worker's log is only
-  /// ever touched from its own thread.
-  std::atomic<uint64_t> truncate_anchor_{0};
+  /// their own logs to it on their next tick.
+  uint64_t truncate_anchor_ = 0;
 };
 
 }  // namespace imoltp::engine

@@ -17,7 +17,7 @@
 // in the asynchronous ring, so capture flushes the worker's own log
 // first (partitioned), or the log runs in force-at-append mode
 // (non-partitioned, where any worker's in-flight effects can land in a
-// page the capture thread copies).
+// page the capturing worker copies).
 
 #include <algorithm>
 #include <cstring>
@@ -117,9 +117,9 @@ void EngineBase::FinishCheckpoint(int worker) {
   logs_[worker]->FlushAll();
   const uint64_t anchor = ckpt_->Complete(end_lsn);
   ++ckpt_->stats().truncations;
-  // Publish the anchor; every worker truncates its own log on its next
-  // tick (a worker's log is only ever touched from its own thread).
-  truncate_anchor_.store(anchor, std::memory_order_release);
+  // Publish the anchor; every other worker truncates its own log on
+  // its next tick.
+  truncate_anchor_ = anchor;
   const uint64_t before = logs_[worker]->truncated_records();
   logs_[worker]->Truncate(anchor);
   ckpt_->stats().truncated_records +=
@@ -159,19 +159,14 @@ void EngineBase::CheckpointTick(int worker) {
   if (worker < 0 || worker >= static_cast<int>(logs_.size())) return;
 
   // Deferred truncation: adopt the last completed checkpoint's anchor
-  // on this worker's own log (single-threaded access by construction).
-  const uint64_t anchor = truncate_anchor_.load(std::memory_order_acquire);
-  if (anchor > logs_[worker]->truncation_lsn()) {
+  // on this worker's own log.
+  if (truncate_anchor_ > logs_[worker]->truncation_lsn()) {
     const uint64_t before = logs_[worker]->truncated_records();
-    logs_[worker]->Truncate(anchor);
-    const uint64_t dropped = logs_[worker]->truncated_records() - before;
-    if (dropped > 0) {
-      std::lock_guard<std::mutex> lock(ckpt_mu_);
-      ckpt_->stats().truncated_records += dropped;
-    }
+    logs_[worker]->Truncate(truncate_anchor_);
+    ckpt_->stats().truncated_records +=
+        logs_[worker]->truncated_records() - before;
   }
 
-  std::lock_guard<std::mutex> lock(ckpt_mu_);
   const uint64_t every =
       std::max<uint64_t>(1, ckpt_->policy().every_n_ticks);
 

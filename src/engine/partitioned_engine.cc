@@ -51,7 +51,6 @@ PartitionedEngine::PartitionedEngine(EngineKind kind,
 
 mcsim::CodeRegion PartitionedEngine::CompiledRegion(int txn_type,
                                                     int statements) {
-  std::lock_guard<std::mutex> guard(compiled_mu_);
   auto it = compiled_txns_.find(txn_type);
   if (it == compiled_txns_.end()) {
     // Compile on first use: code size and straight-line instruction

@@ -1,7 +1,6 @@
 #ifndef IMOLTP_ENGINE_PARTITIONED_ENGINE_H_
 #define IMOLTP_ENGINE_PARTITIONED_ENGINE_H_
 
-#include <mutex>
 #include <unordered_map>
 
 #include "engine/engine_base.h"
@@ -67,9 +66,7 @@ class PartitionedEngine final : public EngineBase {
   HyPerProfile hyper_profile_;
   mcsim::CodeRegion dispatch_, ee_op_, index_op_, commit_, log_;
   mcsim::CodeRegion multi_site_;
-  // HyPer compiles a transaction type on first dispatch; with
-  // free-running workers two threads can race to compile.
-  std::mutex compiled_mu_;
+  // HyPer compiles a transaction type on first dispatch.
   std::unordered_map<int, mcsim::CodeRegion> compiled_txns_;
 
   txn::PartitionManager partitions_;

@@ -30,10 +30,13 @@ StatusOr<ChaosReport> RunChaos(const ChaosOptions& opt) {
   if (opt.workers < 1) {
     return Status::InvalidArgument("chaos needs at least one worker");
   }
-  if (wkind == core::WorkloadKind::kTpcc &&
-      opt.tpcc_warehouses % opt.workers != 0) {
-    return Status::InvalidArgument(
-        "warehouses must be divisible by workers");
+  core::TpccConfig tpcc_cfg;
+  tpcc_cfg.warehouses = opt.tpcc_warehouses;
+  tpcc_cfg.orders_per_district = opt.tpcc_orders_per_district;
+  tpcc_cfg.num_partitions = opt.workers;
+  if (wkind == core::WorkloadKind::kTpcc) {
+    const Status valid = tpcc_cfg.Validate();
+    if (!valid.ok()) return valid;
   }
 
   ChaosReport report;
@@ -53,7 +56,6 @@ StatusOr<ChaosReport> RunChaos(const ChaosOptions& opt) {
     // zero, which same-seed determinism depends on.
     std::unique_ptr<core::Workload> workload;
     core::TpcbBenchmark* tpcb = nullptr;
-    core::TpccConfig tpcc_cfg;
     if (wkind == core::WorkloadKind::kTpcb) {
       core::TpcbConfig cfg;
       cfg.nominal_bytes = opt.tpcb_nominal_bytes;
@@ -62,9 +64,6 @@ StatusOr<ChaosReport> RunChaos(const ChaosOptions& opt) {
       tpcb = bench.get();
       workload = std::move(bench);
     } else {
-      tpcc_cfg.warehouses = opt.tpcc_warehouses;
-      tpcc_cfg.orders_per_district = opt.tpcc_orders_per_district;
-      tpcc_cfg.num_partitions = opt.workers;
       workload = std::make_unique<core::TpccBenchmark>(tpcc_cfg);
     }
 
@@ -253,7 +252,6 @@ std::string ChaosReportToJson(const ChaosOptions& opt,
   w.KeyValue("measure_txns", opt.measure_txns);
   w.KeyValue("seed", opt.seed);
   w.KeyValue("mode", core::ParallelModeName(opt.mode));
-  w.KeyValue("invariant_only", opt.invariant_only);
   w.KeyValue("retry_max_attempts", opt.retry.max_attempts);
   w.KeyValue("retry_backoff_cycles", opt.retry.backoff_cycles);
   w.KeyValue("log_buffer_bytes",

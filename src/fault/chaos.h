@@ -51,12 +51,6 @@ struct ChaosOptions {
   /// the previous complete checkpoint.
   txn::CheckpointPolicy checkpoint;
 
-  /// kFree campaigns: free-running interleavings are not
-  /// bit-reproducible, so the cross-run fingerprint gate is dropped —
-  /// but every conservation invariant is still audited on every cycle.
-  /// Recorded in the JSON so checkers know not to compare fingerprints.
-  bool invariant_only = false;
-
   mcsim::MachineConfig machine_config;
 };
 
@@ -86,8 +80,8 @@ struct ChaosCycleResult {
   std::vector<FaultPointStats> fault_stats;
   /// FNV-1a digest of the cycle's observable outcome (commit/abort
   /// counts, surviving log contents sans LSNs, invariant checksums).
-  /// Two runs with the same options in serial mode match bit
-  /// for bit — the determinism contract chaos_test enforces.
+  /// Two runs with the same options match bit for bit in either
+  /// ParallelMode — the determinism contract chaos_test enforces.
   uint64_t fingerprint = 0;
 };
 

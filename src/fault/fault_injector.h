@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -66,12 +65,11 @@ struct FaultPointStats {
 /// experiment loop halts the run (a crashed process executes nothing
 /// further).
 ///
-/// Determinism contract: with the same seed, the same arming, and the
-/// same serial execution order (ParallelMode::kSerial), every draw
-/// happens at the same point in the instruction
-/// stream, so the fault schedule — and everything downstream of it —
-/// is bit-identical. In kFree mode the injector is thread-safe but the
-/// schedule depends on the host interleaving.
+/// Determinism contract: with the same seed, the same arming and the
+/// same interleaving (either core::ParallelMode repeats from its seed),
+/// every draw happens at the same point in the instruction stream, so
+/// the fault schedule — and everything downstream of it — is
+/// bit-identical.
 class FaultInjector {
  public:
   explicit FaultInjector(uint64_t seed) : rng_(seed) {}
@@ -82,14 +80,12 @@ class FaultInjector {
   /// Arms (or re-arms) a fault point. Hit/fire counters are preserved
   /// across re-arming so drivers can re-configure between phases.
   void Arm(const std::string& point, FaultPointConfig config) {
-    std::lock_guard<std::mutex> lock(mu_);
     points_[point].config = config;
   }
 
   /// Disarms every point (counters survive for reporting). Used to run
   /// fault-free audit transactions on a still-wired engine.
   void DisarmAll() {
-    std::lock_guard<std::mutex> lock(mu_);
     for (auto& [name, p] : points_) p.config = FaultPointConfig{};
   }
 
@@ -97,7 +93,6 @@ class FaultInjector {
   /// Unarmed points count hits but never fire (and never draw from the
   /// RNG, so arming one point does not perturb another's schedule).
   bool Fires(const std::string& point) {
-    std::lock_guard<std::mutex> lock(mu_);
     Point& p = points_[point];
     ++p.hits;
     bool fire = false;
@@ -113,22 +108,14 @@ class FaultInjector {
   /// records which point crashed first.
   bool FireCrash(const std::string& point) {
     if (!Fires(point)) return false;
-    std::lock_guard<std::mutex> lock(mu_);
     if (!crash_pending_) crash_point_ = point;
     crash_pending_ = true;
     return true;
   }
 
-  bool crash_pending() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return crash_pending_;
-  }
-  std::string crash_point() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return crash_point_;
-  }
+  bool crash_pending() const { return crash_pending_; }
+  std::string crash_point() const { return crash_point_; }
   void ClearCrash() {
-    std::lock_guard<std::mutex> lock(mu_);
     crash_pending_ = false;
     crash_point_.clear();
   }
@@ -136,14 +123,12 @@ class FaultInjector {
   /// Seeded draw for driver-side fault shaping (e.g. how many records
   /// to truncate from a stable-log tail). Deterministic with the seed.
   uint64_t Uniform(uint64_t bound) {
-    std::lock_guard<std::mutex> lock(mu_);
     return bound == 0 ? 0 : rng_.Next() % bound;
   }
 
   /// Counter snapshot, sorted by point name (map order) so the JSON
   /// export is deterministic.
   std::vector<FaultPointStats> Stats() const {
-    std::lock_guard<std::mutex> lock(mu_);
     std::vector<FaultPointStats> out;
     out.reserve(points_.size());
     for (const auto& [name, p] : points_) {
@@ -159,7 +144,6 @@ class FaultInjector {
     uint64_t fires = 0;
   };
 
-  mutable std::mutex mu_;
   Rng rng_;
   std::map<std::string, Point> points_;
   bool crash_pending_ = false;

@@ -431,6 +431,7 @@ Status Art::Insert(mcsim::CoreSim* core, const Key& key, uint64_t value) {
     return Status::AlreadyExists();
   }
   ++size_;
+  MarkDirty();
   return Status::Ok();
 }
 
@@ -483,6 +484,7 @@ bool Art::RemoveRec(mcsim::CoreSim* core, void** ref, const Key& key,
 bool Art::Remove(mcsim::CoreSim* core, const Key& key) {
   if (!RemoveRec(core, &root_, key, 0)) return false;
   --size_;
+  MarkDirty();
   return true;
 }
 

@@ -304,6 +304,7 @@ Status BTree::Insert(mcsim::CoreSim* core, const Key& key, uint64_t value) {
   }
   if (duplicate) return Status::AlreadyExists();
   ++size_;
+  MarkDirty();
   return Status::Ok();
 }
 
@@ -321,6 +322,7 @@ bool BTree::Remove(mcsim::CoreSim* core, const Key& key) {
   core->Write(reinterpret_cast<uint64_t>(leaf), 8);
   core->Retire(12);
   --size_;
+  MarkDirty();
   return true;
 }
 

@@ -73,6 +73,7 @@ Status HashIndex::Insert(mcsim::CoreSim* core, const Key& key,
   core->Write(reinterpret_cast<uint64_t>(&buckets_[b]), 8);
   core->Retire(12);
   ++size_;
+  MarkDirty();
   MaybeGrow();
   return Status::Ok();
 }
@@ -110,6 +111,7 @@ bool HashIndex::Remove(mcsim::CoreSim* core, const Key& key) {
       core->Write(reinterpret_cast<uint64_t>(link), 8);
       core->Retire(6);
       --size_;
+      MarkDirty();
       return true;
     }
   }

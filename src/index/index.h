@@ -70,10 +70,17 @@ class Index {
   virtual void ForEach(
       const std::function<void(const Key&, uint64_t)>& fn) const = 0;
 
-  /// Set by a successful Insert/Remove, cleared by MarkClean(). Only
-  /// CreateIndex's indexes track it; bare structures report dirty.
-  virtual bool dirty() const { return true; }
-  virtual void MarkClean() {}
+  /// Set by a successful Insert/Remove, cleared by MarkClean(). A new
+  /// index is dirty.
+  bool dirty() const { return dirty_; }
+  void MarkClean() { dirty_ = false; }
+
+ protected:
+  /// Every implementation calls this after a successful Insert/Remove.
+  void MarkDirty() { dirty_ = true; }
+
+ private:
+  bool dirty_ = true;
 };
 
 /// Factory. `key_bytes` fixes the stored key slot width for the B-tree

@@ -2,7 +2,6 @@
 #define IMOLTP_MCSIM_CACHE_H_
 
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
 #include "mcsim/code_region.h"
@@ -19,11 +18,11 @@ namespace imoltp::mcsim {
 /// set has one, else the way with the oldest stamp, i.e. the
 /// least-recently-used line.
 ///
-/// Threading: a Cache is thread-confined. Its clock and hit/miss
-/// counters are plain integers and it holds no locks. The private
-/// L1D/L2/TLBs of a core are Caches, its L1I a CodeCache; the
-/// machine-shared LLC is a SharedCache, one Cache behind a mutex taken
-/// only in free-running mode.
+/// The private L1D/L2/TLBs of a core are Caches, its L1I a CodeCache,
+/// and the machine-shared LLC is one Cache whose sets are in set-index
+/// order: consecutive lines map to consecutive sets, so a sequential
+/// stream (cache warm-up) walks the set array in address order. One host
+/// thread drives a machine, so no cache holds a lock.
 class Cache {
  public:
   /// The MRU way index is stored in one byte per set.
@@ -131,7 +130,7 @@ class Cache {
 /// stamp) are Cache's, so the same stream gives the same hits, misses
 /// and victims. A line outside the code range (a data line probed by
 /// cross-core invalidation or HoldsLine) is never present; filling one
-/// is a checked error. Thread-confined, like Cache.
+/// is a checked error.
 class CodeCache {
  public:
   explicit CodeCache(const CacheConfig& config);
@@ -200,49 +199,6 @@ class CodeCache {
   std::vector<uint32_t> offsets_;
   /// Per code line offset: its way, or kAbsent.
   std::vector<uint16_t> way_of_;
-};
-
-/// The machine-shared last-level cache: one Cache of this geometry, its
-/// sets in set-index order, plus one mutex. Consecutive lines map to
-/// consecutive sets, so a sequential stream (cache warm-up) walks the
-/// set array in address order.
-///
-/// The mutex is taken only in concurrent mode (`set_concurrent(true)`,
-/// free-running parallel execution). Read hits()/misses() only while no
-/// thread is accessing the cache.
-class SharedCache {
- public:
-  explicit SharedCache(const CacheConfig& config) : sets_(config) {}
-
-  SharedCache(const SharedCache&) = delete;
-  SharedCache& operator=(const SharedCache&) = delete;
-
-  /// Looks up a line; inserts it (evicting LRU) on miss.
-  /// Returns true on hit.
-  bool Access(uint64_t line_addr) {
-    if (concurrent_) {
-      std::lock_guard<std::mutex> guard(mu_);
-      return sets_.Access(line_addr);
-    }
-    return sets_.Access(line_addr);
-  }
-
-  /// Drops all lines and zeroes hit/miss counters.
-  void Reset() { sets_.Reset(); }
-
-  /// Guards set state with the mutex so concurrent calls from different
-  /// host threads are safe. Flip only while no thread is accessing the
-  /// cache.
-  void set_concurrent(bool concurrent) { concurrent_ = concurrent; }
-
-  uint64_t hits() const { return sets_.hits(); }
-  uint64_t misses() const { return sets_.misses(); }
-  uint64_t num_sets() const { return sets_.num_sets(); }
-
- private:
-  bool concurrent_ = false;
-  std::mutex mu_;
-  Cache sets_;
 };
 
 }  // namespace imoltp::mcsim

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -43,11 +42,7 @@ class ModuleRegistry {
     modules_.push_back({"<none>", false});  // kNoModule
   }
 
-  /// Thread-safe: engines define code regions lazily (e.g. HyPer compiles
-  /// a transaction on first dispatch), which in free-running parallel
-  /// mode can happen from any worker thread.
   ModuleId Register(std::string name, bool inside_engine) {
-    std::lock_guard<std::mutex> guard(mu_);
     if (static_cast<int>(modules_.size()) >= kMaxModules) {
       if (!overflowed_) {
         overflowed_ = true;
@@ -66,7 +61,6 @@ class ModuleRegistry {
   int size() const { return static_cast<int>(modules_.size()); }
 
  private:
-  std::mutex mu_;
   std::vector<ModuleInfo> modules_;
   bool overflowed_ = false;
 };
@@ -104,11 +98,9 @@ class CodeSpace {
  public:
   /// Defines a region of `total_bytes` of code, of which `touched_bytes`
   /// are fetched per execution, retiring `instructions` instructions.
-  /// Thread-safe (lazy region definition can race in free-running mode).
   CodeRegion Define(ModuleId module, uint32_t total_bytes,
                     uint32_t touched_bytes, uint32_t instructions,
                     double mispredicts_per_kinstr, double cpi = 0.0) {
-    std::lock_guard<std::mutex> guard(mu_);
     CodeRegion r;
     r.module = module;
     r.cpi = cpi;
@@ -130,7 +122,6 @@ class CodeSpace {
     return (bytes + 63) / 64;
   }
 
-  std::mutex mu_;
   uint64_t next_line_ = kCodeBaseLine;
 };
 

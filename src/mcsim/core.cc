@@ -117,11 +117,6 @@ void CoreSim::Reset() {
   last_miss_line_ = 0;
   prefetches_issued_ = 0;
   if (sampler_ != nullptr) sampler_->Restart(counters_);
-  {
-    std::lock_guard<std::mutex> guard(mbox_mu_);
-    mbox_.clear();
-    mbox_pending_.store(false, std::memory_order_relaxed);
-  }
 }
 
 }  // namespace imoltp::mcsim

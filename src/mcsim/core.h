@@ -1,10 +1,8 @@
 #ifndef IMOLTP_MCSIM_CORE_H_
 #define IMOLTP_MCSIM_CORE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "mcsim/cache.h"
@@ -42,12 +40,6 @@ class CoreSim {
 
   void set_enabled(bool enabled) { enabled_ = enabled; }
   bool enabled() const { return enabled_; }
-
-  /// True while the machine free-runs (MachineSim::SetFreeRunning):
-  /// other host threads may then drive sibling cores at the same time,
-  /// so shared structures take their host locks (see HostLock).
-  void set_free_running(bool on) { free_running_ = on; }
-  bool free_running() const { return free_running_; }
 
   void SetModule(ModuleId module) {
     if (trace_ != nullptr && module != module_) {
@@ -152,9 +144,6 @@ class CoreSim {
     if (!enabled_) return;
     if (trace_ != nullptr) trace_->OnBeginTransaction(core_id_);
     ++counters_.transactions;
-    if (mbox_pending_.load(std::memory_order_acquire)) {
-      DrainInvalidates();
-    }
   }
 
   /// Marks the transaction the core just finished as aborted (final
@@ -188,29 +177,6 @@ class CoreSim {
     l1d_.Invalidate(line);
     l1i_.Invalidate(line);
     l2_.Invalidate(line);
-  }
-
-  /// Queues a cross-core invalidation posted from another host thread
-  /// (free-running parallel mode only). The writer thread cannot touch
-  /// this core's private caches directly, so the line is parked in a
-  /// mailbox and applied at this core's next transaction boundary —
-  /// coherence with transaction-granular lag, which is fine for the
-  /// statistical counters kFree mode produces.
-  void PostInvalidate(uint64_t line) {
-    std::lock_guard<std::mutex> guard(mbox_mu_);
-    mbox_.push_back(line);
-    mbox_pending_.store(true, std::memory_order_release);
-  }
-
-  /// Applies all queued cross-core invalidations (owner thread only).
-  void DrainInvalidates() {
-    std::vector<uint64_t> lines;
-    {
-      std::lock_guard<std::mutex> guard(mbox_mu_);
-      lines.swap(mbox_);
-      mbox_pending_.store(false, std::memory_order_relaxed);
-    }
-    for (uint64_t line : lines) InvalidateLine(line);
   }
 
   /// Lines the stream prefetcher pulled into L2 (0 when disabled).
@@ -262,7 +228,6 @@ class CoreSim {
   double default_cpi_;
   double cpi_floor_;
   bool enabled_ = true;
-  bool free_running_ = false;
   TraceSink* trace_ = nullptr;
   std::unique_ptr<CoreSampler> sampler_owned_;
   CoreSampler* sampler_ = nullptr;
@@ -270,22 +235,7 @@ class CoreSim {
   double mispredict_acc_ = 0.0;
   uint64_t window_state_;
   CoreCounters counters_;
-  // Cross-core invalidation mailbox (used in free-running mode only).
-  std::mutex mbox_mu_;
-  std::vector<uint64_t> mbox_;
-  std::atomic<bool> mbox_pending_{false};
 };
-
-/// The host lock a shared structure (index, table, buffer pool, lock
-/// table, MVCC manager) takes for one operation on `core`'s behalf:
-/// held while the machine free-runs or when there is no core, deferred
-/// (not taken) in serial execution, where one host thread drives every
-/// core. `Lock` is std::unique_lock or std::shared_lock.
-template <template <typename> class Lock, typename Mutex>
-Lock<Mutex> HostLock(const CoreSim* core, Mutex& mu) {
-  if (core == nullptr || core->free_running()) return Lock<Mutex>(mu);
-  return Lock<Mutex>(mu, std::defer_lock);
-}
 
 /// RAII module scope: attributes all events inside the scope to `module`.
 class ScopedModule {

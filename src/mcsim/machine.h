@@ -14,17 +14,10 @@ namespace imoltp::mcsim {
 /// The whole simulated machine: N cores with private L1I/L1D/L2 plus one
 /// shared LLC, mirroring Table 1 of the paper.
 ///
-/// Threading model (docs/parallel_execution.md): each CoreSim is
-/// thread-confined — at most one host thread drives it at a time. In
-/// serial execution (the default) core verbs are additionally totally
-/// ordered, so cross-core invalidation pokes sibling
-/// caches directly and every counter is bit-identical to the historical
-/// single-threaded interleaving. In free-running mode
-/// (`SetFreeRunning(true)`) one host thread runs per core concurrently:
-/// the shared LLC and the shared database structures take their host
-/// locks on every access, and cross-core invalidations are posted to
-/// per-core mailboxes instead of touching sibling caches from the
-/// writer's thread.
+/// One host thread drives a machine and its engine
+/// (docs/parallel_execution.md): core verbs are totally ordered, so
+/// cross-core invalidation pokes sibling caches directly and nothing
+/// here takes a lock.
 class MachineSim {
  public:
   explicit MachineSim(const MachineConfig& config = MachineConfig());
@@ -34,40 +27,19 @@ class MachineSim {
 
   CoreSim& core(int i) { return *cores_[i]; }
   int num_cores() const { return static_cast<int>(cores_.size()); }
-  SharedCache& llc() { return llc_; }
+  Cache& llc() { return llc_; }
   const MachineConfig& config() const { return config_; }
   ModuleRegistry& modules() { return modules_; }
   const ModuleRegistry& modules() const { return modules_; }
   CodeSpace& code_space() { return code_space_; }
 
   /// Invalidates `line` in every private cache except `writer_core`'s.
-  /// Called on writes when more than one core is simulated. Serial
-  /// execution invalidates in place; free-running mode posts to each
-  /// sibling's mailbox (touching a sibling's tags from the writer's
-  /// thread would race). Invalidating an absent line is a no-op and
-  /// touches no counter, so neither path checks presence first.
+  /// Called on writes when more than one core is simulated.
+  /// Invalidating an absent line is a no-op and touches no counter, so
+  /// no presence check comes first.
   void InvalidateOthers(uint64_t line, int writer_core) {
     for (auto& core : cores_) {
-      if (core->core_id() == writer_core) continue;
-      if (core->free_running()) {
-        core->PostInvalidate(line);
-      } else {
-        core->InvalidateLine(line);
-      }
-    }
-  }
-
-  /// Switches the machine between serialized execution (default) and
-  /// free-running parallel execution: the LLC takes its lock, every
-  /// core's free_running() flag turns on (so shared structures take
-  /// their host locks, see HostLock) and cross-core invalidation goes
-  /// through per-core mailboxes. Flip only while no worker threads are
-  /// running.
-  void SetFreeRunning(bool on) {
-    llc_.set_concurrent(on);
-    for (auto& core : cores_) {
-      core->set_free_running(on);
-      if (!on) core->DrainInvalidates();
+      if (core->core_id() != writer_core) core->InvalidateLine(line);
     }
   }
 
@@ -90,9 +62,7 @@ class MachineSim {
   }
 
   /// Arms periodic counter sampling on every core (see mcsim/sampler.h)
-  /// or disarms it everywhere (config.every_cycles == 0). Arm/disarm
-  /// only while no worker threads are running — the sample rings are
-  /// thread-confined to their core, like everything else on CoreSim.
+  /// or disarms it everywhere (config.every_cycles == 0).
   void ArmSampler(const SamplerConfig& config) {
     for (auto& core : cores_) core->ArmSampler(config);
   }
@@ -110,7 +80,7 @@ class MachineSim {
 
  private:
   MachineConfig config_;
-  SharedCache llc_;
+  Cache llc_;
   std::vector<std::unique_ptr<CoreSim>> cores_;
   ModuleRegistry modules_;
   CodeSpace code_space_;

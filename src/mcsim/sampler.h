@@ -17,7 +17,7 @@ namespace imoltp::mcsim {
 /// (instructions x inherent CPI) — not the full cycle model. Base
 /// cycles are placement-independent: they depend only on the retired
 /// instruction stream, never on where the host allocator happened to
-/// put a table. Same seed + ParallelMode::kSerial therefore yields
+/// put a table. The same seed and ParallelMode therefore yield
 /// bit-identical sample boundaries and bit-identical retired-work
 /// columns run after run, while the miss-derived columns carry only
 /// the same address-placement noise every cross-run comparison in this
@@ -59,9 +59,8 @@ struct CounterSample {
   std::vector<double> module_cycles;
 };
 
-/// Per-core sample ring. Thread-confinement mirrors CoreSim: the owning
-/// core's host thread is the only writer; readers (profiler, timeline
-/// writer) run while no worker threads do.
+/// Per-core sample ring: its core's retirement clock is the only
+/// writer; readers (profiler, timeline writer) run between phases.
 class CoreSampler {
  public:
   CoreSampler(const SamplerConfig& config, const CycleModelParams* params)

@@ -20,7 +20,7 @@ inline constexpr int kBenchSchemaVersion = 1;
 
 /// One cell of a benchmark campaign: an (engine, workload, mode,
 /// workers) point with its simulated quality metrics (IPC, stalls —
-/// deterministic in serial mode) and its host-side speed
+/// deterministic from the seed) and its host-side speed
 /// metrics (wall-clock, simulated references per host second — never
 /// deterministic, compared only with regression thresholds).
 struct BenchCell {

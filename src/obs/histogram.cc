@@ -31,15 +31,6 @@ void LatencyHistogram::Add(double cycles) {
 
 void LatencyHistogram::Reset() { *this = LatencyHistogram(); }
 
-void LatencyHistogram::Merge(const LatencyHistogram& other) {
-  if (other.count_ == 0) return;
-  for (int i = 0; i < kNumBins; ++i) bins_[i] += other.bins_[i];
-  if (count_ == 0 || other.min_ < min_) min_ = other.min_;
-  if (other.max_ > max_) max_ = other.max_;
-  count_ += other.count_;
-  sum_ += other.sum_;
-}
-
 double LatencyHistogram::Percentile(double p) const {
   if (count_ == 0) return 0.0;
   if (p <= 0.0) return min_;

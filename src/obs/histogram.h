@@ -20,10 +20,6 @@ class LatencyHistogram {
   void Add(double cycles);
   void Reset();
 
-  /// Folds `other` into this histogram (free-running parallel mode
-  /// accumulates one histogram per worker and merges after joining).
-  void Merge(const LatencyHistogram& other);
-
   uint64_t count() const { return count_; }
   double min() const { return count_ > 0 ? min_ : 0.0; }
   double max() const { return max_; }

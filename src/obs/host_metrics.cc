@@ -60,16 +60,6 @@ void HostPerfToJson(JsonWriter& w, const HostPerf& perf) {
   w.KeyValue("committed_txns_per_sec", perf.txns_per_second);
   w.EndObject();
   w.KeyValue("peak_rss_bytes", perf.peak_rss_bytes);
-  w.Key("workers");
-  w.BeginArray();
-  for (const WorkerHostUtilization& u : perf.workers) {
-    w.BeginObject();
-    w.KeyValue("worker", u.worker);
-    w.KeyValue("cpu_seconds", u.cpu_seconds);
-    w.KeyValue("utilization", u.utilization);
-    w.EndObject();
-  }
-  w.EndArray();
   w.EndObject();
 }
 

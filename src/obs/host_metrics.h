@@ -48,25 +48,12 @@ class PhaseTimer {
   double start_;
 };
 
-/// Host CPU consumption of one worker's host thread across the
-/// measurement window. Only kFree produces these (kSerial multiplexes
-/// every worker onto the calling thread, so per-worker attribution
-/// would be fiction).
-struct WorkerHostUtilization {
-  int worker = -1;
-  double cpu_seconds = 0.0;
-  /// cpu_seconds / measurement wall seconds — ~1.0 for a busy free-
-  /// running worker, lower when workers outnumber spare host cores.
-  double utilization = 0.0;
-};
-
 /// The host-side profile of one measured run: per-phase wall-clock,
 /// simulator throughput (simulated cache references and retired
-/// instructions per host second), peak RSS, and per-worker host-thread
-/// utilization. Filled by ExperimentRunner, serialized as the schema v5
-/// `host` section.
+/// instructions per host second) and peak RSS. Filled by
+/// ExperimentRunner, serialized as the schema v5 `host` section.
 struct HostPerf {
-  std::string parallel_mode;  // serial|free (effective)
+  std::string parallel_mode;  // serial|interleaved (effective)
 
   double populate_seconds = 0.0;  // Create(): populate + cache build
   double warmup_seconds = 0.0;    // all warm-up phases so far
@@ -84,9 +71,6 @@ struct HostPerf {
   double txns_per_second = 0.0;
 
   uint64_t peak_rss_bytes = 0;
-
-  /// One entry per worker host thread (kFree only; empty under kSerial).
-  std::vector<WorkerHostUtilization> workers;
 };
 
 /// Serializes `perf` as the `host` JSON object into `w`.

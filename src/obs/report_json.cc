@@ -361,8 +361,8 @@ std::string RunReportToJson(const RunInfo& info,
     RobustnessToJson(w, *robustness);
   }
 
-  // Checkpoint / recovery accounting (schema v7). Deterministic in
-  // serial mode, so imoltp_diff compares it exactly. Absent unless
+  // Checkpoint / recovery accounting (schema v7). Deterministic, so
+  // imoltp_diff compares it exactly. Absent unless
   // checkpointing was enabled.
   if (recovery != nullptr) {
     w.Key("recovery");

@@ -108,8 +108,7 @@ struct RobustnessInfo {
 /// Checkpoint / recovery section of the report (schema v7). Live runs
 /// fill the checkpoint half from the engine's CheckpointManager; a
 /// process that performed a recovery also fills `recovery` and sets
-/// `recovered`. Deterministic in serial mode, so imoltp_diff
-/// compares it exactly.
+/// `recovered`. Deterministic, so imoltp_diff compares it exactly.
 struct RecoveryInfo {
   bool checkpoint_enabled = false;
   uint64_t checkpoint_every_n_ticks = 0;

@@ -35,10 +35,9 @@ struct SpanStats {
 /// Per-engine accumulator of span-attributed simulated cycles.
 ///
 /// Accumulation is striped into one lane per simulated core (a span only
-/// ever touches the lane of the core it measures), so worker threads in
-/// free-running parallel mode never share accumulator state. Readers
-/// (`stats()`, `total_cycles()`) sum the lanes; call them only while no
-/// worker threads are running. Spans never nest effectively: an inner
+/// ever touches the lane of the core it measures), so interleaved
+/// workers keep separate nesting depths. Readers (`stats()`,
+/// `total_cycles()`) sum the lanes. Spans never nest effectively: an inner
 /// ScopedSpan opened while another is active on the same core records
 /// nothing, so summed span cycles never double-count and stay
 /// reconcilable with the profiler's window total.
@@ -54,7 +53,7 @@ class SpanCollector {
   /// window.
   void Reset();
 
-  /// Sum of all lanes for `kind` (call from the coordinating thread).
+  /// Sum of all lanes for `kind`.
   SpanStats stats(SpanKind kind) const {
     SpanStats total;
     for (const Lane& lane : lanes_) {
@@ -84,9 +83,7 @@ class SpanCollector {
  private:
   friend class ScopedSpan;
 
-  // Cache-line aligned so adjacent lanes never false-share under
-  // free-running parallel execution.
-  struct alignas(64) Lane {
+  struct Lane {
     std::array<SpanStats, kNumSpanKinds> stats{};
     int depth = 0;
   };

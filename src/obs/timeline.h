@@ -39,12 +39,9 @@ struct AttemptEvent {
 ///
 /// Like SpanCollector, recording is striped into one lane per simulated
 /// core (a ScopedSpan only ever appends to the lane of the core it
-/// measures), so free-running worker threads never share lane state.
-/// Each lane is bounded: once `capacity_per_core` events are held,
-/// further events are dropped and counted — a runaway window degrades
-/// to a truncated timeline, never to unbounded memory. Readers
-/// (`events()`, `dropped()`) run on the coordinating thread only, after
-/// the workers have joined.
+/// measures). Each lane is bounded: once `capacity_per_core` events are
+/// held, further events are dropped and counted — a runaway window
+/// degrades to a truncated timeline, never to unbounded memory.
 class TimelineRecorder {
  public:
   explicit TimelineRecorder(int num_cores = 1,
@@ -69,8 +66,8 @@ class TimelineRecorder {
     lane.events.push_back(TimelineEvent{kind, t0, t1});
   }
 
-  /// Appends one retry-attempt slice to the core's lane. Same
-  /// thread-confinement and bound as Record.
+  /// Appends one retry-attempt slice to the core's lane. Same bound as
+  /// Record.
   void RecordAttempt(int core, const AttemptEvent& event) {
     Lane& lane = lane_for(core);
     if (lane.attempts.size() >= capacity_) {
@@ -92,9 +89,7 @@ class TimelineRecorder {
   }
 
  private:
-  // Cache-line aligned so adjacent lanes never false-share under
-  // free-running parallel execution.
-  struct alignas(64) Lane {
+  struct Lane {
     std::vector<TimelineEvent> events;
     std::vector<AttemptEvent> attempts;
     uint64_t dropped = 0;

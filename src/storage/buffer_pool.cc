@@ -100,7 +100,6 @@ uint32_t BufferPool::Evict() {
 }
 
 uint8_t* BufferPool::FixPage(mcsim::CoreSim* core, PageId page_id) {
-  auto guard = mcsim::HostLock<std::unique_lock>(core, mu_);
   ++stats_.fixes;
 
   // Page-table probe: the traced walk over the open-addressing slots.
@@ -149,7 +148,6 @@ uint8_t* BufferPool::FixPage(mcsim::CoreSim* core, PageId page_id) {
 
 void BufferPool::UnfixPage(mcsim::CoreSim* core, PageId page_id,
                            bool dirty) {
-  auto guard = mcsim::HostLock<std::unique_lock>(core, mu_);
   const uint32_t frame = FindFrame(page_id);
   if (frame == kNoFrame) return;
   FrameMeta& f = frames_[frame];

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -34,14 +33,8 @@ inline constexpr PageId kInvalidPage = UINT64_MAX;
 /// Page-table probes and frame-header touches flow through the simulated
 /// hierarchy (they are real memory the engine walks on every access).
 ///
-/// Thread safety: one mutex serializes fix/unfix (the real systems this
-/// models latch at finer grain, but the simulated cost is what matters —
-/// the traced probe stream is identical either way). FixPage and
-/// UnfixPage take it only while the calling core free-runs
-/// (mcsim::HostLock); num_pages() and IsResident() always do. Page
-/// bytes returned by FixPage stay valid until the matching UnfixPage:
-/// the pin count blocks eviction, and row-disjoint writes within a page
-/// are guaranteed by the engine's 2PL above.
+/// Page bytes returned by FixPage stay valid until the matching
+/// UnfixPage: the pin count blocks eviction.
 class BufferPool {
  public:
   struct Stats {
@@ -70,14 +63,10 @@ class BufferPool {
   const Stats& stats() const { return stats_; }
 
   /// Number of distinct pages ever created (resident + backed).
-  uint64_t num_pages() const {
-    std::lock_guard<std::mutex> guard(mu_);
-    return known_pages_;
-  }
+  uint64_t num_pages() const { return known_pages_; }
 
   /// True if the page is currently resident (testing hook).
   bool IsResident(PageId page_id) const {
-    std::lock_guard<std::mutex> guard(mu_);
     return FindFrame(page_id) != kNoFrame;
   }
 
@@ -106,7 +95,6 @@ class BufferPool {
     return reinterpret_cast<uint64_t>(&table_[slot]);
   }
 
-  mutable std::mutex mu_;
   uint32_t num_frames_;
   uint32_t page_bytes_;
   uint64_t table_mask_;

@@ -12,7 +12,6 @@ DiskHeapFile::DiskHeapFile(std::string name, BufferPool* pool,
       file_id_(file_id) {}
 
 RowId DiskHeapFile::Append(mcsim::CoreSim* core, const uint8_t* row) {
-  auto lock = mcsim::HostLock<std::unique_lock>(core, mu_);
   for (;;) {
     const PageId pid = GlobalPage(append_page_);
     uint8_t* page = pool_->FixPage(core, pid);
@@ -31,8 +30,8 @@ RowId DiskHeapFile::Append(mcsim::CoreSim* core, const uint8_t* row) {
       const uint8_t* rec = SlottedPage::Get(page, slot);
       core->Write(reinterpret_cast<uint64_t>(rec), schema_.row_bytes());
       pool_->UnfixPage(core, pid, /*dirty=*/true);
-      num_rows_.fetch_add(1, std::memory_order_relaxed);
-      MarkDirty(core, append_page_);
+      ++num_rows_;
+      MarkDirty(append_page_);
       return (append_page_ << 16) | slot;
     }
     pool_->UnfixPage(core, pid, /*dirty=*/false);
@@ -42,7 +41,6 @@ RowId DiskHeapFile::Append(mcsim::CoreSim* core, const uint8_t* row) {
 
 bool DiskHeapFile::ReadRow(mcsim::CoreSim* core, RowId row,
                            uint8_t* out) {
-  auto lock = mcsim::HostLock<std::shared_lock>(core, mu_);
   const PageId pid = GlobalPage(PageNo(row));
   uint8_t* page = pool_->FixPage(core, pid);
   if (page == nullptr) return false;
@@ -59,7 +57,6 @@ bool DiskHeapFile::ReadRow(mcsim::CoreSim* core, RowId row,
 
 bool DiskHeapFile::WriteColumn(mcsim::CoreSim* core, RowId row,
                                uint32_t col, const void* value) {
-  auto lock = mcsim::HostLock<std::shared_lock>(core, mu_);
   const PageId pid = GlobalPage(PageNo(row));
   uint8_t* page = pool_->FixPage(core, pid);
   if (page == nullptr) return false;
@@ -71,14 +68,13 @@ bool DiskHeapFile::WriteColumn(mcsim::CoreSim* core, RowId row,
     core->Write(reinterpret_cast<uint64_t>(dst),
                 schema_.column_width(col));
     std::memcpy(dst, value, schema_.column_width(col));
-    MarkDirty(core, PageNo(row));
+    MarkDirty(PageNo(row));
   }
   pool_->UnfixPage(core, pid, /*dirty=*/ok);
   return ok;
 }
 
 bool DiskHeapFile::Delete(mcsim::CoreSim* core, RowId row) {
-  auto lock = mcsim::HostLock<std::unique_lock>(core, mu_);
   const PageId pid = GlobalPage(PageNo(row));
   uint8_t* page = pool_->FixPage(core, pid);
   if (page == nullptr) return false;
@@ -86,9 +82,9 @@ bool DiskHeapFile::Delete(mcsim::CoreSim* core, RowId row) {
   const bool ok = SlottedPage::Delete(page, Slot(row));
   if (ok) {
     core->Write(reinterpret_cast<uint64_t>(page), 16);
-    num_rows_.fetch_sub(1, std::memory_order_relaxed);
+    --num_rows_;
     if (PageNo(row) < append_page_) append_page_ = PageNo(row);
-    MarkDirty(core, PageNo(row));
+    MarkDirty(PageNo(row));
   }
   pool_->UnfixPage(core, pid, /*dirty=*/ok);
   return ok;
@@ -100,7 +96,6 @@ void DiskHeapFile::RestoreRow(mcsim::CoreSim* core, RowId row,
     Delete(core, row);
     return;
   }
-  auto lock = mcsim::HostLock<std::unique_lock>(core, mu_);
   const PageId pid = GlobalPage(PageNo(row));
   uint8_t* page = pool_->FixPage(core, pid);
   if (page == nullptr) return;
@@ -116,8 +111,8 @@ void DiskHeapFile::RestoreRow(mcsim::CoreSim* core, RowId row,
   if (ok) {
     const uint8_t* rec = SlottedPage::Get(page, Slot(row));
     core->Write(reinterpret_cast<uint64_t>(rec), schema_.row_bytes());
-    if (!existed) num_rows_.fetch_add(1, std::memory_order_relaxed);
-    MarkDirty(core, PageNo(row));
+    if (!existed) ++num_rows_;
+    MarkDirty(PageNo(row));
   }
   pool_->UnfixPage(core, pid, /*dirty=*/ok);
 }
@@ -125,7 +120,6 @@ void DiskHeapFile::RestoreRow(mcsim::CoreSim* core, RowId row,
 std::vector<RowId> DiskHeapFile::PageRows(mcsim::CoreSim* core,
                                           uint64_t page_no) {
   std::vector<RowId> rows;
-  auto lock = mcsim::HostLock<std::shared_lock>(core, mu_);
   const PageId pid = GlobalPage(page_no);
   uint8_t* page = pool_->FixPage(core, pid);
   if (page == nullptr) return rows;
@@ -141,15 +135,11 @@ std::vector<RowId> DiskHeapFile::PageRows(mcsim::CoreSim* core,
 }
 
 std::vector<uint64_t> DiskHeapFile::DirtyPages() const {
-  std::lock_guard<std::mutex> lock(dirty_mu_);
   std::vector<uint64_t> pages(dirty_.begin(), dirty_.end());
   std::sort(pages.begin(), pages.end());
   return pages;
 }
 
-void DiskHeapFile::MarkClean() {
-  std::lock_guard<std::mutex> lock(dirty_mu_);
-  dirty_.clear();
-}
+void DiskHeapFile::MarkClean() { dirty_.clear(); }
 
 }  // namespace imoltp::storage

@@ -1,10 +1,7 @@
 #ifndef IMOLTP_STORAGE_DISK_HEAP_FILE_H_
 #define IMOLTP_STORAGE_DISK_HEAP_FILE_H_
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -26,22 +23,12 @@ namespace imoltp::storage {
 /// RowIds encode (page_no << 16 | slot); a checkpoint page is a heap
 /// page. The file has no row address of its own: a row lives wherever
 /// its page's frame is.
-///
-/// Thread safety: structural operations (Append / Delete / RestoreRow
-/// mutate the slot directory, the append cursor and the row count) take
-/// the file lock exclusively; ReadRow / WriteColumn / PageRows share it.
-/// Row-disjointness of concurrent same-page writes is guaranteed by the
-/// engine's 2PL. Methods that take a core lock (the file lock and the
-/// dirty-page lock) only while it free-runs (mcsim::HostLock);
-/// DirtyPages and MarkClean always lock.
 class DiskHeapFile final : public Table {
  public:
   DiskHeapFile(std::string name, BufferPool* pool, uint32_t file_id,
                Schema schema);
 
-  uint64_t num_rows() const override {
-    return num_rows_.load(std::memory_order_relaxed);
-  }
+  uint64_t num_rows() const override { return num_rows_; }
 
   bool ReadRow(mcsim::CoreSim* core, RowId row, uint8_t* out) override;
   /// False also when the page cannot be fixed.
@@ -74,20 +61,13 @@ class DiskHeapFile final : public Table {
     return (static_cast<uint64_t>(file_id_) << 40) | page_no;
   }
 
-  void MarkDirty(mcsim::CoreSim* core, uint64_t page_no) {
-    auto lock = mcsim::HostLock<std::unique_lock>(core, dirty_mu_);
-    dirty_.insert(page_no);
-  }
+  void MarkDirty(uint64_t page_no) { dirty_.insert(page_no); }
 
   BufferPool* pool_;
   uint32_t file_id_;
-  std::shared_mutex mu_;
-  std::atomic<uint64_t> num_rows_{0};
+  uint64_t num_rows_ = 0;
   uint64_t append_page_ = 0;  // first page with free space
-  // Checkpoint dirty-page table. Own mutex: WriteColumn mutates page
-  // contents under only the shared file lock.
-  mutable std::mutex dirty_mu_;
-  std::unordered_set<uint64_t> dirty_;
+  std::unordered_set<uint64_t> dirty_;  // checkpoint dirty-page table
 };
 
 }  // namespace imoltp::storage

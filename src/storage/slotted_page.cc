@@ -8,7 +8,7 @@ namespace imoltp::storage {
 // freed slot; the low 15 bits keep the record size so the space can be
 // reused by a record of at most that size.
 namespace {
-constexpr uint16_t kFreedBit = 0x8000;
+constexpr uint16_t kSlotFreedBit = 0x8000;
 }  // namespace
 
 uint16_t SlottedPage::Insert(uint8_t* page, const uint8_t* record,
@@ -18,8 +18,8 @@ uint16_t SlottedPage::Insert(uint8_t* page, const uint8_t* record,
 
   if (h->free_slots > 0) {
     for (uint16_t s = 0; s < h->num_slots; ++s) {
-      if ((slots[s].length & kFreedBit) != 0 &&
-          (slots[s].length & ~kFreedBit) >= length) {
+      if ((slots[s].length & kSlotFreedBit) != 0 &&
+          (slots[s].length & ~kSlotFreedBit) >= length) {
         slots[s].length = length;
         std::memcpy(page + slots[s].offset, record, length);
         --h->free_slots;
@@ -57,12 +57,12 @@ bool SlottedPage::InsertAt(uint8_t* page, uint16_t slot,
   }
 
   Slot& s = slots[slot];
-  if (s.offset != 0 && (s.length & kFreedBit) == 0) {
+  if (s.offset != 0 && (s.length & kSlotFreedBit) == 0) {
     if (s.length != length) return false;
     std::memcpy(page + s.offset, record, length);
     return true;
   }
-  if (s.offset != 0 && (s.length & ~kFreedBit) >= length) {
+  if (s.offset != 0 && (s.length & ~kSlotFreedBit) >= length) {
     // Freed slot with enough space: reuse its record area.
     s.length = length;
     --h->free_slots;
@@ -84,7 +84,7 @@ const uint8_t* SlottedPage::Get(const uint8_t* page, uint16_t slot,
   const Header* h = HeaderOf(page);
   if (slot >= h->num_slots) return nullptr;
   const Slot& s = Slots(page)[slot];
-  if (s.offset == 0 || (s.length & kFreedBit) != 0) return nullptr;
+  if (s.offset == 0 || (s.length & kSlotFreedBit) != 0) return nullptr;
   if (length != nullptr) *length = s.length;
   return page + s.offset;
 }
@@ -99,8 +99,8 @@ bool SlottedPage::Delete(uint8_t* page, uint16_t slot) {
   Header* h = HeaderOf(page);
   if (slot >= h->num_slots) return false;
   Slot& s = Slots(page)[slot];
-  if (s.offset == 0 || (s.length & kFreedBit) != 0) return false;
-  s.length |= kFreedBit;
+  if (s.offset == 0 || (s.length & kSlotFreedBit) != 0) return false;
+  s.length |= kSlotFreedBit;
   ++h->free_slots;
   return true;
 }

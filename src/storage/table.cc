@@ -1,11 +1,8 @@
 #include "storage/table.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstring>
-#include <mutex>
-#include <shared_mutex>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -67,14 +64,6 @@ std::vector<RowId> Table::PageRows(mcsim::CoreSim* /*core*/,
 
 // ---------------------------------------------------------------------------
 // HeapTable: rows materialized in real memory.
-//
-// Thread safety: a reader/writer lock guards row storage. Readers
-// (ReadRow) share; mutations (WriteColumn / Append / Delete /
-// RestoreRow) are exclusive — `deleted_` is a bit-packed vector<bool>,
-// so even row-disjoint mutations touch shared words, and MVCC installs
-// can target the same row from two committers. Methods that take a core
-// lock only while it free-runs (mcsim::HostLock); DirtyPages always
-// locks. SparseTable follows the same rule.
 // ---------------------------------------------------------------------------
 
 class HeapTable final : public Table {
@@ -93,12 +82,9 @@ class HeapTable final : public Table {
     }
   }
 
-  uint64_t num_rows() const override {
-    return num_rows_.load(std::memory_order_relaxed);
-  }
+  uint64_t num_rows() const override { return num_rows_; }
 
   bool ReadRow(mcsim::CoreSim* core, RowId row, uint8_t* out) override {
-    auto lock = mcsim::HostLock<std::shared_lock>(core, mu_);
     if (row >= num_rows() || deleted_[row]) return false;
     const uint8_t* slot = SlotPtr(row);
     core->Read(reinterpret_cast<uint64_t>(slot), schema_.row_bytes());
@@ -108,7 +94,6 @@ class HeapTable final : public Table {
 
   bool WriteColumn(mcsim::CoreSim* core, RowId row, uint32_t col,
                    const void* value) override {
-    auto lock = mcsim::HostLock<std::unique_lock>(core, mu_);
     if (row >= num_rows() || deleted_[row]) return false;
     uint8_t* slot = SlotPtr(row);
     uint8_t* dst = schema_.ColumnPtr(slot, col);
@@ -119,7 +104,6 @@ class HeapTable final : public Table {
   }
 
   RowId Append(mcsim::CoreSim* core, const uint8_t* row) override {
-    auto lock = mcsim::HostLock<std::unique_lock>(core, mu_);
     uint8_t* slot = AllocateSlot();
     std::memcpy(slot, row, schema_.row_bytes());
     core->Write(reinterpret_cast<uint64_t>(slot), schema_.row_bytes());
@@ -129,7 +113,6 @@ class HeapTable final : public Table {
   }
 
   bool Delete(mcsim::CoreSim* core, RowId row) override {
-    auto lock = mcsim::HostLock<std::unique_lock>(core, mu_);
     if (row >= num_rows() || deleted_[row]) return false;
     deleted_[row] = true;
     core->Write(reinterpret_cast<uint64_t>(SlotPtr(row)), 8);
@@ -138,7 +121,6 @@ class HeapTable final : public Table {
   }
 
   std::vector<uint64_t> DirtyPages() const override {
-    std::shared_lock<std::shared_mutex> lock(mu_);
     std::vector<uint64_t> pages(dirty_.begin(), dirty_.end());
     std::sort(pages.begin(), pages.end());
     return pages;
@@ -146,7 +128,6 @@ class HeapTable final : public Table {
 
   void RestoreRow(mcsim::CoreSim* core, RowId row, const uint8_t* image,
                   bool present) override {
-    auto lock = mcsim::HostLock<std::unique_lock>(core, mu_);
     while (num_rows() <= row) {
       AllocateSlot();
       deleted_.back() = true;  // gap rows stay absent until restored
@@ -164,7 +145,7 @@ class HeapTable final : public Table {
   static constexpr uint64_t kRowsPerSegment = 4096;
 
   uint8_t* AllocateSlot() {
-    const RowId row = num_rows_.fetch_add(1, std::memory_order_relaxed);
+    const RowId row = num_rows_++;
     const uint64_t seg = row / kRowsPerSegment;
     if (seg >= segments_.size()) {
       // Not zero-filled: every slot is written before it is read, and
@@ -187,8 +168,7 @@ class HeapTable final : public Table {
 
   uint32_t stride_;
   uint64_t seed_;
-  std::atomic<uint64_t> num_rows_{0};
-  mutable std::shared_mutex mu_;
+  uint64_t num_rows_ = 0;
   std::vector<std::unique_ptr<uint8_t[]>> segments_;
   std::vector<bool> deleted_;
   std::unordered_set<uint64_t> dirty_;  // ctor population stays clean
@@ -211,19 +191,16 @@ class SparseTable final : public Table {
         num_rows_(initial_rows) {
     // A private nominal address range, far away from real heap pointers
     // and from synthetic code addresses (see mcsim::CodeSpace).
-    static std::atomic<uint64_t> next_base{1ULL << 44};
-    base_ = next_base.fetch_add(
-        initial_rows * static_cast<uint64_t>(stride_) + (1ULL << 30));
+    static uint64_t next_base = 1ULL << 44;
+    base_ = next_base;
+    next_base += initial_rows * static_cast<uint64_t>(stride_) + (1ULL << 30);
   }
 
-  uint64_t num_rows() const override {
-    return num_rows_.load(std::memory_order_relaxed);
-  }
+  uint64_t num_rows() const override { return num_rows_; }
 
   bool ReadRow(mcsim::CoreSim* core, RowId row, uint8_t* out) override {
     if (row >= num_rows()) return false;
     core->Read(Address(row), schema_.row_bytes());
-    auto lock = mcsim::HostLock<std::shared_lock>(core, mu_);
     auto it = overlay_.find(row);
     if (it != overlay_.end()) {
       if (it->second.deleted) return false;
@@ -239,7 +216,6 @@ class SparseTable final : public Table {
     if (row >= num_rows()) return false;
     core->Write(Address(row) + schema_.column_offset(col),
                 schema_.column_width(col));
-    auto lock = mcsim::HostLock<std::unique_lock>(core, mu_);
     OverlayRow& o = Materialize(row);
     if (o.deleted) return false;
     std::memcpy(o.bytes.data() + schema_.column_offset(col), value,
@@ -248,8 +224,7 @@ class SparseTable final : public Table {
   }
 
   RowId Append(mcsim::CoreSim* core, const uint8_t* row) override {
-    auto lock = mcsim::HostLock<std::unique_lock>(core, mu_);
-    const RowId id = num_rows_.fetch_add(1, std::memory_order_relaxed);
+    const RowId id = num_rows_++;
     OverlayRow& o = overlay_[id];
     o.bytes.assign(row, row + schema_.row_bytes());
     core->Write(Address(id), schema_.row_bytes());
@@ -258,7 +233,6 @@ class SparseTable final : public Table {
 
   bool Delete(mcsim::CoreSim* core, RowId row) override {
     if (row >= num_rows()) return false;
-    auto lock = mcsim::HostLock<std::unique_lock>(core, mu_);
     OverlayRow& o = Materialize(row);
     if (o.deleted) return false;
     o.deleted = true;
@@ -269,7 +243,6 @@ class SparseTable final : public Table {
   std::vector<uint64_t> DirtyPages() const override {
     // The overlay holds exactly the rows that diverged from the
     // deterministic generator, so dirty pages fall out of its keys.
-    std::shared_lock<std::shared_mutex> lock(mu_);
     std::unordered_set<uint64_t> pages;
     for (const auto& [row, o] : overlay_) {
       pages.insert(CheckpointPageOf(row));
@@ -281,13 +254,11 @@ class SparseTable final : public Table {
 
   void RestoreRow(mcsim::CoreSim* core, RowId row, const uint8_t* image,
                   bool present) override {
-    auto lock = mcsim::HostLock<std::unique_lock>(core, mu_);
-    const uint64_t old_rows = num_rows_.load(std::memory_order_relaxed);
-    if (row >= old_rows) {
+    if (row >= num_rows_) {
       // Gap rows would otherwise read as generator-present; tombstone
       // them until (unless) they are restored explicitly.
-      for (RowId r = old_rows; r < row; ++r) overlay_[r].deleted = true;
-      num_rows_.store(row + 1, std::memory_order_relaxed);
+      for (RowId r = num_rows_; r < row; ++r) overlay_[r].deleted = true;
+      num_rows_ = row + 1;
     }
     OverlayRow& o = overlay_[row];
     o.deleted = !present;
@@ -322,9 +293,8 @@ class SparseTable final : public Table {
   uint64_t seed_;
   RowGenerator generator_;
   uint64_t row_offset_;
-  std::atomic<uint64_t> num_rows_;
+  uint64_t num_rows_;
   uint64_t base_;
-  mutable std::shared_mutex mu_;
   std::unordered_map<RowId, OverlayRow> overlay_;
 };
 

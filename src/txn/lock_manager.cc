@@ -32,71 +32,56 @@ Status LockManager::Acquire(mcsim::CoreSim* core, uint64_t txn_id,
   if (fault_ != nullptr && fault_->Fires(fault::kLockConflict)) {
     return Status::Aborted("injected lock conflict");
   }
-  const uint64_t bucket = BucketOf(object_id);
-  bool acquired = false;
-  {
-    auto stripe = mcsim::HostLock<std::unique_lock>(core, StripeOf(bucket));
-    auto& chain = buckets_[bucket];
-    core->Read(reinterpret_cast<uint64_t>(&chain), 16);  // bucket head
-    core->Retire(14);                                    // hash + latch
+  auto& chain = buckets_[BucketOf(object_id)];
+  core->Read(reinterpret_cast<uint64_t>(&chain), 16);  // bucket head
+  core->Retire(14);                                    // hash + latch
 
-    LockHead* head = nullptr;
-    for (auto& l : chain) {
-      core->Read(reinterpret_cast<uint64_t>(&l), 24);
-      core->Retire(5);
-      if (l.object_id == object_id) {
-        head = &l;
-        break;
-      }
-    }
-
-    if (head == nullptr) {
-      chain.push_back(LockHead{object_id, mode, {txn_id}});
-      core->Write(reinterpret_cast<uint64_t>(&chain.back()), 32);
-      core->Retire(12);
-      active_locks_.fetch_add(1, std::memory_order_relaxed);
-      acquired = true;
-    } else {
-      const bool already_holder =
-          std::find(head->holders.begin(), head->holders.end(), txn_id) !=
-          head->holders.end();
-
-      if (already_holder) {
-        if (mode == LockMode::kExclusive &&
-            head->mode == LockMode::kShared) {
-          if (head->holders.size() > 1) return Status::Aborted("upgrade");
-          head->mode = LockMode::kExclusive;
-          core->Write(reinterpret_cast<uint64_t>(head), 16);
-          core->Retire(6);
-        }
-        return Status::Ok();
-      }
-
-      if (head->mode == LockMode::kExclusive ||
-          mode == LockMode::kExclusive) {
-        return Status::Aborted("lock conflict");
-      }
-
-      head->holders.push_back(txn_id);
-      core->Write(reinterpret_cast<uint64_t>(head), 24);
-      core->Retire(8);
-      acquired = true;
+  LockHead* head = nullptr;
+  for (auto& l : chain) {
+    core->Read(reinterpret_cast<uint64_t>(&l), 24);
+    core->Retire(5);
+    if (l.object_id == object_id) {
+      head = &l;
+      break;
     }
   }
-  // Record the acquisition outside the stripe lock; the txn-list mutex
-  // and the stripe mutexes are never held together.
-  if (acquired) {
-    auto guard = mcsim::HostLock<std::unique_lock>(core, txn_mu_);
-    LocksOf(txn_id).objects.push_back(object_id);
+
+  if (head == nullptr) {
+    chain.push_back(LockHead{object_id, mode, {txn_id}});
+    core->Write(reinterpret_cast<uint64_t>(&chain.back()), 32);
+    core->Retire(12);
+    ++active_locks_;
+  } else {
+    const bool already_holder =
+        std::find(head->holders.begin(), head->holders.end(), txn_id) !=
+        head->holders.end();
+
+    if (already_holder) {
+      if (mode == LockMode::kExclusive && head->mode == LockMode::kShared) {
+        if (head->holders.size() > 1) return Status::Aborted("upgrade");
+        head->mode = LockMode::kExclusive;
+        core->Write(reinterpret_cast<uint64_t>(head), 16);
+        core->Retire(6);
+      }
+      return Status::Ok();
+    }
+
+    if (head->mode == LockMode::kExclusive ||
+        mode == LockMode::kExclusive) {
+      return Status::Aborted("lock conflict");
+    }
+
+    head->holders.push_back(txn_id);
+    core->Write(reinterpret_cast<uint64_t>(head), 24);
+    core->Retire(8);
   }
+  LocksOf(txn_id).objects.push_back(object_id);
   return Status::Ok();
 }
 
 void LockManager::Release(mcsim::CoreSim* core, uint64_t txn_id,
                           uint64_t object_id) {
-  const uint64_t bucket = BucketOf(object_id);
-  auto stripe = mcsim::HostLock<std::unique_lock>(core, StripeOf(bucket));
-  auto& chain = buckets_[bucket];
+  auto& chain = buckets_[BucketOf(object_id)];
   core->Read(reinterpret_cast<uint64_t>(&chain), 16);
   core->Retire(10);
   for (size_t i = 0; i < chain.size(); ++i) {
@@ -108,7 +93,7 @@ void LockManager::Release(mcsim::CoreSim* core, uint64_t txn_id,
     core->Retire(8);
     if (holders.empty()) {
       chain.erase(chain.begin() + static_cast<std::ptrdiff_t>(i));
-      active_locks_.fetch_sub(1, std::memory_order_relaxed);
+      --active_locks_;
     }
     return;
   }
@@ -116,15 +101,11 @@ void LockManager::Release(mcsim::CoreSim* core, uint64_t txn_id,
 
 void LockManager::ReleaseAll(mcsim::CoreSim* core, uint64_t txn_id) {
   std::vector<uint64_t> objects;
-  {
-    auto guard = mcsim::HostLock<std::unique_lock>(core, txn_mu_);
-    for (size_t t = 0; t < txn_locks_.size(); ++t) {
-      if (txn_locks_[t].txn_id != txn_id) continue;
-      objects = std::move(txn_locks_[t].objects);
-      txn_locks_.erase(txn_locks_.begin() +
-                       static_cast<std::ptrdiff_t>(t));
-      break;
-    }
+  for (size_t t = 0; t < txn_locks_.size(); ++t) {
+    if (txn_locks_[t].txn_id != txn_id) continue;
+    objects = std::move(txn_locks_[t].objects);
+    txn_locks_.erase(txn_locks_.begin() + static_cast<std::ptrdiff_t>(t));
+    break;
   }
   for (uint64_t obj : objects) {
     Release(core, txn_id, obj);
@@ -132,9 +113,7 @@ void LockManager::ReleaseAll(mcsim::CoreSim* core, uint64_t txn_id) {
 }
 
 bool LockManager::Holds(uint64_t txn_id, uint64_t object_id) const {
-  const uint64_t bucket = BucketOf(object_id);
-  std::lock_guard<std::mutex> stripe(StripeOf(bucket));
-  const auto& chain = buckets_[bucket];
+  const auto& chain = buckets_[BucketOf(object_id)];
   for (const auto& l : chain) {
     if (l.object_id == object_id) {
       return std::find(l.holders.begin(), l.holders.end(), txn_id) !=

@@ -1,10 +1,7 @@
 #ifndef IMOLTP_TXN_LOCK_MANAGER_H_
 #define IMOLTP_TXN_LOCK_MANAGER_H_
 
-#include <array>
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
 #include "common/status.h"
@@ -22,16 +19,9 @@ enum class LockMode : uint8_t { kShared, kExclusive };
 /// in-memory systems design away (Section 2.1).
 ///
 /// Conflict policy is no-wait: a conflicting request returns kAborted and
-/// the caller aborts. In serial execution mode workers
-/// interleave at transaction granularity, so waits could never resolve;
-/// in free-running parallel mode no-wait keeps the simulation
-/// deadlock-free while 2PL sees real cross-thread contention.
-///
-/// Thread safety: bucket chains are guarded by striped mutexes (hashed
-/// bucket → stripe), the per-transaction lock lists by a separate mutex.
-/// The two are never held together, so there is no ordering hazard.
-/// Acquire and ReleaseAll take them only while the calling core
-/// free-runs (mcsim::HostLock); Holds() always locks its stripe.
+/// the caller aborts. In kSerial workers interleave at transaction
+/// granularity, so waits could never resolve; in kInterleaved no-wait
+/// keeps the scheduler deadlock-free while 2PL sees real contention.
 class LockManager {
  public:
   explicit LockManager(uint64_t num_buckets = 1 << 14);
@@ -50,9 +40,7 @@ class LockManager {
   void ReleaseAll(mcsim::CoreSim* core, uint64_t txn_id);
 
   /// Number of distinct locked objects (testing hook).
-  uint64_t ActiveLocks() const {
-    return active_locks_.load(std::memory_order_relaxed);
-  }
+  uint64_t ActiveLocks() const { return active_locks_; }
 
   /// True if `txn_id` holds a lock on `object_id` (testing hook).
   bool Holds(uint64_t txn_id, uint64_t object_id) const;
@@ -65,8 +53,6 @@ class LockManager {
   }
 
  private:
-  static constexpr uint64_t kStripes = 64;
-
   struct LockHead {
     uint64_t object_id;
     LockMode mode;
@@ -78,18 +64,13 @@ class LockManager {
   };
 
   uint64_t BucketOf(uint64_t object_id) const;
-  std::mutex& StripeOf(uint64_t bucket) const {
-    return stripe_mu_[bucket & (kStripes - 1)];
-  }
   TxnLocks& LocksOf(uint64_t txn_id);
   void Release(mcsim::CoreSim* core, uint64_t txn_id, uint64_t object_id);
 
   std::vector<std::vector<LockHead>> buckets_;
   uint64_t mask_;
   fault::FaultInjector* fault_ = nullptr;
-  std::atomic<uint64_t> active_locks_{0};
-  mutable std::array<std::mutex, kStripes> stripe_mu_;
-  std::mutex txn_mu_;
+  uint64_t active_locks_ = 0;
   std::vector<TxnLocks> txn_locks_;  // small: one entry per live txn
 };
 

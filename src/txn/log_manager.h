@@ -1,7 +1,6 @@
 #ifndef IMOLTP_TXN_LOG_MANAGER_H_
 #define IMOLTP_TXN_LOG_MANAGER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -90,16 +89,13 @@ struct LogRecord : private LogRecordBytes {
 static_assert(sizeof(LogRecord) <= 72, "stable-log records stay compact");
 
 /// The LSN source of one engine, shared by its per-worker logs so that
-/// their records merge into one order. Atomic so the logs can append
-/// from concurrent host threads in free-running parallel mode.
+/// their records merge into one order.
 class LsnClock {
  public:
-  uint64_t Next() {
-    return next_.fetch_add(1, std::memory_order_relaxed) + 1;
-  }
+  uint64_t Next() { return ++next_; }
 
  private:
-  std::atomic<uint64_t> next_{0};
+  uint64_t next_ = 0;
 };
 
 /// Asynchronous write-ahead logging. The paper configures every system
@@ -190,9 +186,9 @@ class LogManager {
 
   /// Force-at-append mode: every record is durable as soon as it is
   /// written. The non-partitioned engines enable this under fuzzy
-  /// checkpointing — their capture thread can snapshot any worker's
-  /// in-place effects at any instant, and only the worker's own thread
-  /// may touch its log, so the WAL rule degenerates to a synchronous
+  /// checkpointing — their capturing worker can snapshot any worker's
+  /// in-place effects at any instant, and only a log's own worker
+  /// flushes it, so the WAL rule degenerates to a synchronous
   /// log device. (Partitioned engines keep the asynchronous window:
   /// capture is partition-local behind the worker's own FlushAll.)
   void set_force(bool on) { force_ = on; }

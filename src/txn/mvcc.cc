@@ -3,10 +3,9 @@
 namespace imoltp::txn {
 
 uint64_t MvccManager::Begin(mcsim::CoreSim* core) {
-  auto guard = mcsim::HostLock<std::unique_lock>(core, mu_);
   const uint64_t txn_id = ++next_txn_;
   TxnState& t = txns_[txn_id];
-  t.read_ts = clock_.load(std::memory_order_relaxed);
+  t.read_ts = clock_;
   core->Retire(12);  // timestamp allocation
   return txn_id;
 }
@@ -14,7 +13,6 @@ uint64_t MvccManager::Begin(mcsim::CoreSim* core) {
 bool MvccManager::ReadOwnWrite(mcsim::CoreSim* core, uint64_t txn_id,
                                uint64_t table_id, uint64_t row,
                                std::vector<uint8_t>* image) {
-  auto guard = mcsim::HostLock<std::unique_lock>(core, mu_);
   auto it = txns_.find(txn_id);
   if (it == txns_.end()) return false;
   core->Retire(6);  // write-set probe
@@ -34,7 +32,6 @@ bool MvccManager::ReadOwnWrite(mcsim::CoreSim* core, uint64_t txn_id,
 bool MvccManager::Read(mcsim::CoreSim* core, uint64_t txn_id,
                        uint64_t table_id, uint64_t row,
                        std::vector<uint8_t>* image) {
-  auto guard = mcsim::HostLock<std::unique_lock>(core, mu_);
   TxnState& t = txns_[txn_id];
   const uint64_t key = RowKey(table_id, row);
   auto it = versions_.find(key);
@@ -52,16 +49,21 @@ bool MvccManager::Read(mcsim::CoreSim* core, uint64_t txn_id,
   // Snapshot predates the newest version: the visible image is the one
   // replaced by the earliest commit after read_ts. History is ordered
   // oldest→newest; each entry's image was valid before its commit_ts.
-  t.reads.push_back(ReadEntry{key, rv.last_commit_ts});
+  // That image is already overwritten, so the read set records the
+  // snapshot's own timestamp, which every later commit exceeds:
+  // validation then fails, as it must for work built on a stale image
+  // (a write would otherwise lose the newer commit's update).
   for (auto& v : rv.history) {
     core->Read(reinterpret_cast<uint64_t>(v.image.data()),
                static_cast<uint32_t>(v.image.size()));
     core->Retire(8);
     if (v.commit_ts > t.read_ts) {
+      t.reads.push_back(ReadEntry{key, t.read_ts});
       image->assign(v.image.begin(), v.image.end());
       return true;
     }
   }
+  t.reads.push_back(ReadEntry{key, rv.last_commit_ts});
   return false;  // chain trimmed past the snapshot: newest is served
 }
 
@@ -69,7 +71,6 @@ Status MvccManager::StageWrite(mcsim::CoreSim* core, uint64_t txn_id,
                                uint64_t table_id, uint64_t row,
                                const uint8_t* new_image, uint32_t length,
                                const uint8_t* prior_image) {
-  auto guard = mcsim::HostLock<std::unique_lock>(core, mu_);
   TxnState& t = txns_[txn_id];
   const uint64_t key = RowKey(table_id, row);
   RowVersions& rv = versions_[key];
@@ -94,7 +95,6 @@ Status MvccManager::StageWrite(mcsim::CoreSim* core, uint64_t txn_id,
 
 Status MvccManager::Commit(mcsim::CoreSim* core, uint64_t txn_id,
                            std::vector<StagedWrite>* installs) {
-  auto guard = mcsim::HostLock<std::unique_lock>(core, mu_);
   auto it = txns_.find(txn_id);
   if (it == txns_.end()) return Status::InvalidArgument("unknown txn");
   TxnState& t = it->second;
@@ -109,13 +109,12 @@ Status MvccManager::Commit(mcsim::CoreSim* core, uint64_t txn_id,
       core->Read(reinterpret_cast<uint64_t>(&vit->second), 16);
     }
     if (now_ts != r.observed_ts) {
-      AbortLocked(core, txn_id);
+      Abort(core, txn_id);
       return Status::Aborted("validation failure");
     }
   }
 
-  const uint64_t commit_ts =
-      clock_.fetch_add(1, std::memory_order_relaxed) + 1;
+  const uint64_t commit_ts = ++clock_;
   for (size_t i = 0; i < t.writes.size(); ++i) {
     const StagedWrite& w = t.writes[i];
     RowVersions& rv = versions_[RowKey(w.table_id, w.row)];
@@ -135,11 +134,6 @@ Status MvccManager::Commit(mcsim::CoreSim* core, uint64_t txn_id,
 }
 
 void MvccManager::Abort(mcsim::CoreSim* core, uint64_t txn_id) {
-  auto guard = mcsim::HostLock<std::unique_lock>(core, mu_);
-  AbortLocked(core, txn_id);
-}
-
-void MvccManager::AbortLocked(mcsim::CoreSim* core, uint64_t txn_id) {
   auto it = txns_.find(txn_id);
   if (it == txns_.end()) return;
   for (const StagedWrite& w : it->second.writes) {

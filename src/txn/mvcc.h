@@ -1,9 +1,7 @@
 #ifndef IMOLTP_TXN_MVCC_H_
 #define IMOLTP_TXN_MVCC_H_
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -29,12 +27,8 @@ namespace imoltp::txn {
 /// Version-chain entries are real allocations and every touch is traced,
 /// so the MVCC bookkeeping shows up in the simulated data-stall profile.
 ///
-/// Thread safety: one mutex guards the version map, transaction table and
-/// clock, so concurrent worker threads (free-running parallel mode) can
-/// Begin/Read/StageWrite/Commit/Abort safely. Every method takes it only
-/// while the calling core free-runs (mcsim::HostLock). Read copies the visible
-/// image out under the mutex — returning an interior pointer would dangle
-/// once another thread's commit trims the version chain.
+/// Read copies the visible image out: an interior pointer would dangle
+/// once another transaction's commit trims the version chain.
 class MvccManager {
  public:
   struct StagedWrite {
@@ -82,9 +76,7 @@ class MvccManager {
 
   void Abort(mcsim::CoreSim* core, uint64_t txn_id);
 
-  uint64_t clock() const {
-    return clock_.load(std::memory_order_relaxed);
-  }
+  uint64_t clock() const { return clock_; }
 
  private:
   struct Version {
@@ -111,12 +103,9 @@ class MvccManager {
     return (table_id << 48) ^ row;
   }
 
-  void AbortLocked(mcsim::CoreSim* core, uint64_t txn_id);
-
   static constexpr size_t kMaxHistory = 4;
 
-  std::mutex mu_;
-  std::atomic<uint64_t> clock_{1};
+  uint64_t clock_ = 1;
   uint64_t next_txn_ = 0;
   std::unordered_map<uint64_t, RowVersions> versions_;
   std::unordered_map<uint64_t, TxnState> txns_;

@@ -1,7 +1,6 @@
 #ifndef IMOLTP_TXN_PARTITION_H_
 #define IMOLTP_TXN_PARTITION_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -20,9 +19,7 @@ namespace imoltp::txn {
 class PartitionManager {
  public:
   explicit PartitionManager(int num_partitions)
-      : owners_(static_cast<size_t>(num_partitions)) {
-    for (auto& o : owners_) o.store(kFree, std::memory_order_relaxed);
-  }
+      : owners_(static_cast<size_t>(num_partitions), kUnclaimed) {}
 
   PartitionManager(const PartitionManager&) = delete;
   PartitionManager& operator=(const PartitionManager&) = delete;
@@ -51,22 +48,18 @@ class PartitionManager {
   }
 
   /// Multi-partition path: claims every partition in `partitions` for
-  /// `worker` (fails if any is claimed by another multi-partition txn).
-  /// Claims are atomic compare-and-swaps so concurrent multi-partition
-  /// transactions race safely in free-running mode; the traced event
-  /// sequence (all check reads, then all claim writes) is unchanged from
-  /// the serial implementation, so serial mode stays bit-identical.
+  /// `worker` (fails if any is claimed by another multi-partition txn):
+  /// all check reads, then all claim writes.
   Status EnterMultiPartition(mcsim::CoreSim* core, int worker,
                              const std::vector<int>& partitions) {
     for (int p : partitions) {
       core->Read(reinterpret_cast<uint64_t>(&owners_[p]), 8);
       core->Retire(10);
-      int expected = kFree;
-      if (!owners_[p].compare_exchange_strong(expected, worker) &&
-          expected != worker) {
+      if (owners_[p] != kUnclaimed && owners_[p] != worker) {
         ReleaseMultiPartition(core, worker);
         return Status::Aborted("partition claimed");
       }
+      owners_[p] = worker;
     }
     for (int p : partitions) {
       core->Write(reinterpret_cast<uint64_t>(&owners_[p]), 8);
@@ -75,21 +68,19 @@ class PartitionManager {
   }
 
   void ReleaseMultiPartition(mcsim::CoreSim* core, int worker) {
-    for (auto& o : owners_) {
-      if (o.load(std::memory_order_relaxed) == worker) {
-        o.store(kFree, std::memory_order_release);
+    for (int& o : owners_) {
+      if (o == worker) {
+        o = kUnclaimed;
         core->Write(reinterpret_cast<uint64_t>(&o), 8);
       }
     }
   }
 
-  int owner(int partition) const {
-    return owners_[partition].load(std::memory_order_relaxed);
-  }
+  int owner(int partition) const { return owners_[partition]; }
 
  private:
-  static constexpr int kFree = -1;
-  std::vector<std::atomic<int>> owners_;
+  static constexpr int kUnclaimed = -1;
+  std::vector<int> owners_;
 };
 
 /// Cluster-level partition ownership: which *node* owns each unit of a

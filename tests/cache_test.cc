@@ -8,10 +8,10 @@
 #include <list>
 #include <ostream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/rng.h"
+#include "mcsim/machine.h"
 
 namespace imoltp::mcsim {
 namespace {
@@ -272,9 +272,13 @@ TEST_P(CacheOracleTest, MatchesNaiveLruOnRandomMix) {
   }
 }
 
+// The machine-shared LLC: MachineSim builds it from MachineConfig::llc.
 TEST_P(CacheOracleTest, SharedCacheMatchesNaiveLru) {
   const OracleGeometry g = GetParam();
-  SharedCache c(CacheConfig{g.size_bytes, 64, g.assoc});
+  MachineConfig config;
+  config.llc = CacheConfig{g.size_bytes, 64, g.assoc};
+  MachineSim machine(config);
+  Cache& c = machine.llc();
   ASSERT_EQ(c.num_sets(), ExpectedSets(g));
   LruModel model(c.num_sets(), g.assoc);
   LineMix mix(c.num_sets(), g.assoc, 11);
@@ -381,28 +385,6 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<OracleGeometry>& info) {
       return std::string(info.param.name);
     });
-
-// Free-running LLC: threads hammer overlapping sets; the LLC's lock
-// must keep every access counted exactly once.
-TEST(SharedCacheTest, ConcurrentAccessesAreAllCounted) {
-  SharedCache llc(CacheConfig{1024 * 1024, 64, 16});
-  llc.set_concurrent(true);
-  constexpr int kThreads = 4;
-  constexpr uint64_t kPerThread = 50000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&llc] {
-      // Same set choice in every thread: all of them contend.
-      LineMix mix(llc.num_sets(), 16, 100);
-      for (uint64_t i = 0; i < kPerThread; ++i) llc.Access(mix.Next());
-    });
-  }
-  for (auto& th : threads) th.join();
-  llc.set_concurrent(false);
-  EXPECT_EQ(llc.hits() + llc.misses(), kThreads * kPerThread);
-  EXPECT_GT(llc.hits(), 0u);
-  EXPECT_GT(llc.misses(), 0u);
-}
 
 }  // namespace
 }  // namespace imoltp::mcsim

@@ -180,7 +180,6 @@ TEST(ChaosJsonTest, ReportSerializes) {
   EXPECT_NE(json.find("crash.mid_commit"), std::string::npos);
   // v2: checkpoint/recovery accounting is present even when
   // checkpointing is off (zeros), so consumers see a stable shape.
-  EXPECT_NE(json.find("\"invariant_only\""), std::string::npos);
   EXPECT_NE(json.find("\"checkpoint\""), std::string::npos);
   EXPECT_NE(json.find("\"recovery\""), std::string::npos);
   EXPECT_NE(json.find("\"replayed_records\""), std::string::npos);

@@ -53,7 +53,7 @@ TEST(HostMetricsTest, PhaseTimerAccumulatesAcrossScopes) {
 
 obs::HostPerf SampleHostPerf() {
   obs::HostPerf perf;
-  perf.parallel_mode = "free";
+  perf.parallel_mode = "interleaved";
   perf.populate_seconds = 0.25;
   perf.warmup_seconds = 0.5;
   perf.measure_seconds = 2.0;
@@ -63,8 +63,6 @@ obs::HostPerf SampleHostPerf() {
   perf.instructions_per_second = 2000000.0;
   perf.txns_per_second = 1500.0;
   perf.peak_rss_bytes = 64ull << 20;
-  perf.workers.push_back({0, 1.9, 0.95});
-  perf.workers.push_back({1, 0.4, 0.2});
   return perf;
 }
 
@@ -77,7 +75,7 @@ TEST(HostPerfJsonTest, EmitsEveryField) {
   auto doc = obs::ParseJson(w.str());
   ASSERT_TRUE(doc.ok()) << doc.status().ToString();
   const obs::JsonValue& v = doc.value();
-  EXPECT_EQ(v.FindPath("host.parallel_mode")->string, "free");
+  EXPECT_EQ(v.FindPath("host.parallel_mode")->string, "interleaved");
   EXPECT_DOUBLE_EQ(v.FindPath("host.phase_seconds.populate")->number,
                    0.25);
   EXPECT_DOUBLE_EQ(v.FindPath("host.phase_seconds.measure")->number, 2.0);
@@ -90,10 +88,6 @@ TEST(HostPerfJsonTest, EmitsEveryField) {
       v.FindPath("host.measure.committed_txns_per_sec")->number, 1500.0);
   EXPECT_DOUBLE_EQ(v.FindPath("host.peak_rss_bytes")->number,
                    static_cast<double>(64ull << 20));
-  const obs::JsonValue* workers = v.FindPath("host.workers");
-  ASSERT_NE(workers, nullptr);
-  ASSERT_EQ(workers->array.size(), 2u);
-  EXPECT_DOUBLE_EQ(workers->array[1].Find("utilization")->number, 0.2);
 }
 
 TEST(HostPerfJsonTest, ReportCarriesHostSectionOnlyWhenProvided) {
@@ -111,7 +105,7 @@ TEST(HostPerfJsonTest, ReportCarriesHostSectionOnlyWhenProvided) {
   EXPECT_EQ(doc->FindPath("schema_version")->number,
             obs::kReportSchemaVersion);
   ASSERT_NE(doc->FindPath("host"), nullptr);
-  EXPECT_EQ(doc->FindPath("host.parallel_mode")->string, "free");
+  EXPECT_EQ(doc->FindPath("host.parallel_mode")->string, "interleaved");
 
   const std::string without_host =
       obs::RunReportToJson(info, report, params, nullptr, nullptr);

@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <cstdlib>
 #include <memory>
@@ -161,18 +162,51 @@ TEST(BuildExperimentTest, ModeDefaultsToSerialAndRejectsUnknownNames) {
   std::unique_ptr<core::Workload> workload;
   std::string error;
   Flags flags;
-  cfg.parallel_mode = core::ParallelMode::kFree;
+  cfg.parallel_mode = core::ParallelMode::kInterleaved;
   ASSERT_TRUE(BuildExperiment(flags, &cfg, &workload, &error)) << error;
   EXPECT_EQ(cfg.parallel_mode, core::ParallelMode::kSerial);
 
-  flags.mode = "free";
+  flags.mode = "interleaved";
   ASSERT_TRUE(BuildExperiment(flags, &cfg, &workload, &error)) << error;
-  EXPECT_EQ(cfg.parallel_mode, core::ParallelMode::kFree);
+  EXPECT_EQ(cfg.parallel_mode, core::ParallelMode::kInterleaved);
 
-  flags.mode = "deterministic";
-  EXPECT_FALSE(BuildExperiment(flags, &cfg, &workload, &error));
-  EXPECT_NE(error.find("choices: serial free"), std::string::npos)
-      << error;
+  // Retired spellings are unknown names, not aliases.
+  for (const char* retired : {"deterministic", "free"}) {
+    flags.mode = retired;
+    error.clear();
+    EXPECT_FALSE(BuildExperiment(flags, &cfg, &workload, &error));
+    EXPECT_NE(error.find("choices: serial interleaved"), std::string::npos)
+        << error;
+  }
+}
+
+TEST(BuildExperimentTest, RejectsTpccWarehousesTheWorkersCannotSplit) {
+  core::ExperimentConfig cfg;
+  std::unique_ptr<core::Workload> workload;
+  std::string error;
+  Flags flags;
+  flags.workload = "tpcc";
+  flags.workers = 4;
+  for (int warehouses : {1, 3, 6}) {
+    flags.warehouses = warehouses;
+    error.clear();
+    EXPECT_FALSE(BuildExperiment(flags, &cfg, &workload, &error))
+        << warehouses << " warehouses";
+    EXPECT_NE(error.find("divisible"), std::string::npos) << error;
+  }
+  flags.warehouses = 8;
+  EXPECT_TRUE(BuildExperiment(flags, &cfg, &workload, &error)) << error;
+}
+
+// The same rule through the binary: a usage error (exit 2), where an
+// empty warehouse range once died with SIGFPE.
+TEST(RunBinaryTest, TpccWarehousesTheWorkersCannotSplitExitTwo) {
+  const std::string cmd = std::string(IMOLTP_RUN_BINARY) +
+                          " --engine=voltdb --workload=tpcc"
+                          " --warehouses=3 --workers=4 2>/dev/null";
+  const int status = std::system(cmd.c_str());
+  ASSERT_TRUE(WIFEXITED(status)) << "status " << status;
+  EXPECT_EQ(WEXITSTATUS(status), 2);
 }
 
 TEST(ParseEngineTest, AllFiveEnginesParse) {

@@ -10,6 +10,7 @@
 
 #include "core/experiment.h"
 #include "core/microbench.h"
+#include "core/tpcc.h"
 #include "trace/format.h"
 #include "trace/meta.h"
 #include "trace/reader.h"
@@ -263,6 +264,34 @@ TEST(TraceRoundTripTest, FourWorkerInterleavingPreserved) {
   // every core prove the single-stream encoding preserves it.
   ExpectBitIdenticalRoundTrip(engine::EngineKind::kVoltDb, "mt4",
                               1 << 20, 2'000'000, 4);
+}
+
+TEST(TraceRoundTripTest, InterleavedShoreMtTpccPreserved) {
+  // kInterleaved switches workers between operations: still one ordered
+  // event stream, so a replay must reproduce every core exactly.
+  core::TpccConfig tcfg;
+  tcfg.warehouses = 2;
+  tcfg.orders_per_district = 30;
+  tcfg.num_partitions = 2;
+  core::TpccBenchmark wl(tcfg);
+  core::ExperimentConfig cfg = FastConfig(engine::EngineKind::kShoreMt, 2);
+  cfg.parallel_mode = core::ParallelMode::kInterleaved;
+  const std::string path = TmpPath("interleaved_tpcc");
+
+  RecordResult live;
+  ASSERT_TRUE(RecordExperiment(cfg, &wl, path, 0, 0, tcfg.warehouses,
+                               &live)
+                  .ok());
+  ReplayResult replay;
+  ASSERT_TRUE(ReplayTraceRecorded(path, &replay).ok());
+  EXPECT_EQ(replay.events, live.events);
+  ASSERT_EQ(replay.counters.size(), 2u);
+  for (int w = 0; w < 2; ++w) {
+    EXPECT_TRUE(CountersIdentical(live.counters[w], replay.counters[w]))
+        << "core " << w << " diverged";
+  }
+  EXPECT_DOUBLE_EQ(replay.window.ipc, live.window.ipc);
+  std::remove(path.c_str());
 }
 
 TEST(TraceReplayTest, DifferentConfigProducesDifferentResult) {

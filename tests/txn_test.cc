@@ -200,6 +200,33 @@ TEST_F(MvccTest, SnapshotReaderSeesOldImage) {
   EXPECT_EQ(image[0], 1);        // the prior image
 }
 
+// The old image is already overwritten: a transaction that read it and
+// writes the row back would lose the writer's update, so it must fail
+// validation.
+TEST_F(MvccTest, SnapshotReaderOfOverwrittenImageFailsValidation) {
+  MvccManager mvcc;
+  const uint64_t reader = mvcc.Begin(core_);
+
+  const uint64_t writer = mvcc.Begin(core_);
+  auto next = Image(2);
+  auto prior = Image(1);
+  ASSERT_TRUE(mvcc.StageWrite(core_, writer, 0, 5, next.data(), 16,
+                              prior.data())
+                  .ok());
+  std::vector<MvccManager::StagedWrite> installs;
+  ASSERT_TRUE(mvcc.Commit(core_, writer, &installs).ok());
+
+  std::vector<uint8_t> image;
+  ASSERT_TRUE(mvcc.Read(core_, reader, 0, 5, &image));
+  auto lost = Image(3);
+  ASSERT_TRUE(mvcc.StageWrite(core_, reader, 0, 5, lost.data(), 16,
+                              next.data())
+                  .ok());
+  const Status s = mvcc.Commit(core_, reader, &installs);
+  EXPECT_EQ(s.code(), StatusCode::kAborted);
+  EXPECT_NE(s.message().find("validation"), std::string::npos);
+}
+
 TEST_F(MvccTest, FreshReaderSeesTableContent) {
   MvccManager mvcc;
   const uint64_t writer = mvcc.Begin(core_);

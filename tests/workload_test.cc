@@ -98,6 +98,28 @@ TEST_P(MicroOnEveryEngineTest, StringVariantSucceeds) {
   }
 }
 
+// The partitioned engines route a transaction by its partition key.
+// 26214 rows do not split evenly over 4 workers; every worker's routing
+// key must still land on its own partition, or the engine aborts each
+// of its transactions as routed to the wrong partition.
+TEST_P(MicroOnEveryEngineTest, EveryWorkerCommitsWhenWorkersDoNotDivideRows) {
+  MicroConfig mcfg;
+  mcfg.nominal_bytes = 1 << 20;
+  mcfg.num_partitions = 4;
+  MicroBenchmark wl(mcfg);
+  ASSERT_NE(wl.num_rows() % 4, 0u);
+  ExperimentConfig cfg;
+  cfg.engine = GetParam();
+  cfg.num_workers = 4;
+  cfg.warmup_txns = 20;
+  cfg.measure_txns = 100;
+  auto runner = ExperimentRunner::Create(cfg, &wl);
+  ASSERT_TRUE(runner.ok()) << runner.status().ToString();
+  ASSERT_TRUE((*runner)->Run(&wl).ok());
+  EXPECT_EQ((*runner)->aborts(), 0u);
+  EXPECT_EQ((*runner)->committed(), 400u);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllEngines, MicroOnEveryEngineTest,
                          ::testing::ValuesIn(kAllEngines),
                          [](const ::testing::TestParamInfo<EngineKind>& i) {

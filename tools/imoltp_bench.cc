@@ -25,7 +25,7 @@
 //                        modes skip the cell) and reports
 //                        cluster-wide averages; its refs/sec counts
 //                        every node's references over the cluster run.
-//   --modes=A,B,...      subset of serial,free (default serial)
+//   --modes=A,B,...      subset of serial,interleaved (default serial)
 //   --workers=N          worker threads == partitions (default 2)
 //   --txns=N             measured transactions per worker (default 2000)
 //   --warmup=N           warm-up transactions per worker (default 500)

@@ -18,7 +18,7 @@
 //   --txns=N                 measured transactions per worker
 //   --warmup=N               warm-up transactions per worker
 //   --seed=N                 campaign seed (injector + workload)
-//   --mode=serial|free       host threading (default serial)
+//   --mode=serial|interleaved  worker interleaving (default serial)
 //   --chaos-points=SPEC      NAME=PROB[@NTH],... points to arm
 //   --retry=N --retry-backoff=N --retry-cap=N     abort retry policy
 //   --db=SIZE                tpcb nominal size (default 1MB)
@@ -29,9 +29,6 @@
 //                            worker-0 transaction ticks
 //   --checkpoint-pages=N     fuzzy capture rate (pages per tick)
 //   --checkpoint-retain=N    complete checkpoints kept on the device
-//   --invariant-only         drop the fingerprint gate (kFree runs are
-//                            not bit-reproducible); invariants still
-//                            audited every cycle
 //   --json=FILE              campaign report ("-" = stdout)
 //
 // Exit codes: 0 = all invariants held in every cycle, 1 = a violation
@@ -69,7 +66,7 @@ int Usage(const char* argv0, const std::string& error) {
                "[--cycles=N]\n"
                "          [--workers=N] [--txns=N] [--warmup=N] "
                "[--seed=N]\n"
-               "          [--mode=serial|free]\n"
+               "          [--mode=serial|interleaved]\n"
                "          [--chaos-points=NAME=PROB[@NTH],...]\n"
                "          [--retry=N] [--retry-backoff=N] "
                "[--retry-cap=N]\n"
@@ -77,7 +74,7 @@ int Usage(const char* argv0, const std::string& error) {
                "          [--log-buffer=SIZE] [--checkpoint-every=N]\n"
                "          [--checkpoint-pages=N] "
                "[--checkpoint-retain=N]\n"
-               "          [--invariant-only] [--json=FILE]\n"
+               "          [--json=FILE]\n"
                "engines: %s\n"
                "fault points: %s\n",
                argv0, engine::EngineKindChoices(), points.c_str());
@@ -178,8 +175,6 @@ int main(int argc, char** argv) {
                         &opt.checkpoint.retain)) {
         return Usage(argv[0], error);
       }
-    } else if (arg == "--invariant-only") {
-      opt.invariant_only = true;
     } else if (const char* v = value("--log-buffer=")) {
       const uint64_t bytes = tools::ParseSize(v);
       if (bytes == 0 || bytes > (1u << 30)) {
@@ -277,14 +272,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "chaos: invariant violations detected\n");
     return 1;
   }
-  if (opt.invariant_only) {
-    // Free-running interleavings are not bit-reproducible; the
-    // fingerprint is reported but carries no cross-run contract.
-    std::fprintf(stderr, "chaos: all invariants held (invariant-only)\n");
-  } else {
-    std::fprintf(stderr,
-                 "chaos: all invariants held (fingerprint %016llx)\n",
-                 static_cast<unsigned long long>(report.fingerprint));
-  }
+  std::fprintf(stderr, "chaos: all invariants held (fingerprint %016llx)\n",
+               static_cast<unsigned long long>(report.fingerprint));
   return 0;
 }

@@ -40,7 +40,7 @@ struct Flags {
   std::string index = "hash";
   bool compilation = true;
   uint64_t seed = 42;
-  std::string mode = "serial";  // serial|free
+  std::string mode = "serial";  // serial|interleaved
   bool csv = false;
   bool csv_header = false;
   bool list = false;
@@ -289,7 +289,8 @@ inline bool ParseCommandLine(int argc, char* const* argv, Flags* flags,
 
 /// Builds the ExperimentConfig and Workload one flag set describes —
 /// the construction logic shared by imoltp_run and imoltp_trace.
-/// Returns false with `error` set for an unknown engine or workload.
+/// Returns false with `error` set for an unknown engine or workload, or
+/// a TPC-C scale the workers cannot split.
 inline bool BuildExperiment(const Flags& flags,
                             core::ExperimentConfig* cfg,
                             std::unique_ptr<core::Workload>* workload,
@@ -370,6 +371,11 @@ inline bool BuildExperiment(const Flags& flags,
       core::TpccConfig tcfg;
       tcfg.warehouses = flags.warehouses;
       tcfg.num_partitions = flags.workers;
+      const Status valid = tcfg.Validate();
+      if (!valid.ok()) {
+        *error = valid.message();
+        return false;
+      }
       // TPC-C range-scans; DBMS M uses its B-tree unless hash was
       // forced.
       cfg->engine_options.dbms_m_index = flags.index == "hash"

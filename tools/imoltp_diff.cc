@@ -58,9 +58,8 @@
 //   latency_cycles.bins           ignored — counts hop between adjacent
 //                                 log-spaced bins on tiny shifts
 //   robustness                    exact — commit/abort/retry/fault
-//                                 counters are deterministic in serial
-//                                 mode; free-mode runs need
-//                                 an explicit --metric-rtol=robustness=X
+//                                 counters repeat from the seed in
+//                                 both modes
 //   timeseries.sample_every       exact — different sampling periods
 //                                 produce incomparable bucket grids
 //   timeseries.convergence        ignored — an advisory warm-up verdict,
@@ -181,8 +180,8 @@ const ToleranceRule kBuiltinRules[] = {
     // throughput trajectory and gate it.
     {"host", -1.0, 0.0},
     // Schema v7: checkpoint / recovery accounting. Capture cadence,
-    // truncation counts, and replay/undo totals are deterministic in
-    // serial mode — any drift is a real behavioral change.
+    // truncation counts, and replay/undo totals are deterministic —
+    // any drift is a real behavioral change.
     {"recovery", 0.0, 0.0},
     // Schema v6: cluster documents. Outcome counts, fingerprints,
     // network accounting, and invariants are deterministic (same-seed

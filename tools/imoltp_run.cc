@@ -20,7 +20,7 @@
 //   --warmup=N           warm-up transactions per worker
 //   --index=hash|btree   DBMS M index choice
 //   --no-compilation     disable DBMS M transaction compilation
-//   --mode=M             serial|free host threading (default serial)
+//   --mode=M             serial|interleaved (default serial)
 //                        (see docs/parallel_execution.md)
 //   --seed=N
 //   --csv                one CSV row (+ header with --csv-header)
@@ -77,7 +77,7 @@ int Usage(const char* argv0, const std::string& error) {
                "[--warmup=N]\n"
                "          [--index=hash|btree] [--no-compilation] "
                "[--seed=N] [--csv]\n"
-               "          [--mode=serial|free]\n"
+               "          [--mode=serial|interleaved]\n"
                "          [--json=FILE] [--trace-out=FILE]\n"
                "          [--sample-every=N] [--timeline-out=FILE] "
                "[--sample-modules]\n"
