@@ -59,18 +59,14 @@ index::Key MicroBenchmark::MakeKey(uint64_t id) const {
 
 Status MicroBenchmark::RunTransaction(engine::Engine* engine, int worker,
                                       Rng* rng) {
-  // Each worker draws from its partition's key range, the rows of its
-  // table slice.
-  const uint64_t parts = static_cast<uint64_t>(config_.num_partitions);
+  // Each worker draws from its partition's key range.
+  const int parts = config_.num_partitions;
   const uint64_t lo = num_rows_ * worker / parts;
   const uint64_t hi = num_rows_ * (worker + 1) / parts;
 
   engine::TxnRequest req;
   req.type = config_.read_write ? kTxnUpdate : kTxnRead;
-  // The routing key: the least key PartitionOf maps to this worker.
-  // When parts does not divide the row count, that is ceil(N·w/parts),
-  // not the slice's first row (which PartitionOf would send to w−1).
-  req.partition_key = (num_rows_ * worker + parts - 1) / parts;
+  req.partition_key = lo;
   req.key_space = num_rows_;
   req.statements = config_.read_write ? 2 : 1;
 

@@ -26,11 +26,15 @@ class PartitionManager {
 
   int num_partitions() const { return static_cast<int>(owners_.size()); }
 
-  /// Home partition of a partitioning key (range partitioning).
+  /// Home partition of a partitioning key (range partitioning): the
+  /// partition whose slice holds row `key` of a `key_space`-row table.
+  /// EngineBase::CreateDatabase gives partition p of n the rows
+  /// [floor(key_space·p/n), floor(key_space·(p+1)/n)), so this is the
+  /// largest p whose first row is at most `key`.
   int PartitionOf(uint64_t key, uint64_t key_space) const {
     const uint64_t n = owners_.size();
     if (key_space == 0) return 0;
-    uint64_t p = key * n / key_space;
+    uint64_t p = ((key + 1) * n - 1) / key_space;
     if (p >= n) p = n - 1;
     return static_cast<int>(p);
   }

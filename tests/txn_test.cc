@@ -400,6 +400,16 @@ TEST_F(PartitionTest, RangePartitioningCoversKeySpace) {
   EXPECT_EQ(pm.PartitionOf(999, 1000), 3);
   EXPECT_EQ(pm.PartitionOf(250, 1000), 1);
   EXPECT_EQ(pm.PartitionOf(500, 1000), 2);
+  // A key space 4 does not divide: every key routes to the partition
+  // whose slice holds it, slice p being [floor(N·p/4), floor(N·(p+1)/4))
+  // as the engines split tables.
+  for (const uint64_t n : {10ULL, 1001ULL, 26214ULL}) {
+    for (uint64_t key = 0; key < n; ++key) {
+      int slice = 0;
+      while (slice < 3 && n * (slice + 1) / 4 <= key) ++slice;
+      ASSERT_EQ(pm.PartitionOf(key, n), slice) << key << " of " << n;
+    }
+  }
 }
 
 TEST_F(PartitionTest, SinglePartitionChecksOwnership) {
