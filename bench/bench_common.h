@@ -12,6 +12,7 @@
 #include "core/microbench.h"
 #include "core/report.h"
 #include "obs/report_json.h"
+#include "tools/imoltp_cli.h"
 
 namespace imoltp::bench {
 
@@ -58,33 +59,31 @@ inline BenchOptions& Options() {
   return options;
 }
 
-/// Shared figure-binary flag parsing: --mode=serial|interleaved and
-/// --txn-scale=F (scales every warm-up/measurement window, for quick
-/// smoke runs). Unknown flags print usage and exit.
+/// The figure binaries' flags.
+inline tools::FlagSet FigureCommandLine(BenchOptions* o) {
+  return {"",
+          {tools::ModeFlag(&o->mode),
+           tools::Custom("--txn-scale", "F",
+                         "scale every warm-up and measurement window "
+                         "(quick smoke runs)",
+                         [o](const std::string& v, std::string* error) {
+                           char* end = nullptr;
+                           const double scale = std::strtod(v.c_str(), &end);
+                           if (v.empty() || *end != '\0' || !(scale > 0)) {
+                             *error = "want a positive number";
+                             return false;
+                           }
+                           o->txn_scale = scale;
+                           return true;
+                         },
+                         "1")},
+          ""};
+}
+
+/// Parses a figure binary's argv; --help and usage errors exit.
 inline void ParseBenchArgs(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--mode=", 0) == 0) {
-      const std::string m = arg.substr(7);
-      if (!core::ParseParallelMode(m, &Options().mode)) {
-        std::fprintf(stderr, "unknown --mode value: %s (choices: %s)\n",
-                     m.c_str(), core::ParallelModeChoices());
-        std::exit(2);
-      }
-    } else if (arg.rfind("--txn-scale=", 0) == 0) {
-      Options().txn_scale = std::atof(arg.c_str() + 12);
-      if (Options().txn_scale <= 0) {
-        std::fprintf(stderr, "--txn-scale must be positive\n");
-        std::exit(2);
-      }
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--mode=serial|interleaved] "
-                   "[--txn-scale=F]\n",
-                   argv[0]);
-      std::exit(2);
-    }
-  }
+  const int rc = FigureCommandLine(&Options()).ParseMain(argc, argv);
+  if (rc >= 0) std::exit(rc);
 }
 
 inline uint64_t ScaleTxns(uint64_t txns) {

@@ -86,6 +86,12 @@ void Cluster::OrphanTrace(const DistTxn& t, bool forwarded) {
 }
 
 Status Cluster::Create() {
+  // Every node splits its warehouses evenly over its workers.
+  core::TpccConfig tpcc;
+  tpcc.warehouses = config_.warehouses_per_node;
+  tpcc.num_partitions = config_.workers_per_node;
+  const Status valid = tpcc.Validate();
+  if (!valid.ok()) return valid;
   for (auto& node : nodes_) {
     const Status s = node->Create();
     if (!s.ok()) return s;

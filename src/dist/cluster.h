@@ -117,7 +117,8 @@ class Cluster {
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
-  /// Builds and populates every node.
+  /// Builds and populates every node. InvalidArgument when the
+  /// workers cannot split a node's warehouses evenly.
   Status Create();
 
   /// Runs warm-up and the measured window, applies node-death chaos if

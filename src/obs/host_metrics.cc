@@ -15,17 +15,6 @@ double MonotonicSeconds() {
          static_cast<double>(ts.tv_nsec) * 1e-9;
 }
 
-double ThreadCpuSeconds() {
-#if defined(CLOCK_THREAD_CPUTIME_ID)
-  struct timespec ts;
-  if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) != 0) return 0.0;
-  return static_cast<double>(ts.tv_sec) +
-         static_cast<double>(ts.tv_nsec) * 1e-9;
-#else
-  return 0.0;
-#endif
-}
-
 uint64_t PeakRssBytes() {
 #if defined(__unix__) || defined(__APPLE__)
   struct rusage usage;

@@ -11,7 +11,7 @@ namespace imoltp::obs {
 
 /// Host-side performance self-observability (docs/OBSERVABILITY.md,
 /// "Host metrics"). Everything in this header measures the *simulator
-/// process* — wall-clock, host CPU, resident memory — never the
+/// process* — wall-clock and resident memory — never the
 /// simulated machine. Host numbers are inherently non-deterministic, so
 /// they are segregated into the report's `host` section, which
 /// imoltp_diff ignores entirely and no determinism fingerprint covers.
@@ -19,10 +19,6 @@ namespace imoltp::obs {
 /// Monotonic wall-clock seconds (CLOCK_MONOTONIC-backed; never jumps on
 /// NTP adjustment, so phase deltas are trustworthy).
 double MonotonicSeconds();
-
-/// CPU seconds consumed by the calling host thread so far
-/// (CLOCK_THREAD_CPUTIME_ID; 0.0 where unsupported).
-double ThreadCpuSeconds();
 
 /// Peak resident set size of the process in bytes (ru_maxrss; 0 where
 /// unsupported). Monotonic over the process lifetime — per-phase deltas

@@ -222,6 +222,17 @@ TEST(ClusterTest, SingleNodeClusterHasNoMultiHome) {
   EXPECT_TRUE(c.result().invariants.ok);
 }
 
+// The single warehouses/workers rule (core::TpccConfig::Validate)
+// holds for library callers too, not only behind the CLI.
+TEST(ClusterTest, WarehousesTheWorkersCannotSplitAreInvalid) {
+  ClusterConfig cfg = SmallConfig();
+  cfg.warehouses_per_node = 3;
+  cfg.workers_per_node = 2;
+  Cluster c(cfg);
+  const Status s = c.Create();
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+}
+
 TEST(ClusterChaosTest, NodeDeathRecoveryPreservesInvariants) {
   ClusterConfig cfg = SmallConfig();
   cfg.engine_kind = engine::EngineKind::kHyPer;  // physical REDO log

@@ -33,8 +33,7 @@ TEST(HostMetricsTest, MonotonicClockNeverGoesBackwards) {
   EXPECT_GE(b, a);
 }
 
-TEST(HostMetricsTest, ThreadCpuAndRssAreSane) {
-  EXPECT_GE(obs::ThreadCpuSeconds(), 0.0);
+TEST(HostMetricsTest, PeakRssIsSane) {
   // ru_maxrss is supported on every platform CI runs on; a test binary
   // with gtest linked in certainly exceeds 1 MB resident.
   EXPECT_GT(obs::PeakRssBytes(), uint64_t{1} << 20);

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
+#include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "obs/json.h"
 #include "obs/report_json.h"
 #include "tools/imoltp_cli.h"
@@ -40,15 +44,21 @@ TEST(ParseSizeTest, RejectsGarbage) {
 
 // ----------------------------------------------------- ParseCommandLine
 
+// Parses `args` (argv without the program name) through `cli`.
+std::pair<bool, std::string> ParseWith(const FlagSet& cli,
+                                       std::vector<const char*> args) {
+  args.insert(args.begin(), "tool");
+  bool help = false;
+  std::string error;
+  const bool ok = cli.Parse(static_cast<int>(args.size()),
+                            const_cast<char* const*>(args.data()), 1,
+                            &help, &error);
+  return {ok, error};
+}
+
 std::pair<bool, std::string> Parse(std::vector<const char*> args,
                                    Flags* flags) {
-  args.insert(args.begin(), "imoltp_run");
-  std::string error;
-  const bool ok =
-      ParseCommandLine(static_cast<int>(args.size()),
-                       const_cast<char* const*>(args.data()), flags,
-                       &error);
-  return {ok, error};
+  return ParseWith(RunCommandLine(flags), std::move(args));
 }
 
 TEST(ParseCommandLineTest, ParsesFullFlagSet) {
@@ -198,15 +208,210 @@ TEST(BuildExperimentTest, RejectsTpccWarehousesTheWorkersCannotSplit) {
   EXPECT_TRUE(BuildExperiment(flags, &cfg, &workload, &error)) << error;
 }
 
+// ------------------------------------------------ every tool's flag set
+
+// Every tool's flag table, bound to targets that outlive it.
+struct ToolTargets {
+  Flags run;
+  ChaosFlags chaos;
+  ClusterFlags cluster;
+  BenchFlags bench;
+  imoltp::bench::BenchOptions figure;
+};
+
+std::map<std::string, FlagSet> AllToolClis(ToolTargets* t) {
+  return {{"imoltp_run", RunCommandLine(&t->run)},
+          {"imoltp_chaos", ChaosCommandLine(&t->chaos)},
+          {"imoltp_cluster", ClusterCommandLine(&t->cluster)},
+          {"imoltp_bench", BenchCommandLine(&t->bench)},
+          {"figure", imoltp::bench::FigureCommandLine(&t->figure)}};
+}
+
+bool Declares(const FlagSet& cli, const std::string& name) {
+  for (const Flag& f : cli.flags) {
+    if (f.name == name) return true;
+  }
+  return false;
+}
+
+// Every value that is not whole and in range is a usage error naming
+// the flag, on every tool that declares the flag. A parse that stops at
+// the first bad character would read `--txns=abc` as 0 and
+// `--warmup=-1` as 2^64-1.
+TEST(FlagTableTest, MalformedValuesAreRejectedNamingTheFlag) {
+  const std::vector<std::string> bad = {
+      "--txns=abc",      "--txns=",        "--warmup=-1",
+      "--seed=1x",       "--workers=3x",   "--net-latency=x",
+      "--index=foo",     "--db=10XB",      "--workers=0",
+      "--txns= 5",       "--txns=+5",      "--txns=99999999999999999999",
+      "--cycles=2.5",    "--retry=0",      "--multi-home-pct=101",
+      "--trace-sample=1/x", "--sweep-pcts=,", "--engines=",
+      "--txn-scale=0.5x", "--mode=free",   "--chaos-points=nope=1",
+      "--csv=1",         "--txns",
+  };
+  ToolTargets targets;
+  for (const auto& [tool, cli] : AllToolClis(&targets)) {
+    for (const std::string& arg : bad) {
+      const std::string name = arg.substr(0, arg.find('='));
+      if (!Declares(cli, name)) continue;
+      SCOPED_TRACE(tool + " " + arg);
+      auto [ok, error] = ParseWith(cli, {arg.c_str()});
+      EXPECT_FALSE(ok);
+      EXPECT_NE(error.find(name), std::string::npos) << error;
+    }
+  }
+}
+
+TEST(FlagTableTest, EachToolDeclaresTheCheckedFlags) {
+  // The malformed-value table above only bites where a tool declares
+  // the flag; pin the count flags each tool must carry.
+  const std::vector<std::pair<const char*, const char*>> want = {
+      {"imoltp_run", "--txns"},        {"imoltp_run", "--warmup"},
+      {"imoltp_run", "--seed"},        {"imoltp_run", "--index"},
+      {"imoltp_run", "--retry-backoff"}, {"imoltp_chaos", "--txns"},
+      {"imoltp_chaos", "--warmup"},    {"imoltp_chaos", "--seed"},
+      {"imoltp_chaos", "--retry-backoff"}, {"imoltp_cluster", "--txns"},
+      {"imoltp_cluster", "--warmup"},  {"imoltp_cluster", "--seed"},
+      {"imoltp_cluster", "--net-latency"}, {"imoltp_bench", "--txns"},
+      {"imoltp_bench", "--warmup"},    {"imoltp_bench", "--seed"},
+      {"imoltp_bench", "--workers"},   {"imoltp_bench", "--warehouses"},
+      {"figure", "--txn-scale"},
+  };
+  ToolTargets targets;
+  const std::map<std::string, FlagSet> clis = AllToolClis(&targets);
+  for (const auto& [tool, flag] : want) {
+    EXPECT_TRUE(Declares(clis.at(tool), flag)) << tool << " " << flag;
+  }
+}
+
+TEST(FlagTableTest, WholeInRangeValuesParse) {
+  ChaosFlags chaos;
+  auto [ok, error] = ParseWith(
+      ChaosCommandLine(&chaos),
+      {"--engine=hyper", "--txns=0", "--warmup=18446744073709551615",
+       "--mode=interleaved", "--log-buffer=64KB", "--checkpoint-every=8",
+       "--chaos-points=crash.mid_commit=@90",
+       "--chaos-points=log.truncate_tail=@1"});
+  ASSERT_TRUE(ok) << error;
+  EXPECT_EQ(chaos.opt.engine, engine::EngineKind::kHyPer);
+  EXPECT_EQ(chaos.opt.measure_txns, 0u);
+  EXPECT_EQ(chaos.opt.warmup_txns, ~uint64_t{0});
+  EXPECT_EQ(chaos.opt.mode, core::ParallelMode::kInterleaved);
+  EXPECT_EQ(chaos.opt.log_buffer_bytes, 64u << 10);
+  EXPECT_TRUE(chaos.opt.checkpoint.enabled);
+  EXPECT_EQ(chaos.opt.checkpoint.every_n_ticks, 8u);
+  EXPECT_EQ(chaos.opt.points.size(), 2u);  // repeats accumulate
+
+  ClusterFlags cluster;
+  std::tie(ok, error) = ParseWith(
+      ClusterCommandLine(&cluster),
+      {"--net-latency=2000", "--trace-sample=1/16", "--sweep-pcts=0,50",
+       "--chaos-node-death=@40", "--no-recover"});
+  ASSERT_TRUE(ok) << error;
+  EXPECT_EQ(cluster.cfg.net.latency_cycles, 2000u);
+  EXPECT_TRUE(cluster.cfg.trace.enabled);
+  EXPECT_EQ(cluster.cfg.trace.sample, 16u);
+  EXPECT_TRUE(cluster.trace_set);
+  EXPECT_EQ(cluster.sweep_pcts, (std::vector<int>{0, 50}));
+  EXPECT_TRUE(cluster.cfg.chaos.enabled);
+  EXPECT_EQ(cluster.cfg.chaos.nth_hit, 40u);
+  EXPECT_FALSE(cluster.cfg.chaos.recover);
+
+  BenchFlags bench;
+  std::tie(ok, error) = ParseWith(
+      BenchCommandLine(&bench),
+      {"--engines=voltdb,hyper", "--workers=3", "--db=2MB"});
+  ASSERT_TRUE(ok) << error;
+  EXPECT_EQ(bench.engines, (std::vector<std::string>{"voltdb", "hyper"}));
+  EXPECT_EQ(bench.workers, 3);
+  EXPECT_EQ(bench.db_bytes, 2ULL << 20);
+}
+
+TEST(FlagTableTest, HelpStopsParsingAndUsageListsDefaults) {
+  Flags flags;
+  const FlagSet cli = RunCommandLine(&flags);
+  std::vector<const char*> args = {"tool", "-h", "--frobnicate"};
+  bool help = false;
+  std::string error;
+  EXPECT_TRUE(cli.Parse(3, const_cast<char* const*>(args.data()), 1, &help,
+                        &error));
+  EXPECT_TRUE(help);
+  const std::string usage = cli.Usage("imoltp_run");
+  EXPECT_NE(usage.find("--txns=N"), std::string::npos) << usage;
+  EXPECT_NE(usage.find("(default 6000)"), std::string::npos) << usage;
+  EXPECT_NE(usage.find("(default voltdb)"), std::string::npos) << usage;
+  EXPECT_NE(usage.find("(default 10MB)"), std::string::npos) << usage;
+}
+
+// ---------------------------------------------------------- the binaries
+
+// Runs `cmd` through the shell; returns its exit code (-1 if it did not
+// exit) and, when `out` is non-null, its stdout.
+int RunCommand(const std::string& cmd, std::string* out = nullptr) {
+  std::FILE* pipe = popen(cmd.c_str(), "r");
+  if (pipe == nullptr) return -1;
+  char buf[4096];
+  size_t n;
+  while ((n = std::fread(buf, 1, sizeof(buf), pipe)) > 0) {
+    if (out != nullptr) out->append(buf, n);
+  }
+  const int status = pclose(pipe);
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
 // The same rule through the binary: a usage error (exit 2), where an
 // empty warehouse range once died with SIGFPE.
 TEST(RunBinaryTest, TpccWarehousesTheWorkersCannotSplitExitTwo) {
   const std::string cmd = std::string(IMOLTP_RUN_BINARY) +
                           " --engine=voltdb --workload=tpcc"
                           " --warehouses=3 --workers=4 2>/dev/null";
-  const int status = std::system(cmd.c_str());
-  ASSERT_TRUE(WIFEXITED(status)) << "status " << status;
-  EXPECT_EQ(WEXITSTATUS(status), 2);
+  EXPECT_EQ(RunCommand(cmd), 2);
+}
+
+// A malformed count must stop the run: read as 0, imoltp_run would
+// report all-zero windows, and imoltp_chaos would audit zero commits and
+// say every invariant held.
+TEST(RunBinaryTest, MalformedTxnsExitTwo) {
+  for (const char* binary : {IMOLTP_RUN_BINARY, IMOLTP_CHAOS_BINARY}) {
+    EXPECT_EQ(RunCommand(std::string(binary) +
+                         " --txns=abc --warmup=abc 2>/dev/null"),
+              2)
+        << binary;
+  }
+}
+
+// CLI smoke: every binary on the flag layer prints a --help that names
+// every flag of its table and exits 0, and one malformed value exits 2
+// before any work starts.
+TEST(CliSmokeTest, HelpNamesEveryFlagAndMalformedValueExitsTwo) {
+  struct Binary {
+    const char* tool;
+    const char* path;
+    const char* malformed;
+  };
+  const Binary binaries[] = {
+      {"imoltp_run", IMOLTP_RUN_BINARY, "--seed=1x"},
+      {"imoltp_chaos", IMOLTP_CHAOS_BINARY, "--warmup=-1"},
+      {"imoltp_cluster", IMOLTP_CLUSTER_BINARY, "run --net-latency=x"},
+      {"imoltp_bench", IMOLTP_BENCH_BINARY, "--workers=3x"},
+      {"figure", IMOLTP_FIGURE_BINARY, "--txn-scale=abc"},
+  };
+  ToolTargets targets;
+  const std::map<std::string, FlagSet> clis = AllToolClis(&targets);
+  for (const Binary& b : binaries) {
+    SCOPED_TRACE(b.path);
+    std::string help;
+    EXPECT_EQ(RunCommand(std::string(b.path) + " --help", &help), 0);
+    for (const Flag& f : clis.at(b.tool).flags) {
+      EXPECT_NE(help.find(f.name + (f.metavar.empty() ? " " : "=")),
+                std::string::npos)
+          << f.name;
+    }
+    EXPECT_EQ(RunCommand(std::string(b.path) + " " + b.malformed +
+                         " 2>/dev/null"),
+              2)
+        << b.malformed;
+  }
 }
 
 TEST(ParseEngineTest, AllFiveEnginesParse) {

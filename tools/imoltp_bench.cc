@@ -6,34 +6,16 @@
 // simulator's own performance trajectory). imoltp_diff compares two
 // matrices, so "did this commit make the simulator slower or change
 // what it simulates?" is one command against a committed baseline
-// (see docs/OBSERVABILITY.md, "Benchmark trajectories").
+// (see docs/OBSERVABILITY.md, "Benchmark trajectories"). The
+// tpcc-cluster workload runs the 3-node src/dist cluster and reports
+// cluster-wide averages; its refs/sec counts every node's references
+// over the cluster run.
 //
 //   imoltp_bench --label=pr42 --out=BENCH_pr42.json
 //   imoltp_bench --engines=voltdb,hyper --workloads=tpcb --txns=500
 //   imoltp_diff BENCH_baseline.json BENCH_pr42.json
 //
-// Flags:
-//   --label=NAME         matrix label (default "local")
-//   --out=FILE           output path (default BENCH_<label>.json,
-//                        "-" = stdout)
-//   --engines=A,B,...    subset of shore-mt,dbms-d,voltdb,hyper,dbms-m
-//                        (default all five)
-//   --workloads=A,B,...  subset of micro,micro-rw,micro-string,tpcb,
-//                        tpcc,tpcc-cluster (default tpcb,tpcc,
-//                        tpcc-cluster). tpcc-cluster runs the 3-node
-//                        src/dist cluster (serial mode only; other
-//                        modes skip the cell) and reports
-//                        cluster-wide averages; its refs/sec counts
-//                        every node's references over the cluster run.
-//   --modes=A,B,...      subset of serial,interleaved (default serial)
-//   --workers=N          worker threads == partitions (default 2)
-//   --txns=N             measured transactions per worker (default 2000)
-//   --warmup=N           warm-up transactions per worker (default 500)
-//   --db=SIZE            nominal database size (default 1MB)
-//   --warehouses=N       TPC-C scale (default 2)
-//   --seed=N             (default 42)
-//   --commit=REV         provenance string recorded in the matrix
-//                        (default $IMOLTP_COMMIT or "unknown")
+// `imoltp_bench --help` lists every flag with its default.
 //
 // Exit codes: 0 = all cells ran, 1 = any cell failed, 2 = usage error.
 
@@ -41,10 +23,8 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "core/experiment.h"
 #include "dist/cluster.h"
@@ -57,118 +37,9 @@ using namespace imoltp;
 
 namespace {
 
-struct BenchFlags {
-  std::string label = "local";
-  std::string out;  // default derived from label
-  std::vector<std::string> engines = {"shore-mt", "dbms-d", "voltdb",
-                                      "hyper", "dbms-m"};
-  std::vector<std::string> workloads = {"tpcb", "tpcc", "tpcc-cluster"};
-  std::vector<std::string> modes = {"serial"};
-  int workers = 2;
-  uint64_t txns = 2000;
-  uint64_t warmup = 500;
-  uint64_t db_bytes = 1ULL << 20;
-  int warehouses = 2;
-  uint64_t seed = 42;
-  std::string commit;
-};
-
-std::vector<std::string> SplitCsv(const std::string& s) {
-  std::vector<std::string> out;
-  size_t pos = 0;
-  while (pos <= s.size()) {
-    size_t comma = s.find(',', pos);
-    if (comma == std::string::npos) comma = s.size();
-    if (comma > pos) out.push_back(s.substr(pos, comma - pos));
-    pos = comma + 1;
-  }
-  return out;
-}
-
-int Usage(const char* argv0, const std::string& error) {
-  if (!error.empty()) {
-    std::fprintf(stderr, "%s: %s\n", argv0, error.c_str());
-  }
-  std::fprintf(stderr,
-               "usage: %s [--label=NAME] [--out=FILE] [--engines=A,B]\n"
-               "          [--workloads=A,B] [--modes=A,B] [--workers=N]\n"
-               "          [--txns=N] [--warmup=N] [--db=SIZE]\n"
-               "          [--warehouses=N] [--seed=N] [--commit=REV]\n",
-               argv0);
-  return 2;
-}
-
-bool ParseBenchFlags(int argc, char* const* argv, BenchFlags* flags,
-                     std::string* error) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&](const char* prefix) -> const char* {
-      const size_t n = std::strlen(prefix);
-      return arg.compare(0, n, prefix) == 0 ? arg.c_str() + n : nullptr;
-    };
-    if (const char* v = value("--label=")) {
-      if (*v == '\0') {
-        *error = "--label= needs a name";
-        return false;
-      }
-      flags->label = v;
-    } else if (const char* v = value("--out=")) {
-      flags->out = v;
-    } else if (const char* v = value("--engines=")) {
-      flags->engines = SplitCsv(v);
-    } else if (const char* v = value("--workloads=")) {
-      flags->workloads = SplitCsv(v);
-    } else if (const char* v = value("--modes=")) {
-      flags->modes = SplitCsv(v);
-    } else if (const char* v = value("--workers=")) {
-      flags->workers = std::atoi(v);
-      if (flags->workers <= 0) {
-        *error = std::string("bad value for --workers: ") + v;
-        return false;
-      }
-    } else if (const char* v = value("--txns=")) {
-      flags->txns = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = value("--warmup=")) {
-      flags->warmup = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = value("--db=")) {
-      flags->db_bytes = tools::ParseSize(v);
-      if (flags->db_bytes == 0) {
-        *error = std::string("bad value for --db: ") + v;
-        return false;
-      }
-    } else if (const char* v = value("--warehouses=")) {
-      flags->warehouses = std::atoi(v);
-      if (flags->warehouses <= 0) {
-        *error = std::string("bad value for --warehouses: ") + v;
-        return false;
-      }
-    } else if (const char* v = value("--seed=")) {
-      flags->seed = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = value("--commit=")) {
-      flags->commit = v;
-    } else {
-      *error = "unknown flag: " + arg;
-      return false;
-    }
-  }
-  if (flags->engines.empty() || flags->workloads.empty() ||
-      flags->modes.empty()) {
-    *error = "--engines/--workloads/--modes must not be empty";
-    return false;
-  }
-  if (flags->commit.empty()) {
-    const char* env = std::getenv("IMOLTP_COMMIT");
-    flags->commit = env != nullptr && *env != '\0' ? env : "unknown";
-  }
-  if (flags->out.empty()) {
-    flags->out = "BENCH_" + flags->label + ".json";
-  }
-  return true;
-}
-
 /// Runs one campaign cell. Returns false (with `error` set) when the
 /// configuration is invalid or the run fails.
-bool RunCell(const BenchFlags& bench, const std::string& engine,
+bool RunCell(const tools::BenchFlags& bench, const std::string& engine,
              const std::string& workload, const std::string& mode,
              obs::BenchCell* cell, std::string* error) {
   tools::Flags flags;
@@ -231,7 +102,7 @@ bool RunCell(const BenchFlags& bench, const std::string& engine,
 /// scale, reporting cluster-wide averages of the simulated metrics. The
 /// host axis counts the references every node's machine simulated
 /// during Run (warm-up plus measurement), over Run's wall-clock time.
-bool RunClusterCell(const BenchFlags& bench, const std::string& engine,
+bool RunClusterCell(const tools::BenchFlags& bench, const std::string& engine,
                     obs::BenchCell* cell, std::string* error) {
   dist::ClusterConfig cfg;
   if (!engine::ParseEngineKind(engine, &cfg.engine_kind)) {
@@ -242,11 +113,6 @@ bool RunClusterCell(const BenchFlags& bench, const std::string& engine,
   cfg.nodes = 3;
   cfg.warehouses_per_node = bench.warehouses;
   cfg.workers_per_node = bench.workers;
-  if (cfg.warehouses_per_node % cfg.workers_per_node != 0) {
-    *error = "--warehouses must be divisible by --workers for the "
-             "cluster cell";
-    return false;
-  }
   cfg.warmup_per_node = bench.warmup;
   cfg.txns_per_node = bench.txns;
   cfg.multi_home_pct = 10;
@@ -319,11 +185,15 @@ bool RunClusterCell(const BenchFlags& bench, const std::string& engine,
 }  // namespace
 
 int main(int argc, char** argv) {
-  BenchFlags bench;
-  std::string error;
-  if (!ParseBenchFlags(argc, argv, &bench, &error)) {
-    return Usage(argv[0], error);
+  tools::BenchFlags bench;
+  const tools::FlagSet cli = tools::BenchCommandLine(&bench);
+  if (const int rc = cli.ParseMain(argc, argv); rc >= 0) return rc;
+  if (bench.commit.empty()) {
+    const char* env = std::getenv("IMOLTP_COMMIT");
+    bench.commit = env != nullptr && *env != '\0' ? env : "unknown";
   }
+  if (bench.out.empty()) bench.out = "BENCH_" + bench.label + ".json";
+  std::string error;
 
   obs::BenchMatrix matrix;
   matrix.label = bench.label;

@@ -2,59 +2,17 @@
 // workload, configuration) cell of the paper's design space and prints
 // the human-readable tables, one machine-readable CSV row, or a full
 // schema-versioned JSON report (see docs/OBSERVABILITY.md).
+// `imoltp_run --help` lists every flag with its default.
 //
 //   imoltp_run --engine=hyper --workload=micro --db=100GB --rows=10
 //   imoltp_run --engine=dbms-m --workload=tpcc --warehouses=8 --csv
 //   imoltp_run --engine=voltdb --workload=tpcc --json=report.json
 //   imoltp_run --engine=voltdb --trace-out=run.trace
 //   imoltp_run --sample-every=20000 --timeline-out=run.trace.json
-//
-// Flags:
-//   --engine=shore-mt|dbms-d|voltdb|hyper|dbms-m      (default voltdb)
-//   --workload=micro|micro-rw|micro-string|tpcb|tpcc  (default micro)
-//   --db=SIZE            nominal size, e.g. 10MB, 10GB, 100GB
-//   --rows=N             micro: rows per transaction
-//   --warehouses=N       tpcc only
-//   --workers=N          worker threads == partitions
-//   --txns=N             measured transactions per worker
-//   --warmup=N           warm-up transactions per worker
-//   --index=hash|btree   DBMS M index choice
-//   --no-compilation     disable DBMS M transaction compilation
-//   --mode=M             serial|interleaved (default serial)
-//                        (see docs/parallel_execution.md)
-//   --seed=N
-//   --csv                one CSV row (+ header with --csv-header)
-//   --json=FILE          full JSON report ("-" = stdout)
-//   --trace-out=FILE     record the simulated reference stream for
-//                        later `imoltp_trace replay` (docs/tracing.md)
-//   --sample-every=N     sample worker-core counters every N retire
-//                        cycles during the measurement window (adds a
-//                        timeseries section to the JSON report)
-//   --timeline-out=FILE  write a Perfetto-loadable trace-event timeline
-//                        (spans, retry-attempt flows + sampled counter
-//                        tracks per core; see imoltp_timeline)
-//   --sample-modules     also sample per-module cycles (one counter
-//                        track per code module; implied by
-//                        --timeline-out)
-//   --retry=N            attempts per transaction (1 = no retry)
-//   --retry-backoff=N    cycles before the first retry (doubles per
-//                        attempt; see docs/robustness.md)
-//   --retry-cap=N        in-flight-retry admission cap
-//   --chaos-seed=N       arm the fault injector with this seed
-//   --chaos-points=SPEC  NAME=PROB[@NTH],... fault points to arm
-//                        (e.g. lock.conflict=0.05,crash.mid_commit=@90)
-//   --checkpoint-every=N enable fuzzy checkpointing, one every N
-//                        worker-0 transaction ticks (adds a `recovery`
-//                        section to the JSON report)
-//   --checkpoint-pages=N fuzzy capture rate (pages per tick)
-//   --checkpoint-retain=N  complete checkpoints kept on the device
 
 #include <cstdio>
-#include <functional>
 #include <memory>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "core/experiment.h"
 #include "core/report.h"
@@ -66,47 +24,16 @@
 
 using namespace imoltp;
 
-namespace {
-
-int Usage(const char* argv0, const std::string& error) {
-  if (!error.empty()) std::fprintf(stderr, "%s: %s\n", argv0, error.c_str());
-  std::fprintf(stderr,
-               "usage: %s [--engine=E] [--workload=W] [--db=SIZE] "
-               "[--rows=N]\n"
-               "          [--warehouses=N] [--workers=N] [--txns=N] "
-               "[--warmup=N]\n"
-               "          [--index=hash|btree] [--no-compilation] "
-               "[--seed=N] [--csv]\n"
-               "          [--mode=serial|interleaved]\n"
-               "          [--json=FILE] [--trace-out=FILE]\n"
-               "          [--sample-every=N] [--timeline-out=FILE] "
-               "[--sample-modules]\n"
-               "          [--retry=N] [--retry-backoff=N] "
-               "[--retry-cap=N]\n"
-               "          [--chaos-seed=N] [--chaos-points=SPEC]\n"
-               "          [--checkpoint-every=N] [--checkpoint-pages=N]\n"
-               "          [--checkpoint-retain=N]\n"
-               "engines: %s\n"
-               "workloads: %s\n",
-               argv0, engine::EngineKindChoices(),
-               core::WorkloadChoices());
-  return 2;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   tools::Flags flags;
-  std::string error;
-  if (!tools::ParseCommandLine(argc, argv, &flags, &error)) {
-    return Usage(argv[0], error);
-  }
-  if (flags.list) return Usage(argv[0], "");
+  const tools::FlagSet cli = tools::RunCommandLine(&flags);
+  if (const int rc = cli.ParseMain(argc, argv); rc >= 0) return rc;
 
   core::ExperimentConfig cfg;
   std::unique_ptr<core::Workload> workload;
+  std::string error;
   if (!tools::BuildExperiment(flags, &cfg, &workload, &error)) {
-    return Usage(argv[0], error);
+    return cli.Fail(argv[0], error);
   }
 
   // Fault injection: arm the seeded injector before the engine exists
@@ -117,11 +44,9 @@ int main(int argc, char** argv) {
       flags.chaos_seed != 0 ? flags.chaos_seed : flags.seed;
   fault::FaultInjector injector(fault_seed);
   if (chaos_on) {
-    std::vector<std::pair<std::string, fault::FaultPointConfig>> points;
-    if (!tools::ParseChaosPoints(flags.chaos_points, &points, &error)) {
-      return Usage(argv[0], error);
+    for (const auto& [name, point] : flags.chaos_points) {
+      injector.Arm(name, point);
     }
-    for (const auto& [name, point] : points) injector.Arm(name, point);
     cfg.engine_options.fault_injector = &injector;
   }
 

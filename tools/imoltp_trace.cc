@@ -1,16 +1,15 @@
-// imoltp_trace — record / replay / sweep driver for the binary trace
-// subsystem (docs/tracing.md). A recorded trace captures one live run's
-// simulated reference stream; replays re-simulate it through arbitrary
-// machine configurations without re-running the engine.
+// imoltp_trace — inspect / replay / sweep driver for the binary trace
+// subsystem (docs/tracing.md). A trace, recorded with
+// `imoltp_run --trace-out=FILE`, captures one live run's simulated
+// reference stream; replays re-simulate it through arbitrary machine
+// configurations without re-running the engine.
 //
-//   imoltp_trace record --engine=voltdb --trace-out=run.trace
+//   imoltp_run --engine=voltdb --trace-out=run.trace
 //   imoltp_trace info run.trace
 //   imoltp_trace replay run.trace --config=llc=2MB,pf=off --json=-
 //   imoltp_trace sweep run.trace --cell=no-pf:pf=off --threads=8
 //
 // Subcommands:
-//   record   run one live experiment (same flags as imoltp_run) and
-//            write its reference stream to --trace-out=FILE
 //   info     print the trace header and validate the whole stream
 //   replay   re-simulate one trace; --config=SPEC overrides the
 //            recorded machine (see below), --json=FILE emits a report
@@ -24,17 +23,13 @@
 // cpi_floor, clock. Empty or "recorded" replays the header config.
 
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "core/experiment.h"
 #include "core/report.h"
 #include "obs/report_json.h"
-#include "tools/imoltp_cli.h"
 #include "trace/reader.h"
-#include "trace/record.h"
 #include "trace/replay.h"
 
 using namespace imoltp;
@@ -45,11 +40,11 @@ int Usage(const char* argv0, const std::string& error) {
   if (!error.empty()) std::fprintf(stderr, "%s: %s\n", argv0, error.c_str());
   std::fprintf(
       stderr,
-      "usage: %s record <imoltp_run flags> --trace-out=FILE\n"
-      "       %s info FILE\n"
+      "usage: %s info FILE\n"
       "       %s replay FILE [--config=SPEC] [--json=FILE]\n"
-      "       %s sweep FILE [--cell=LABEL:SPEC]... [--threads=N]\n",
-      argv0, argv0, argv0, argv0);
+      "       %s sweep FILE [--cell=LABEL:SPEC]... [--threads=N]\n"
+      "record a FILE with imoltp_run --trace-out=FILE\n",
+      argv0, argv0, argv0);
   return 2;
 }
 
@@ -68,57 +63,6 @@ obs::RunInfo ReplayRunInfo(const trace::ReplayResult& result) {
   info.trace_file_id = meta.trace_id;
   info.replayed = true;
   return info;
-}
-
-int CmdRecord(const char* argv0, int argc, char** argv) {
-  tools::Flags flags;
-  std::string error;
-  if (!tools::ParseCommandLine(argc, argv, &flags, &error)) {
-    return Usage(argv0, error);
-  }
-  if (flags.trace_out.empty()) {
-    return Usage(argv0, "record needs --trace-out=FILE");
-  }
-  core::ExperimentConfig cfg;
-  std::unique_ptr<core::Workload> workload;
-  if (!tools::BuildExperiment(flags, &cfg, &workload, &error)) {
-    return Usage(argv0, error);
-  }
-
-  std::fprintf(stderr, "recording %s / %s ...\n", flags.engine.c_str(),
-               flags.workload.c_str());
-  trace::RecordResult result;
-  const Status s = trace::RecordExperiment(
-      cfg, workload.get(), flags.trace_out, flags.db_bytes, flags.rows,
-      flags.warehouses, &result);
-  if (!s.ok()) {
-    std::fprintf(stderr, "%s: %s\n", argv0, s.ToString().c_str());
-    return 1;
-  }
-  std::fprintf(stderr, "recorded trace %s (%llu events) to %s\n",
-               result.trace_id.c_str(),
-               static_cast<unsigned long long>(result.events),
-               flags.trace_out.c_str());
-
-  if (!flags.json_path.empty()) {
-    obs::RunInfo info;
-    tools::FillRunInfo(flags, &info);
-    info.aborts = result.aborts;
-    info.trace_file_id = result.trace_id;
-    info.replayed = false;
-    const std::string json = obs::RunReportToJson(
-        info, result.window, cfg.machine_config.cycle, nullptr, nullptr);
-    const Status js = obs::WriteJsonFile(flags.json_path, json);
-    if (!js.ok()) {
-      std::fprintf(stderr, "%s: %s\n", argv0, js.ToString().c_str());
-      return 1;
-    }
-  }
-
-  const std::string label = flags.engine + " / " + flags.workload;
-  core::ReportRow row{label, result.window};
-  core::PrintIpc("Recorded run", {row});
-  return 0;
 }
 
 int CmdInfo(const char* argv0, int argc, char** argv) {
@@ -315,7 +259,6 @@ int CmdSweep(const char* argv0, int argc, char** argv) {
 int main(int argc, char** argv) {
   if (argc < 2) return Usage(argv[0], "missing subcommand");
   const std::string cmd = argv[1];
-  if (cmd == "record") return CmdRecord(argv[0], argc - 1, argv + 1);
   if (cmd == "info") return CmdInfo(argv[0], argc - 2, argv + 2);
   if (cmd == "replay") return CmdReplay(argv[0], argc - 2, argv + 2);
   if (cmd == "sweep") return CmdSweep(argv[0], argc - 2, argv + 2);
